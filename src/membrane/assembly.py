@@ -10,8 +10,10 @@ row replacement: the K block-row is zeroed, the M block-row is zeroed
 except for an identity at the diagonal block, and the load entries are
 zeroed.  The constrained rows then read a''_i = 0, so the velocity
 stays at its initial value exactly and the displacement integrates it.
-Columns are left untouched, so the constrained system is not symmetric
-and is solved with a general sparse LU.
+Columns are left untouched, so the free rows keep their coupling to
+the constrained dofs.  The integrator solves only the free-dof block,
+which is symmetric positive definite, and returns exact zeros on the
+constrained dofs.
 """
 from __future__ import annotations
 

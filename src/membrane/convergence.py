@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import ConfigError, MeshError
+from .errors import ConfigError, MeshError, config_number
 from .integrator import State, default_timestep
 from .mesh import Mesh, StructuredSpec, generate_structured, refine
 from .scenarios import (
@@ -304,4 +304,4 @@ def study_from_json(source) -> StudySpec:
     if "k_max" not in data:
         raise ConfigError("missing config key: k_max")
     scenario = scenario_from_dict(data, extra_keys={"k_max"})
-    return StudySpec(scenario=scenario, k_max=int(data["k_max"]))
+    return StudySpec(scenario=scenario, k_max=config_number(data["k_max"], "k_max", integer=True))

@@ -2,8 +2,11 @@
 
 Every error raised on a user-facing path derives from MembraneError so
 callers (and the CLI) can distinguish configuration mistakes from
-numerical failures.
+numerical failures.  `config_number` is the one coercion of config
+values to numbers, so a bad value always ends in ConfigError.
 """
+import math
+import numbers
 
 
 class MembraneError(Exception):
@@ -40,3 +43,23 @@ class AssemblyError(MembraneError):
 
 class SolverError(MembraneError):
     """Numerical failure in factorization or time integration."""
+
+
+def config_number(value, key: str, integer: bool = False):
+    """A config value as a finite float, or as an int when `integer`.
+
+    Only JSON numbers qualify: strings, booleans, null, non-finite
+    values and (with `integer`) fractional values raise ConfigError
+    naming `key`.
+    """
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        if integer and isinstance(value, numbers.Integral):
+            return int(value)
+        try:
+            x = float(value)
+        except OverflowError:
+            x = math.inf
+        if math.isfinite(x) and (not integer or x.is_integer()):
+            return int(x) if integer else x
+    kind = "an integer" if integer else "a finite number"
+    raise ConfigError(f"{key} must be {kind}, got {value!r}")

@@ -13,6 +13,14 @@ so the balance M a'' + K a + f = 0 holds exactly at t_n+1.  The scheme
 is unconditionally stable for beta2 >= beta1 >= 1/2 and second-order
 accurate for beta1 = 1/2; both defaults are 1/2.  A is constant while
 M, K, and tau are, so it is factorized once and reused every step.
+
+Constrained dofs are eliminated from every solve: only the block of
+free rows and columns is factored, and the constrained entries of the
+solution are exact zeros.  That block of A (and of M, solved once at
+t=0) is symmetric positive definite whatever the row replacement did
+to the constrained rows, so it takes a symmetric-mode LU: a minimum
+degree ordering of A + A^T and diagonal pivots.  The free rows keep
+the coupling K_fc a_c through the matvec K a_bar.
 """
 from __future__ import annotations
 
@@ -69,6 +77,44 @@ class State:
         return State(self.a.copy(), self.adot.copy(), self.addot.copy(), self.t, self.step)
 
 
+class _FreeBlockLU:
+    """Sparse LU of the free-dof block of a constrained system matrix.
+
+    `solve` takes and returns full-length vectors; the constrained
+    entries of the result are exact zeros.  `superlu` is the factor of
+    the free block; its L and U are built only when read.
+    """
+
+    def __init__(self, matrix, constrained_dofs, what: str):
+        free = np.ones(matrix.shape[0], dtype=bool)
+        if constrained_dofs is not None:
+            free[constrained_dofs] = False
+        self.free = np.flatnonzero(free)
+        block = matrix.tocsr()[self.free][:, self.free].tocsc()
+        try:
+            self.superlu = splu(
+                block,
+                permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True},
+            )
+        except RuntimeError as exc:
+            raise SolverError(f"factorization of {what} failed (singular?): {exc}") from exc
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        x = np.zeros(rhs.shape[0])
+        x[self.free] = self.superlu.solve(rhs[self.free])
+        return x
+
+    @property
+    def L(self):
+        return self.superlu.L
+
+    @property
+    def U(self):
+        return self.superlu.U
+
+
 @dataclass(frozen=True)
 class NewmarkFactor:
     """LU factorization of A, pinned to the system and timestep it used."""
@@ -87,9 +133,9 @@ def default_timestep(mesh: Mesh, material: MaterialParams) -> float:
 def init_state(system: GlobalSystem, a0=None, v0=None) -> State:
     """Initial state with accelerations solved from the balance at t=0.
 
-    a''_0 solves M a''_0 = -(K a_0 + f) on the constrained system, so
-    constrained rows start at zero acceleration; constrained velocity
-    entries are overwritten with their v_fix regardless of v0.
+    a''_0 solves M a''_0 = -(K a_0 + f) on the free dofs; constrained
+    accelerations are exact zeros and constrained velocity entries are
+    overwritten with their v_fix regardless of v0.
     """
     if not system.constrained:
         raise SolverError("init_state needs a system with constraints applied")
@@ -100,36 +146,28 @@ def init_state(system: GlobalSystem, a0=None, v0=None) -> State:
         raise SolverError(f"initial vectors must have shape ({n},)")
     for c in system.constraints:
         v[3 * c.node: 3 * c.node + 3] = c.v_fix
-    try:
-        lu = splu(system.M.tocsc())
-    except RuntimeError as exc:
-        raise SolverError(f"mass matrix factorization failed: {exc}") from exc
+    lu = _FreeBlockLU(system.M, system.constrained_dofs, "the mass matrix")
     addot = lu.solve(-(system.K @ a + system.f))
-    if system.constrained_dofs is not None and system.constrained_dofs.size:
-        addot[system.constrained_dofs] = 0.0
     return State(a=a, adot=v, addot=addot, t=0.0, step=0)
 
 
 def factor_once(system: GlobalSystem, params: NewmarkParams) -> NewmarkFactor:
-    """Factorize A = M + 0.5*tau^2*beta2*K with a general sparse LU.
+    """Factorize the free-dof block of A = M + 0.5*tau^2*beta2*K.
 
-    Row replacement makes the constrained system nonsymmetric, so no
-    symmetry is assumed.  The handle records the system and timestep;
-    `step` refuses a stale handle.
+    The block is symmetric positive definite, so it takes a
+    symmetric-mode LU (see the module docstring).  The handle records
+    the system and timestep; `step` refuses a stale handle.
     """
-    a = (system.M + (0.5 * params.tau**2 * params.beta2) * system.K).tocsc()
-    try:
-        lu = splu(a)
-    except RuntimeError as exc:
-        raise SolverError(f"factorization of A failed (singular?): {exc}") from exc
+    a = system.M + (0.5 * params.tau**2 * params.beta2) * system.K
+    lu = _FreeBlockLU(a, system.constrained_dofs, "A")
     return NewmarkFactor(lu=lu, tau=params.tau, beta2=params.beta2, system=system)
 
 
 def step(state: State, system: GlobalSystem, params: NewmarkParams, factor: NewmarkFactor) -> State:
     """Advance one Newmark step; system.f must hold the load at t_n+1.
 
-    Constrained accelerations are pinned to exact zero after the solve,
-    which keeps constrained velocities bitwise constant.  Time is
+    The solve leaves constrained accelerations at exact zero, which
+    keeps constrained velocities bitwise constant.  Time is
     computed as step*tau rather than accumulated, so snapshot times of
     a halved timestep line up bitwise with the coarser run.
     """
@@ -141,8 +179,6 @@ def step(state: State, system: GlobalSystem, params: NewmarkParams, factor: Newm
     addot = factor.lu.solve(-(system.f + system.K @ a_bar))
     if not np.all(np.isfinite(addot)):
         raise SolverError(f"non-finite acceleration at step {state.step + 1}")
-    if system.constrained_dofs is not None and system.constrained_dofs.size:
-        addot[system.constrained_dofs] = 0.0
     adot = v_bar + params.beta1 * tau * addot
     a = a_bar + 0.5 * tau**2 * params.beta2 * addot
     n = state.step + 1

@@ -11,11 +11,12 @@ vector in the same order.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, MaterialError
+from .errors import ConfigError, MaterialError, config_number
 
 __all__ = [
     "VOIGT_COMPONENTS",
@@ -117,16 +118,18 @@ def packed_from_entries(entries) -> np.ndarray:
     for entry in entries:
         try:
             i, j, value = entry
+            i, j, value = int(i), int(j), float(value)
         except (TypeError, ValueError) as exc:
             raise MaterialError(f"bad moduli entry {entry!r}: need (i, j, value)") from exc
-        i, j = int(i), int(j)
+        if not math.isfinite(value):
+            raise MaterialError(f"moduli entry ({i}, {j}) is not finite: {value}")
         if not (1 <= i <= 6 and 1 <= j <= 6):
             raise MaterialError(f"moduli indices must be 1..6, got ({i}, {j})")
         a, b = (i - 1, j - 1) if i <= j else (j - 1, i - 1)
         if (a, b) in seen:
             raise MaterialError(f"duplicate moduli entry for ({i}, {j})")
         seen.add((a, b))
-        upper[a, b] = float(value)
+        upper[a, b] = value
     return upper[np.triu_indices(6)]
 
 
@@ -167,17 +170,23 @@ def params_from_config(cfg: dict) -> MaterialParams:
             raise ConfigError(f"missing config key: material.{key}")
         return cfg[key]
 
+    def number(key):
+        return config_number(need(key), f"material.{key}")
+
     kind = need("type")
     try:
         if kind == "isotropic":
-            d = isotropic(float(need("E")), float(need("nu")))
+            d = isotropic(number("E"), number("nu"))
         elif kind == "anisotropic":
-            packed = packed_from_entries(need("moduli_gpa"))
+            entries = need("moduli_gpa")
+            if not isinstance(entries, list):
+                raise ConfigError(f"material.moduli_gpa must be a list, got {entries!r}")
+            packed = packed_from_entries(entries)
             d = anisotropic(packed * 1e9)
         else:
             raise ConfigError(f"unknown material.type {kind!r}")
-        rho = float(need("rho"))
-        h = float(need("h"))
+        rho = number("rho")
+        h = number("h")
     except MaterialError as exc:
         raise ConfigError(f"invalid material: {exc}") from exc
     if not rho > 0.0:
@@ -186,8 +195,7 @@ def params_from_config(cfg: dict) -> MaterialParams:
         raise ConfigError(f"material.h must be positive, got {h}")
 
     def opt(key):
-        v = cfg.get(key)
-        return None if v is None else float(v)
+        return None if cfg.get(key) is None else number(key)
 
     return MaterialParams(
         d=d,

@@ -174,14 +174,13 @@ class Mesh:
                 f"(doubled signed area {s2[bad[0]]:.3e})"
             )
         key = np.sort(t, axis=1)
-        if np.unique(key, axis=0).shape[0] != self.n_triangles:
+        key = key[np.lexsort(key.T[::-1])]
+        if (key[1:] == key[:-1]).all(axis=1).any():
             raise MeshError("duplicate triangles")
         # edge-connectivity over the node graph; also catches orphan nodes
-        ue = np.unique(self.edges(), axis=0)
+        # (repeated edges only sum into the same adjacency entry)
         n = self.n_nodes
-        adj = coo_matrix(
-            (np.ones(ue.shape[0]), (ue[:, 0], ue[:, 1])), shape=(n, n)
-        )
+        adj = coo_matrix((np.ones(e.shape[0]), (e[:, 0], e[:, 1])), shape=(n, n))
         ncomp, _ = connected_components(adj, directed=False)
         if ncomp != 1:
             raise MeshError(f"mesh is not edge-connected ({ncomp} components)")
@@ -247,8 +246,10 @@ def central_element_pair(mesh: Mesh) -> tuple[int, int]:
 def boundary_nodes(mesh: Mesh) -> np.ndarray:
     """Sorted ids of nodes lying on edges owned by exactly one triangle."""
     e = mesh.edges()
-    ue, counts = np.unique(e, axis=0, return_counts=True)
-    return np.unique(ue[counts == 1])
+    n = mesh.n_nodes
+    key, counts = np.unique(e[:, 0].astype(np.int64) * n + e[:, 1], return_counts=True)
+    once = key[counts == 1]
+    return np.unique(np.concatenate([once // n, once % n])).astype(e.dtype, copy=False)
 
 
 def _tokens(line: str):

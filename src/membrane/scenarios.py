@@ -34,7 +34,7 @@ from .assembly import (
     build_load_vector,
     update_load,
 )
-from .errors import ConfigError, MeshError
+from .errors import ConfigError, MeshError, config_number
 from .integrator import (
     NewmarkParams,
     State,
@@ -284,6 +284,8 @@ def run(config: ScenarioConfig, on_snapshot=None, keep_snapshots: bool = True) -
         raise ConfigError(f"t_final must be positive, got {config.t_final}")
     if config.every_n_steps < 1:
         raise ConfigError(f"every_n_steps must be >= 1, got {config.every_n_steps}")
+    if config.tau is not None and not config.tau > 0.0:
+        raise ConfigError(f"tau must be positive, got {config.tau}")
 
     t_start = time.perf_counter()
     mesh = build_mesh(config.mesh)
@@ -299,6 +301,8 @@ def run(config: ScenarioConfig, on_snapshot=None, keep_snapshots: bool = True) -
 
     tau = config.tau if config.tau is not None else default_timestep(mesh, material)
     params = NewmarkParams(tau=tau)
+    if not math.isfinite(config.t_final / tau):
+        raise ConfigError(f"T/tau overflows: T={config.t_final}, tau={tau}")
     n_steps = int(math.ceil(config.t_final / tau - 1e-9))
 
     a0 = None
@@ -342,14 +346,44 @@ def _require(d: dict, key: str, where: str):
     return d[key]
 
 
+_REQUIRED = object()
+
+
+def _section(d: dict, key: str, where: str = "", optional: bool = False) -> dict:
+    value = d.get(key, {}) if optional else _require(d, key, where)
+    if not isinstance(value, dict):
+        raise ConfigError(f"config key {where}{key} must be an object, got {value!r}")
+    return value
+
+
+def _number(d: dict, key: str, where: str, default=_REQUIRED, integer: bool = False):
+    """d[key] through `config_number`; an absent key takes `default`."""
+    value = _require(d, key, where) if default is _REQUIRED else d.get(key, default)
+    if value is None and default is None:
+        return None
+    return config_number(value, where + key, integer)
+
+
+def _numbers(d: dict, key: str, where: str, length=None, integer=False, optional=False):
+    """d[key] as a tuple of numbers; an absent optional key gives None."""
+    value = d.get(key) if optional else _require(d, key, where)
+    if value is None and optional:
+        return None
+    if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
+        size = "" if length is None else f"{length} "
+        raise ConfigError(f"{where}{key} must be a list of {size}numbers, got {value!r}")
+    return tuple(config_number(v, f"{where}{key}[{i}]", integer) for i, v in enumerate(value))
+
+
 def _mesh_from_dict(d: dict):
     if "msh_path" in d:
         return str(d["msh_path"])
-    for key in ("Lx", "Ly", "nx", "ny"):
-        _require(d, key, "mesh.")
     try:
         return StructuredSpec(
-            Lx=float(d["Lx"]), Ly=float(d["Ly"]), nx=int(d["nx"]), ny=int(d["ny"])
+            Lx=_number(d, "Lx", "mesh."),
+            Ly=_number(d, "Ly", "mesh."),
+            nx=_number(d, "nx", "mesh.", integer=True),
+            ny=_number(d, "ny", "mesh.", integer=True),
         )
     except MeshError as exc:
         raise ConfigError(f"invalid mesh: {exc}") from exc
@@ -357,39 +391,29 @@ def _mesh_from_dict(d: dict):
 
 def _case_from_dict(d: dict):
     if "id" in d:
-        window = d.get("window")
-        if window is not None:
-            if len(window) != 2:
-                raise ConfigError(f"case.window must be [t0, t1], got {window}")
-            window = (float(window[0]), float(window[1]))
         return CaseSpec(
-            case_id=int(d["id"]),
-            b0=float(d.get("b0", 1.0)),
-            speed=float(d.get("speed", 1.0)),
-            window=window,
-            support_radius=(
-                None if d.get("support_radius") is None else float(d["support_radius"])
-            ),
+            case_id=_number(d, "id", "case.", integer=True),
+            b0=_number(d, "b0", "case.", 1.0),
+            speed=_number(d, "speed", "case.", 1.0),
+            window=_numbers(d, "window", "case.", 2, optional=True),
+            support_radius=_number(d, "support_radius", "case.", None),
         )
     if "load" in d:
-        ld = d["load"]
-        elements = ld.get("elements")
+        ld = _section(d, "load", "case.")
         return LoadSpec(
             kind=_require(ld, "kind", "case.load."),
-            direction=tuple(float(v) for v in _require(ld, "direction", "case.load.")),
-            b0=float(_require(ld, "b0", "case.load.")),
-            window=tuple(float(v) for v in _require(ld, "window", "case.load.")),
-            elements=None if elements is None else tuple(int(e) for e in elements),
-            support_radius=(
-                None if ld.get("support_radius") is None else float(ld["support_radius"])
-            ),
+            direction=_numbers(ld, "direction", "case.load.", 3),
+            b0=_number(ld, "b0", "case.load."),
+            window=_numbers(ld, "window", "case.load.", 2),
+            elements=_numbers(ld, "elements", "case.load.", integer=True, optional=True),
+            support_radius=_number(ld, "support_radius", "case.load.", None),
         )
     if "strike" in d:
-        st = d["strike"]
+        st = _section(d, "strike", "case.")
         return StrikeSpec(
-            node=int(_require(st, "node", "case.strike.")),
-            speed=float(_require(st, "speed", "case.strike.")),
-            angle_to_normal=float(st.get("angle_to_normal", 0.0)),
+            node=_number(st, "node", "case.strike.", integer=True),
+            speed=_number(st, "speed", "case.strike."),
+            angle_to_normal=_number(st, "angle_to_normal", "case.strike.", 0.0),
         )
     raise ConfigError("case needs one of: id, load, strike")
 
@@ -398,7 +422,8 @@ def scenario_from_dict(d: dict, extra_keys=frozenset()) -> ScenarioConfig:
     """Parse a scenario config dict (the content of a run JSON file).
 
     Unknown keys are rejected unless they start with an underscore
-    (reserved for user notes) or appear in `extra_keys`.
+    (reserved for user notes) or appear in `extra_keys`.  Every number
+    must be a finite JSON number, and counts must be integers.
     """
     known = {
         "mesh", "material", "case", "border", "T", "tau", "output",
@@ -408,23 +433,19 @@ def scenario_from_dict(d: dict, extra_keys=frozenset()) -> ScenarioConfig:
         if key not in known and not key.startswith("_"):
             raise ConfigError(f"unknown config key: {key}")
 
-    output = d.get("output", {})
-    every = int(output.get("every_n_steps", 1))
+    output = _section(d, "output", optional=True)
     out_dir = output.get("directory")
-    translation = d.get("initial_translation")
-    if translation is not None:
-        translation = tuple(float(v) for v in translation)
-        if len(translation) != 3:
-            raise ConfigError("initial_translation must have three components")
-    tau = d.get("tau")
+    translation = _numbers(d, "initial_translation", "", optional=True)
+    if translation is not None and len(translation) != 3:
+        raise ConfigError("initial_translation must have three components")
     return ScenarioConfig(
-        mesh=_mesh_from_dict(_require(d, "mesh", "")),
-        material=params_from_config(_require(d, "material", "")),
-        case=_case_from_dict(_require(d, "case", "")),
+        mesh=_mesh_from_dict(_section(d, "mesh")),
+        material=params_from_config(_section(d, "material")),
+        case=_case_from_dict(_section(d, "case")),
         border=str(_require(d, "border", "")),
-        t_final=float(_require(d, "T", "")),
-        tau=None if tau is None else float(tau),
-        every_n_steps=every,
+        t_final=_number(d, "T", ""),
+        tau=_number(d, "tau", "", None),
+        every_n_steps=_number(output, "every_n_steps", "output.", 1, integer=True),
         out_dir=None if out_dir is None else str(out_dir),
         initial_translation=translation,
     )

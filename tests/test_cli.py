@@ -116,6 +116,25 @@ class TestRunCommand:
         assert main(["run", str(tmp_path / "none.json")]) == 2
         assert "cannot read" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [
+            (None, "tau", -1),
+            (None, "T", float("inf")),
+            (None, "T", 1e305),  # finite, but T/tau overflows
+            ("material", "E", "abc"),
+            ("mesh", "nx", 1.5),
+        ],
+    )
+    def test_bad_value_exit_2_one_line(self, tmp_path, capsys, section, key, value):
+        cfg = _run_config()
+        (cfg if section is None else cfg[section])[key] = value
+        cfg_path = _write(tmp_path, "run.json", cfg)
+        assert main(["run", cfg_path, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert key in err
+
     def test_numerical_failure_exit_3(self, tmp_path, capsys, monkeypatch):
         def explode(config, on_snapshot=None, keep_snapshots=True):
             raise SolverError("non-finite acceleration at step 3")

@@ -2,10 +2,18 @@
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.sparse.linalg import splu
 
 import membrane as mb
-from membrane.assembly import Constraint, GlobalSystem, apply_constraints, assemble
+from membrane.assembly import (
+    Constraint,
+    GlobalSystem,
+    apply_constraints,
+    assemble,
+    build_load_vector,
+)
 from membrane.errors import SolverError
+from membrane.material import validate_elastic_matrix
 from membrane.mesh import boundary_nodes
 from membrane.integrator import (
     NewmarkParams,
@@ -15,6 +23,8 @@ from membrane.integrator import (
     init_state,
     step,
 )
+
+from conftest import orthotropic_gpa
 
 
 def _oscillator(omega):
@@ -294,3 +304,94 @@ class TestEnergy:
         kin, strain = energy(state, raw.K, raw.M)
         assert kin == 0.0  # starts at rest
         assert strain > 0.0
+
+
+def _fully_anisotropic():
+    c = orthotropic_gpa()
+    c[0, 3] = c[3, 0] = 12e9
+    c[1, 5] = c[5, 1] = -9e9
+    c[2, 4] = c[4, 2] = 6e9
+    validate_elastic_matrix(c)
+    return mb.MaterialParams(d=c, rho=7800.0, h=1e-3)
+
+
+def _fixed_border_system(mesh, material, strike=None):
+    sys0 = assemble(mesh, material)
+    strikes = [] if strike is None else [Constraint(strike, (0.1, -0.2, 1.0))]
+    sys0.constraints = strikes + [
+        Constraint(int(n), (0.0, 0.0, 0.0)) for n in boundary_nodes(mesh)
+    ]
+    return apply_constraints(sys0)
+
+
+class TestFreeBlockSolve:
+    def test_steps_match_dense_row_replaced_solve(self):
+        mesh = mb.generate_structured(mb.StructuredSpec(1.0, 1.0, 6, 6))
+        material = _fully_anisotropic()
+        raw = assemble(mesh, material)
+        raw.f = build_load_vector(mesh, material, [20, 21], (3e5, -1e5, 1e6))
+        raw.constraints = [Constraint(24, (0.1, -0.2, 1.0))] + [
+            Constraint(int(n), (0.0, 0.0, 0.0)) for n in boundary_nodes(mesh)
+        ]
+        sysc = apply_constraints(raw)
+        cdofs = sysc.constrained_dofs
+        params = NewmarkParams(tau=default_timestep(mesh, material))
+        tau, b1, b2 = params.tau, params.beta1, params.beta2
+        k, m, f = sysc.K.toarray(), sysc.M.toarray(), sysc.f
+        a_dense = m + 0.5 * tau**2 * b2 * k
+
+        def close(got, want):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+        a0 = np.random.default_rng(5).uniform(-1e-4, 1e-4, sysc.ndof)
+        state = init_state(sysc, a0=a0)
+        ref_v = state.adot.copy()
+        ref_acc = np.linalg.solve(m, -(k @ a0 + f))
+        close(state.addot, ref_acc)
+        ref_a = a0
+        factor = factor_once(sysc, params)
+        for _ in range(5):
+            state = step(state, sysc, params, factor)
+            v_bar = ref_v + tau * (1.0 - b1) * ref_acc
+            a_bar = ref_a + tau * ref_v + 0.5 * tau**2 * (1.0 - b2) * ref_acc
+            ref_acc = np.linalg.solve(a_dense, -(f + k @ a_bar))
+            ref_v = v_bar + b1 * tau * ref_acc
+            ref_a = a_bar + 0.5 * tau**2 * b2 * ref_acc
+            close(state.addot, ref_acc)
+            close(state.adot, ref_v)
+            close(state.a, ref_a)
+            assert np.all(state.addot[cdofs] == 0.0)
+
+    @pytest.mark.parametrize("material", ["polymer", "orthotropic"])
+    def test_symmetric_pivots_and_less_fill(self, material, request):
+        mat = request.getfixturevalue(material)
+        mesh = mb.generate_structured(mb.StructuredSpec(1.0, 1.0, 32, 32))
+        sysc = _fixed_border_system(mesh, mat)
+        params = NewmarkParams(tau=default_timestep(mesh, mat))
+        lu = factor_once(sysc, params).lu
+        np.testing.assert_array_equal(lu.superlu.perm_r, lu.superlu.perm_c)
+        general = splu((sysc.M + 0.5 * params.tau**2 * params.beta2 * sysc.K).tocsc())
+        assert lu.L.nnz + lu.U.nnz < general.L.nnz + general.U.nnz
+
+    def test_solve_is_full_length_with_zero_constrained_entries(self, grid4, steel):
+        sysc = _fixed_border_system(grid4, steel, strike=12)
+        lu = factor_once(sysc, NewmarkParams(tau=1e-6)).lu
+        x = lu.solve(np.ones(sysc.ndof))
+        assert x.shape == (sysc.ndof,)
+        assert np.all(x[sysc.constrained_dofs] == 0.0)
+        assert np.all(x[np.setdiff1d(np.arange(sysc.ndof), sysc.constrained_dofs)] != 0.0)
+
+    def test_singular_free_block_raises(self):
+        system = _oscillator(0.0)
+        system.M = sparse.diags([1.0, 1.0, 0.0], format="csr")
+        with pytest.raises(SolverError, match="singular"):
+            factor_once(system, NewmarkParams(tau=0.1))
+        with pytest.raises(SolverError, match="mass matrix"):
+            init_state(system)
+
+    def test_singular_constrained_rows_are_not_factored(self):
+        system = _oscillator(0.0)
+        system.M = sparse.diags([1.0, 1.0, 0.0], format="csr")
+        system.constrained_dofs = np.array([2])
+        factor = factor_once(system, NewmarkParams(tau=0.1))
+        np.testing.assert_array_equal(factor.lu.solve(np.array([2.0, 3.0, 4.0])), [2.0, 3.0, 0.0])

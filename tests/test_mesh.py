@@ -2,6 +2,7 @@ import io
 
 import numpy as np
 import pytest
+from scipy.spatial import Delaunay
 
 import membrane as mb
 from membrane.errors import MeshError
@@ -127,6 +128,12 @@ class TestValidation:
         with pytest.raises(MeshError):
             m.validate()
 
+    def test_duplicate_with_rotated_vertices_rejected(self, grid4):
+        tris = np.vstack([grid4.triangles, grid4.triangles[5:6, [1, 2, 0]]])
+        m = mb.Mesh(nodes=grid4.nodes, triangles=tris)
+        with pytest.raises(MeshError, match="^duplicate triangles$"):
+            m.validate()
+
     def test_vertex_out_of_range_rejected(self, grid4):
         tris = grid4.triangles.copy()
         tris[0, 0] = 999
@@ -228,3 +235,28 @@ class TestMshReader:
         )
         back = mb.read_msh(io.StringIO(text))
         assert back.n_nodes == grid4.n_nodes
+
+
+def holed_unstructured_mesh(seed=3, n=12):
+    """Delaunay mesh of a jittered grid, shuffled, with a central hole."""
+    rng = np.random.default_rng(seed)
+    g = np.linspace(0.0, 1.0, n + 1)
+    pts = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
+    inner = (pts > 0.0).all(axis=1) & (pts < 1.0).all(axis=1)
+    pts[inner] += rng.uniform(-0.2, 0.2, (inner.sum(), 2)) / n
+    pts = pts[rng.permutation(len(pts))]
+    tris = Delaunay(pts).simplices
+    keep = np.hypot(*(pts[tris].mean(axis=1) - 0.5).T) > 0.2
+    used, tris = np.unique(tris[keep], return_inverse=True)
+    return mb.Mesh(nodes=pts[used], triangles=tris.reshape(-1, 3))
+
+
+class TestBoundaryNodes:
+    def test_matches_pairwise_unique_on_unstructured_msh(self):
+        m = mb.read_msh(io.StringIO(emit_msh(holed_unstructured_mesh())))
+        ue, counts = np.unique(m.edges(), axis=0, return_counts=True)
+        expected = np.unique(ue[counts == 1])
+        got = mb.boundary_nodes(m)
+        assert got.dtype == expected.dtype
+        np.testing.assert_array_equal(got, expected)
+        assert got.size > 4 * 12  # outer square plus the hole's rim
