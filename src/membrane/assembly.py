@@ -5,19 +5,18 @@ Element matrices are computed for all triangles at once and scattered
 through one COO accumulation; duplicate entries are summed when
 converting to CSR, which is deterministic.
 
-Constraints fix the velocity of whole nodes (all three components) by
-row replacement: the K block-row is zeroed, the M block-row is zeroed
-except for an identity at the diagonal block, and the load entries are
-zeroed.  The constrained rows then read a''_i = 0, so the velocity
-stays at its initial value exactly and the displacement integrates it.
-Columns are left untouched, so the free rows keep their coupling to
-the constrained dofs.  The integrator solves only the free-dof block,
-which is symmetric positive definite, and returns exact zeros on the
-constrained dofs.
+Constraints fix the velocity of whole nodes (all three components).
+They change no matrix entry: `apply_constraints` records the
+constrained dof ids, and the integrator solves only the block of free
+rows and columns, which is symmetric positive definite.  The
+constrained accelerations are exact zeros, so the velocity stays at
+its initial value exactly and the displacement integrates it.  The
+free rows keep their coupling to the constrained dofs through K and
+M, which stay the physical matrices.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
@@ -74,9 +73,8 @@ class GlobalSystem:
     """Assembled matrices and load of one discretized membrane.
 
     K and M are CSR of order 3*n_nodes; f is the current load vector.
-    `constraints` lists the velocity constraints; after
-    `apply_constraints` the flag `constrained` is set and
-    `constrained_dofs` holds the affected row indices.
+    `constraints` lists the velocity constraints; `apply_constraints`
+    sets `constrained_dofs` to the dof ids they hold.
     """
 
     K: csr_matrix
@@ -85,8 +83,11 @@ class GlobalSystem:
     mesh: Mesh
     material: MaterialParams
     constraints: list[Constraint] = field(default_factory=list)
-    constrained: bool = False
     constrained_dofs: np.ndarray | None = None
+
+    @property
+    def constrained(self) -> bool:
+        return self.constrained_dofs is not None
 
     @property
     def ndof(self) -> int:
@@ -100,8 +101,11 @@ def element_dof_ids(triangles: np.ndarray) -> np.ndarray:
     return 3 * reps + np.tile(np.arange(3), 3)[None, :]
 
 
-def _batch_element_matrices(mesh: Mesh, material: MaterialParams):
-    """Stiffness and mass blocks for every triangle, shapes (m, 9, 9)."""
+def _triangle_geometry(mesh: Mesh):
+    """(area, beta, gamma) per triangle, shapes (m,), (m, 3), (m, 3).
+
+    Shape function i has gradient (beta[:, i], gamma[:, i]).
+    """
     p = mesh.triangle_coords()
     x, y = p[:, :, 0], p[:, :, 1]
     jj = [1, 2, 0]
@@ -116,7 +120,12 @@ def _batch_element_matrices(mesh: Mesh, material: MaterialParams):
         raise AssemblyError(f"triangle {bad} degenerate or clockwise during assembly")
     beta = (y[:, jj] - y[:, kk]) / se[:, None]
     gamma = (x[:, kk] - x[:, jj]) / se[:, None]
+    return 0.5 * se, beta, gamma
 
+
+def _batch_element_matrices(mesh: Mesh, material: MaterialParams):
+    """Stiffness and mass blocks for every triangle, shapes (m, 9, 9)."""
+    area, beta, gamma = _triangle_geometry(mesh)
     m = mesh.n_triangles
     b = np.zeros((m, 6, 9))
     for i in range(3):
@@ -128,7 +137,6 @@ def _batch_element_matrices(mesh: Mesh, material: MaterialParams):
         b[:, 4, c + 2] = gamma[:, i]
         b[:, 5, c + 2] = beta[:, i]
 
-    area = 0.5 * se
     ke = np.einsum("eji,jk,ekl->eil", b, material.d, b, optimize=True)
     ke *= (material.h * area)[:, None, None]
     me = _MASS_PATTERN9[None, :, :] * (material.rho * material.h * area / 12.0)[
@@ -157,6 +165,10 @@ def assemble(mesh: Mesh, material: MaterialParams, loads=()) -> GlobalSystem:
     n = 3 * mesh.n_nodes
     k = coo_matrix((ke.ravel(), (rows, cols)), shape=(n, n)).tocsr()
     m = coo_matrix((me.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    # the element blocks hold exact zeros (most of the mass pattern);
+    # stored, they would enter every factorization and matvec
+    k.eliminate_zeros()
+    m.eliminate_zeros()
 
     f = np.zeros(n)
     for element_ids, b_vec in loads:
@@ -194,13 +206,12 @@ def build_load_vector(mesh: Mesh, material: MaterialParams, element_ids, b_vecto
 
 
 def apply_constraints(system: GlobalSystem) -> GlobalSystem:
-    """Replace constrained rows, returning a new system.
+    """Record the constrained dofs, returning a new system.
 
-    For every constrained node the three K rows become zero, the three
-    M rows become the identity block on the diagonal, and the matching
-    f entries become zero, so the rows read a''_i = 0.  Unconstrained
-    rows and all columns are bitwise untouched.  Applying twice or
-    constraining a node twice is a configuration error.
+    The result shares K, M and f with `system`; only `constraints` and
+    `constrained_dofs` (three ids per node, in constraint order) are
+    its own.  Applying twice or constraining a node twice is a
+    configuration error.
     """
     if system.constrained:
         raise AssemblyError("constraints already applied to this system")
@@ -208,7 +219,6 @@ def apply_constraints(system: GlobalSystem) -> GlobalSystem:
     if len(set(nodes)) != len(nodes):
         dup = sorted({n for n in nodes if nodes.count(n) > 1})
         raise ConfigError(f"duplicate constraint on node(s) {dup}")
-    n = system.ndof
     for c in system.constraints:
         if not 0 <= c.node < system.mesh.n_nodes:
             raise ConfigError(f"constraint node {c.node} out of range")
@@ -216,42 +226,18 @@ def apply_constraints(system: GlobalSystem) -> GlobalSystem:
     cdofs = np.asarray(
         [3 * c.node + k for c in system.constraints for k in range(3)], dtype=np.int64
     )
-    keep = np.ones(n)
-    keep[cdofs] = 0.0
-    p = coo_matrix((keep, (np.arange(n), np.arange(n))), shape=(n, n)).tocsr()
-    k_c = p @ system.K
-    m_c = p @ system.M
-    if cdofs.size:
-        ident = coo_matrix(
-            (np.ones(cdofs.size), (cdofs, cdofs)), shape=(n, n)
-        ).tocsr()
-        m_c = m_c + ident
-    f_c = system.f.copy()
-    f_c[cdofs] = 0.0
-    return GlobalSystem(
-        K=k_c,
-        M=m_c,
-        f=f_c,
-        mesh=system.mesh,
-        material=system.material,
-        constraints=list(system.constraints),
-        constrained=True,
-        constrained_dofs=cdofs,
-    )
+    return replace(system, constraints=list(system.constraints), constrained_dofs=cdofs)
 
 
 def update_load(system: GlobalSystem, t: float, loads) -> np.ndarray:
     """Rebuild system.f from the loads active at time t.
 
-    `loads` is a sequence of CompiledLoad.  Constrained entries are
-    re-zeroed so constraints survive load changes.  Returns the new f
-    (also stored on the system).
+    `loads` is a sequence of CompiledLoad.  Returns the new f (also
+    stored on the system).
     """
     f = np.zeros(system.ndof)
     for ld in loads:
         if ld.active(t):
             f = f + ld.vector
-    if system.constrained and system.constrained_dofs is not None:
-        f[system.constrained_dofs] = 0.0
     system.f = f
     return f

@@ -2,8 +2,8 @@
 
 Every error raised on a user-facing path derives from MembraneError so
 callers (and the CLI) can distinguish configuration mistakes from
-numerical failures.  `config_number` is the one coercion of config
-values to numbers, so a bad value always ends in ConfigError.
+numerical failures.  `config_number` and `config_keys` are the one
+check of config values and keys, so a bad one always ends in ConfigError.
 """
 import math
 import numbers
@@ -63,3 +63,10 @@ def config_number(value, key: str, integer: bool = False):
             return int(x) if integer else x
     kind = "an integer" if integer else "a finite number"
     raise ConfigError(f"{key} must be {kind}, got {value!r}")
+
+
+def config_keys(section: dict, allowed, where: str) -> None:
+    """Reject a key of `section` outside `allowed`; "_" keys are notes."""
+    for key in section:
+        if key not in allowed and not key.startswith("_"):
+            raise ConfigError(f"unknown config key: {where}{key}")

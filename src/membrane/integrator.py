@@ -16,11 +16,11 @@ M, K, and tau are, so it is factorized once and reused every step.
 
 Constrained dofs are eliminated from every solve: only the block of
 free rows and columns is factored, and the constrained entries of the
-solution are exact zeros.  That block of A (and of M, solved once at
-t=0) is symmetric positive definite whatever the row replacement did
-to the constrained rows, so it takes a symmetric-mode LU: a minimum
-degree ordering of A + A^T and diagonal pivots.  The free rows keep
-the coupling K_fc a_c through the matvec K a_bar.
+solution are exact zeros, so the constrained rows of K, M and f are
+never read.  That block of A (and of M, solved once at t=0) is
+symmetric positive definite, so it takes a symmetric-mode LU: a
+minimum degree ordering of A + A^T and diagonal pivots.  The free rows
+keep the coupling K_fc a_c through the matvec K a_bar.
 """
 from __future__ import annotations
 
@@ -185,12 +185,12 @@ def step(state: State, system: GlobalSystem, params: NewmarkParams, factor: Newm
     return State(a=a, adot=adot, addot=addot, t=n * tau, step=n)
 
 
-def energy(state: State, k_raw, m_raw) -> tuple[float, float]:
-    """Kinetic and strain energy against the unconstrained matrices.
+def energy(state: State, k, m) -> tuple[float, float]:
+    """Kinetic and strain energy: (0.5*a'^T M a', 0.5*a^T K a).
 
-    Returns (0.5*a'^T M a', 0.5*a^T K a).  Use the matrices from before
-    `apply_constraints`: the replaced rows have no energy meaning.
+    `k` and `m` are the assembled matrices, `system.K` and `system.M`,
+    constrained or not.
     """
-    kinetic = 0.5 * float(state.adot @ (m_raw @ state.adot))
-    strain = 0.5 * float(state.a @ (k_raw @ state.a))
+    kinetic = 0.5 * float(state.adot @ (m @ state.adot))
+    strain = 0.5 * float(state.a @ (k @ state.a))
     return kinetic, strain

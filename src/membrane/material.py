@@ -11,12 +11,11 @@ vector in the same order.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, MaterialError, config_number
+from .errors import ConfigError, MaterialError, config_keys, config_number
 
 __all__ = [
     "VOIGT_COMPONENTS",
@@ -45,6 +44,8 @@ def validate_elastic_matrix(d: np.ndarray) -> None:
     d = np.asarray(d, dtype=float)
     if d.shape != (6, 6):
         raise MaterialError(f"elastic matrix must be 6x6, got {d.shape}")
+    if not np.all(np.isfinite(d)):
+        raise MaterialError("elastic matrix has non-finite entries (overflow?)")
     if not np.array_equal(d, d.T):
         raise MaterialError("elastic matrix must be exactly symmetric")
     w = np.linalg.eigvalsh(d)
@@ -109,20 +110,19 @@ def anisotropic(upper: np.ndarray) -> np.ndarray:
 def packed_from_entries(entries) -> np.ndarray:
     """Pack sparse (i, j, value) moduli into the 21-vector for `anisotropic`.
 
-    Indices are 1-based rows/columns of the 6x6 matrix; (i, j) and
-    (j, i) address the same modulus.  Unspecified entries are zero;
-    duplicates are rejected.
+    Indices are 1-based integer rows/columns of the 6x6 matrix; (i, j)
+    and (j, i) address the same modulus.  Values must be finite numbers.
+    Unspecified entries are zero; duplicates are rejected.
     """
     upper = np.zeros((6, 6))
     seen = set()
     for entry in entries:
         try:
             i, j, value = entry
-            i, j, value = int(i), int(j), float(value)
         except (TypeError, ValueError) as exc:
             raise MaterialError(f"bad moduli entry {entry!r}: need (i, j, value)") from exc
-        if not math.isfinite(value):
-            raise MaterialError(f"moduli entry ({i}, {j}) is not finite: {value}")
+        i, j = (config_number(k, f"moduli entry {entry!r}", integer=True) for k in (i, j))
+        value = config_number(value, f"moduli entry {entry!r}")
         if not (1 <= i <= 6 and 1 <= j <= 6):
             raise MaterialError(f"moduli indices must be 1..6, got ({i}, {j})")
         a, b = (i - 1, j - 1) if i <= j else (j - 1, i - 1)
@@ -162,7 +162,8 @@ def params_from_config(cfg: dict) -> MaterialParams:
 
     Isotropic materials take E (Pa) and nu; anisotropic ones take
     `moduli_gpa`, a list of [i, j, value] entries in GPa, unspecified
-    entries zero.  Both take rho (kg/m^3) and h (m).
+    entries zero.  Both take rho (kg/m^3) and h (m), and optionally
+    strain_threshold and stress_threshold; any other key is rejected.
     """
 
     def need(key):
@@ -174,10 +175,13 @@ def params_from_config(cfg: dict) -> MaterialParams:
         return config_number(need(key), f"material.{key}")
 
     kind = need("type")
+    common = {"type", "rho", "h", "strain_threshold", "stress_threshold"}
     try:
         if kind == "isotropic":
+            config_keys(cfg, common | {"E", "nu"}, "material.")
             d = isotropic(number("E"), number("nu"))
         elif kind == "anisotropic":
+            config_keys(cfg, common | {"moduli_gpa"}, "material.")
             entries = need("moduli_gpa")
             if not isinstance(entries, list):
                 raise ConfigError(f"material.moduli_gpa must be a list, got {entries!r}")

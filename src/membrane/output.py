@@ -10,7 +10,7 @@ import json
 
 import numpy as np
 
-from .assembly import element_dof_ids
+from .assembly import _triangle_geometry, element_dof_ids
 from .convergence import NORMS, StudyResult
 from .integrator import State
 from .material import MaterialParams
@@ -71,17 +71,7 @@ def write_snapshot_csv(path, mesh: Mesh, state: State) -> None:
 
 def _batch_strain_stress(mesh: Mesh, material: MaterialParams, state: State):
     """Constant strain and stress per element, shapes (m, 6)."""
-    p = mesh.triangle_coords()
-    x, y = p[:, :, 0], p[:, :, 1]
-    jj = [1, 2, 0]
-    kk = [2, 0, 1]
-    se = (
-        x[:, 0] * (y[:, 1] - y[:, 2])
-        + x[:, 1] * (y[:, 2] - y[:, 0])
-        + x[:, 2] * (y[:, 0] - y[:, 1])
-    )
-    beta = (y[:, jj] - y[:, kk]) / se[:, None]
-    gamma = (x[:, kk] - x[:, jj]) / se[:, None]
+    _, beta, gamma = _triangle_geometry(mesh)
     vals = state.a[element_dof_ids(mesh.triangles)]
     u, v, w = vals[:, 0::3], vals[:, 1::3], vals[:, 2::3]
     eps = np.zeros((mesh.n_triangles, 6))

@@ -34,7 +34,7 @@ from .assembly import (
     build_load_vector,
     update_load,
 )
-from .errors import ConfigError, MeshError, config_number
+from .errors import ConfigError, MeshError, config_keys, config_number
 from .integrator import (
     NewmarkParams,
     State,
@@ -131,11 +131,10 @@ class ScenarioConfig:
 
 @dataclass
 class SimulationResult:
-    """Run artifacts: mesh, systems, snapshots, and timing."""
+    """Run artifacts: mesh, system, snapshots, and timing."""
 
     mesh: Mesh
     material: MaterialParams
-    raw_system: GlobalSystem
     system: GlobalSystem
     params: NewmarkParams
     n_steps: int
@@ -295,9 +294,9 @@ def run(config: ScenarioConfig, on_snapshot=None, keep_snapshots: bool = True) -
         for node in boundary_nodes(mesh):
             constraints.append(Constraint(node=int(node), v_fix=(0.0, 0.0, 0.0)))
 
-    raw = assemble(mesh, material)
-    raw.constraints = constraints
-    system = apply_constraints(raw)
+    system = assemble(mesh, material)
+    system.constraints = constraints
+    system = apply_constraints(system)
 
     tau = config.tau if config.tau is not None else default_timestep(mesh, material)
     params = NewmarkParams(tau=tau)
@@ -316,7 +315,6 @@ def run(config: ScenarioConfig, on_snapshot=None, keep_snapshots: bool = True) -
     result = SimulationResult(
         mesh=mesh,
         material=material,
-        raw_system=raw,
         system=system,
         params=params,
         n_steps=n_steps,
@@ -349,10 +347,13 @@ def _require(d: dict, key: str, where: str):
 _REQUIRED = object()
 
 
-def _section(d: dict, key: str, where: str = "", optional: bool = False) -> dict:
+def _section(d: dict, key: str, where: str = "", optional: bool = False, keys=None) -> dict:
+    """d[key] as an object; with `keys`, no other key may appear in it."""
     value = d.get(key, {}) if optional else _require(d, key, where)
     if not isinstance(value, dict):
         raise ConfigError(f"config key {where}{key} must be an object, got {value!r}")
+    if keys is not None:
+        config_keys(value, keys, f"{where}{key}.")
     return value
 
 
@@ -377,7 +378,9 @@ def _numbers(d: dict, key: str, where: str, length=None, integer=False, optional
 
 def _mesh_from_dict(d: dict):
     if "msh_path" in d:
+        config_keys(d, {"msh_path"}, "mesh.")
         return str(d["msh_path"])
+    config_keys(d, {"Lx", "Ly", "nx", "ny"}, "mesh.")
     try:
         return StructuredSpec(
             Lx=_number(d, "Lx", "mesh."),
@@ -391,6 +394,7 @@ def _mesh_from_dict(d: dict):
 
 def _case_from_dict(d: dict):
     if "id" in d:
+        config_keys(d, {"id", "b0", "speed", "window", "support_radius"}, "case.")
         return CaseSpec(
             case_id=_number(d, "id", "case.", integer=True),
             b0=_number(d, "b0", "case.", 1.0),
@@ -399,7 +403,9 @@ def _case_from_dict(d: dict):
             support_radius=_number(d, "support_radius", "case.", None),
         )
     if "load" in d:
-        ld = _section(d, "load", "case.")
+        config_keys(d, {"load"}, "case.")
+        load_keys = {"kind", "direction", "b0", "window", "elements", "support_radius"}
+        ld = _section(d, "load", "case.", keys=load_keys)
         return LoadSpec(
             kind=_require(ld, "kind", "case.load."),
             direction=_numbers(ld, "direction", "case.load.", 3),
@@ -409,7 +415,8 @@ def _case_from_dict(d: dict):
             support_radius=_number(ld, "support_radius", "case.load.", None),
         )
     if "strike" in d:
-        st = _section(d, "strike", "case.")
+        config_keys(d, {"strike"}, "case.")
+        st = _section(d, "strike", "case.", keys={"node", "speed", "angle_to_normal"})
         return StrikeSpec(
             node=_number(st, "node", "case.strike.", integer=True),
             speed=_number(st, "speed", "case.strike."),
@@ -421,19 +428,18 @@ def _case_from_dict(d: dict):
 def scenario_from_dict(d: dict, extra_keys=frozenset()) -> ScenarioConfig:
     """Parse a scenario config dict (the content of a run JSON file).
 
-    Unknown keys are rejected unless they start with an underscore
-    (reserved for user notes) or appear in `extra_keys`.  Every number
-    must be a finite JSON number, and counts must be integers.
+    Unknown keys, in any section, are rejected unless they start with
+    an underscore (reserved for user notes) or, at the top level,
+    appear in `extra_keys`.  Every number must be a finite JSON number,
+    and counts must be integers.
     """
     known = {
         "mesh", "material", "case", "border", "T", "tau", "output",
         "initial_translation",
     } | set(extra_keys)
-    for key in d:
-        if key not in known and not key.startswith("_"):
-            raise ConfigError(f"unknown config key: {key}")
+    config_keys(d, known, "")
 
-    output = _section(d, "output", optional=True)
+    output = _section(d, "output", optional=True, keys={"every_n_steps", "directory"})
     out_dir = output.get("directory")
     translation = _numbers(d, "initial_translation", "", optional=True)
     if translation is not None and len(translation) != 3:

@@ -423,7 +423,7 @@ def test_criterion_09_energy_drift_after_load(polymer):
         )
         res = run(cfg)
         energies = [
-            sum(energy(s, res.raw_system.K, res.raw_system.M))
+            sum(energy(s, res.system.K, res.system.M))
             for s in res.snapshots
             if s.t > window_end * (1.0 + 1e-9)
         ]

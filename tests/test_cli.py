@@ -124,6 +124,11 @@ class TestRunCommand:
             (None, "T", 1e305),  # finite, but T/tau overflows
             ("material", "E", "abc"),
             ("mesh", "nx", 1.5),
+            # misspelt keys inside a section
+            ("mesh", "nxx", 4),
+            ("material", "rhoo", 1200.0),
+            ("case", "bo", 1e6),
+            ("output", "every", 10),
         ],
     )
     def test_bad_value_exit_2_one_line(self, tmp_path, capsys, section, key, value):
@@ -134,6 +139,13 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert key in err
+
+    def test_mesh_path_key_rejected(self, tmp_path, capsys):
+        # the mesh file key is msh_path; "path" is not an alias
+        cfg_path = _write(tmp_path, "run.json", _run_config(mesh={"path": "file.msh"}))
+        assert main(["run", cfg_path, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: unknown config key: mesh.path\n"
 
     def test_numerical_failure_exit_3(self, tmp_path, capsys, monkeypatch):
         def explode(config, on_snapshot=None, keep_snapshots=True):

@@ -102,6 +102,10 @@ class TestPackedEntries:
             mb.packed_from_entries([[1, 2, 5.0], [2, 1, 5.0]])
 
 
+# with any positive (1, 1) entry these complete a valid diagonal matrix
+DIAG_2_6 = [[k, k, 10.0] for k in range(2, 7)]
+
+
 class TestConfig:
     def test_isotropic_from_config(self):
         p = mb.params_from_config(
@@ -133,6 +137,23 @@ class TestConfig:
         cfg[key] = val
         with pytest.raises(ConfigError):
             mb.params_from_config(cfg)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            {"type": "isotropic", "E": 1e308, "nu": 0.3},  # D overflows to inf
+            {"type": "isotropic", "E": 2e9, "nu": 0.3, "rhoo": 1.0},
+            {"type": "anisotropic", "moduli_gpa": DIAG_2_6 + [[1, 1, 140.0]], "E": 2e9},
+            {"type": "anisotropic", "moduli_gpa": [[k, k, 1e308] for k in range(1, 7)]},
+            {"type": "anisotropic", "moduli_gpa": DIAG_2_6 + [[1, 1, 10**400]]},
+            {"type": "anisotropic", "moduli_gpa": DIAG_2_6 + [["1", "1", "140"]]},
+            {"type": "anisotropic", "moduli_gpa": DIAG_2_6 + [[1.5, 1, 140.0]]},
+            {"type": "anisotropic", "moduli_gpa": DIAG_2_6 + [[True, 1, 140.0]]},
+        ],
+    )
+    def test_bad_value_or_key_raises_config_error(self, cfg):
+        with pytest.raises(ConfigError):
+            mb.params_from_config({"rho": 1200.0, "h": 1e-3, **cfg})
 
     def test_unknown_type_rejected(self):
         with pytest.raises(ConfigError, match="orthotropic"):

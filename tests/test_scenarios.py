@@ -1,9 +1,12 @@
 """Scenario tests: case construction, load fields, the run driver, parsing."""
+import copy
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 import membrane as mb
@@ -197,7 +200,7 @@ class TestRun:
         assert res.final_state.step == 50
         np.testing.assert_array_equal(res.final_state.a, res.snapshots[-1].a)
         assert res.wall_time > 0.0
-        assert res.system.constrained and not res.raw_system.constrained
+        assert res.system.constrained
 
     def test_never_stops_short(self, polymer):
         tau = 4e-6
@@ -404,6 +407,21 @@ class TestScenarioFromDict:
         with pytest.raises(ConfigError, match="case.strike.speed"):
             scenario_from_dict(d)
 
+    @pytest.mark.parametrize(
+        "case,bad",
+        [
+            ({"load": {"kind": "element-uniform", "direction": [0, 0, 1], "b0": 1.0,
+                       "window": [0, 1], "elemnts": [3]}}, "case.load.elemnts"),
+            ({"strike": {"node": 7, "speed": 1.0, "angle": 0.1}}, "case.strike.angle"),
+            ({"strike": {"node": 7, "speed": 1.0}, "id": 3}, "case.strike"),
+        ],
+    )
+    def test_unknown_case_key_rejected(self, case, bad):
+        d = self._minimal()
+        d["case"] = case
+        with pytest.raises(ConfigError, match=f"unknown config key: {bad}$"):
+            scenario_from_dict(d)
+
     def test_case_needs_one_form(self):
         d = self._minimal()
         d["case"] = {}
@@ -454,3 +472,56 @@ class TestConfigFromJson:
         p.write_text("[1, 2]")
         with pytest.raises(ConfigError, match="JSON object"):
             config_from_json(str(p))
+
+
+RUN_CASE1 = json.loads(
+    (Path(__file__).resolve().parent.parent / "configs" / "run_case1.json").read_text()
+)
+CONFIG_WORDS = sorted(
+    {"mesh", "msh_path", "Lx", "nx", "material", "type", "isotropic", "anisotropic",
+     "moduli_gpa", "E", "nu", "rho", "h", "strain_threshold", "case", "id", "b0",
+     "window", "load", "kind", "direction", "elements", "strike", "node", "speed",
+     "border", "T", "tau", "output", "every_n_steps", "directory",
+     "initial_translation", "_note"}
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.sampled_from(CONFIG_WORDS) | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.sampled_from(CONFIG_WORDS) | st.text(max_size=4), kids, max_size=3),
+    max_leaves=8,
+)
+
+
+def _containers(node):
+    """Every dict and list inside a parsed JSON value, outermost first."""
+    yield node
+    for child in node.values() if isinstance(node, dict) else node:
+        if isinstance(child, (dict, list)):
+            yield from _containers(child)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.data())
+def test_mutated_config_parses_or_raises_config_error(data):
+    # up to three edits (replace, delete or add a key or list item)
+    # anywhere in a shipped config; any other exception is a defect
+    cfg = copy.deepcopy(RUN_CASE1)
+    for _ in range(data.draw(st.integers(1, 3))):
+        node = data.draw(st.sampled_from(list(_containers(cfg))))
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        op = data.draw(st.sampled_from(["replace", "delete", "add"]))
+        if op == "add" or not keys:
+            value = data.draw(JSON_VALUES)
+            if isinstance(node, dict):
+                node[data.draw(st.sampled_from(CONFIG_WORDS) | st.text(max_size=4))] = value
+            else:
+                node.append(value)
+        elif op == "delete":
+            del node[data.draw(st.sampled_from(keys))]
+        else:
+            node[data.draw(st.sampled_from(keys))] = data.draw(JSON_VALUES)
+    try:
+        scenario_from_dict(cfg)
+    except ConfigError:
+        pass
