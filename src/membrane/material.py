@@ -185,8 +185,9 @@ def params_from_config(cfg: dict) -> MaterialParams:
             entries = need("moduli_gpa")
             if not isinstance(entries, list):
                 raise ConfigError(f"material.moduli_gpa must be a list, got {entries!r}")
-            packed = packed_from_entries(entries)
-            d = anisotropic(packed * 1e9)
+            with np.errstate(over="ignore"):  # GPa -> Pa; anisotropic rejects an inf
+                pa = packed_from_entries(entries) * 1e9
+            d = anisotropic(pa)
         else:
             raise ConfigError(f"unknown material.type {kind!r}")
         rho = number("rho")

@@ -144,14 +144,16 @@ class Mesh:
     def validate(self) -> None:
         """Check structural invariants, raising MeshError on violation.
 
-        Verified: vertex ids in range and distinct per triangle, strictly
-        positive triangle areas (CCW, non-degenerate), no duplicate
-        triangles, and edge-connectivity of the whole node set.
+        Verified: finite node coordinates, vertex ids in range and
+        distinct per triangle, strictly positive triangle areas (CCW,
+        non-degenerate), no duplicate triangles, and edge-connectivity
+        of the whole node set.
         """
         if self.nodes.ndim != 2 or self.nodes.shape[1] != 2:
             raise MeshError(f"nodes must be (n, 2), got {self.nodes.shape}")
         if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
             raise MeshError(f"triangles must be (m, 3), got {self.triangles.shape}")
+        _require_finite(self.nodes)
         if self.n_triangles == 0:
             raise MeshError("mesh has no triangles")
         t = self.triangles
@@ -186,6 +188,12 @@ class Mesh:
             raise MeshError(f"mesh is not edge-connected ({ncomp} components)")
 
 
+def _require_finite(nodes: np.ndarray) -> None:
+    bad = ~np.isfinite(nodes).all(axis=1)
+    if bad.any():
+        raise MeshError(f"node coordinates must be finite, got {nodes[bad][0].tolist()}")
+
+
 def generate_structured(spec: StructuredSpec) -> Mesh:
     """Triangulate a rectangle per `spec`.
 
@@ -194,8 +202,9 @@ def generate_structured(spec: StructuredSpec) -> Mesh:
     reproduces the coarse nodes bitwise (refinement subset property).
     """
     nx, ny = spec.nx, spec.ny
-    xs = np.arange(nx + 1, dtype=float) * spec.Lx / nx
-    ys = np.arange(ny + 1, dtype=float) * spec.Ly / ny
+    with np.errstate(over="ignore"):  # i*Lx past the float range is inf, which validate rejects
+        xs = np.arange(nx + 1, dtype=float) * spec.Lx / nx
+        ys = np.arange(ny + 1, dtype=float) * spec.Ly / ny
     gx, gy = np.meshgrid(xs, ys)  # row-major: node id = j*(nx+1) + i
     nodes = np.column_stack([gx.ravel(), gy.ravel()])
 
@@ -383,6 +392,7 @@ def read_msh(source) -> Mesh:
         raise MeshError("MSH file has no nodes")
 
     arr = np.asarray(coords, dtype=float)
+    _require_finite(arr)
     ext = max(arr[:, 0].max() - arr[:, 0].min(), arr[:, 1].max() - arr[:, 1].min())
     scale = ext if ext > 0 else 1.0
     zmax = float(np.abs(arr[:, 2]).max())

@@ -3,6 +3,12 @@
 All floats are written with 17 significant digits so files are
 bitwise-reproducible and round-trip through float64 exactly.  Writers
 never mutate the state they are given.
+
+A snapshot file is produced block by block: the columns of a block are
+stacked into one float array, and one ``%`` format of a row template
+repeated once per row turns the whole block into text.  ``"%.17g" % x``
+and ``format(x, ".17g")`` share CPython's float-to-string routine, so
+the bytes are those of formatting each value on its own.
 """
 from __future__ import annotations
 
@@ -37,36 +43,36 @@ def _g17(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _rows(prefix: str, cols, fmt: str) -> str:
+    """One line per row of the stacked columns ``cols``: ``prefix``, then
+    the row's values through ``fmt``, all in a single ``%`` call."""
+    block = np.column_stack(cols)
+    return ((prefix + fmt + "\n") * len(block)) % tuple(block.ravel().tolist())
+
+
+def _speed(state: State) -> np.ndarray:
+    """Euclidean norm of each node's velocity (vx, vy, vz)."""
+    v = state.adot.reshape(-1, 3)
+    # a component past about 1e154 squares to inf and vmag is written as
+    # inf, as it always was; that overflow is expected, so it is silent
+    with np.errstate(over="ignore"):
+        return np.sqrt((v * v).sum(axis=1))
+
+
+def _write(path, text: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write(text)
+
+
 def write_snapshot_csv(path, mesh: Mesh, state: State) -> None:
     """One row per node: reference position, displacement, velocity.
 
     vmag is the Euclidean norm of (vx, vy, vz).
     """
-    a = state.a.reshape(-1, 3)
-    v = state.adot.reshape(-1, 3)
-    vmag = np.sqrt((v * v).sum(axis=1))
-    t = _g17(state.t)
-    lines = [CSV_HEADER]
-    for n in range(mesh.n_nodes):
-        lines.append(
-            ",".join(
-                [
-                    t,
-                    str(n),
-                    _g17(mesh.nodes[n, 0]),
-                    _g17(mesh.nodes[n, 1]),
-                    _g17(a[n, 0]),
-                    _g17(a[n, 1]),
-                    _g17(a[n, 2]),
-                    _g17(v[n, 0]),
-                    _g17(v[n, 1]),
-                    _g17(v[n, 2]),
-                    _g17(vmag[n]),
-                ]
-            )
-        )
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
+    cols = (np.arange(mesh.n_nodes), mesh.nodes, state.a.reshape(-1, 3),
+            state.adot.reshape(-1, 3), _speed(state))
+    body = _rows(_g17(state.t), cols, ",%d" + ",%.17g" * 9)
+    _write(path, CSV_HEADER + "\n" + body)
 
 
 def _batch_strain_stress(mesh: Mesh, material: MaterialParams, state: State):
@@ -84,6 +90,12 @@ def _batch_strain_stress(mesh: Mesh, material: MaterialParams, state: State):
     return eps, sig
 
 
+def _flags(values: np.ndarray, threshold) -> np.ndarray:
+    if threshold is None:
+        return np.zeros(len(values))
+    return (np.abs(values) > threshold).any(axis=1)
+
+
 def write_element_csv(path, mesh: Mesh, material: MaterialParams, state: State) -> None:
     """One row per element: strain, stress, and threshold flags.
 
@@ -91,26 +103,10 @@ def write_element_csv(path, mesh: Mesh, material: MaterialParams, state: State) 
     threshold, 0 otherwise (and always 0 without a threshold).
     """
     eps, sig = _batch_strain_stress(mesh, material, state)
-    sflag = (
-        (np.abs(eps) > material.strain_threshold).any(axis=1).astype(int)
-        if material.strain_threshold is not None
-        else np.zeros(mesh.n_triangles, dtype=int)
-    )
-    tflag = (
-        (np.abs(sig) > material.stress_threshold).any(axis=1).astype(int)
-        if material.stress_threshold is not None
-        else np.zeros(mesh.n_triangles, dtype=int)
-    )
-    t = _g17(state.t)
-    lines = [ELEMENT_CSV_HEADER]
-    for e in range(mesh.n_triangles):
-        cells = [t, str(e)]
-        cells += [_g17(v) for v in eps[e]]
-        cells += [_g17(v) for v in sig[e]]
-        cells += [str(sflag[e]), str(tflag[e])]
-        lines.append(",".join(cells))
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
+    cols = (np.arange(mesh.n_triangles), eps, sig,
+            _flags(eps, material.strain_threshold), _flags(sig, material.stress_threshold))
+    body = _rows(_g17(state.t), cols, ",%d" + ",%.17g" * 12 + ",%d,%d")
+    _write(path, ELEMENT_CSV_HEADER + "\n" + body)
 
 
 def write_snapshot_vtk(path, mesh: Mesh, state: State, title: str = "membrane snapshot") -> None:
@@ -120,33 +116,18 @@ def write_snapshot_vtk(path, mesh: Mesh, state: State, title: str = "membrane sn
     triangles; the velocity magnitude is attached as point data.
     """
     a = state.a.reshape(-1, 3)
-    v = state.adot.reshape(-1, 3)
-    vmag = np.sqrt((v * v).sum(axis=1))
     n, m = mesh.n_nodes, mesh.n_triangles
-    out = [
-        "# vtk DataFile Version 3.0",
-        title,
-        "ASCII",
-        "DATASET UNSTRUCTURED_GRID",
-        f"POINTS {n} double",
-    ]
-    for i in range(n):
-        out.append(
-            f"{_g17(mesh.nodes[i, 0] + a[i, 0])} "
-            f"{_g17(mesh.nodes[i, 1] + a[i, 1])} "
-            f"{_g17(a[i, 2])}"
-        )
-    out.append(f"CELLS {m} {4 * m}")
-    for tri in mesh.triangles:
-        out.append(f"3 {tri[0]} {tri[1]} {tri[2]}")
-    out.append(f"CELL_TYPES {m}")
-    out.extend(["5"] * m)
-    out.append(f"POINT_DATA {n}")
-    out.append("SCALARS velocity_magnitude double 1")
-    out.append("LOOKUP_TABLE default")
-    out.extend(_g17(x) for x in vmag)
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("\n".join(out) + "\n")
+    _write(path, "".join([
+        f"# vtk DataFile Version 3.0\n{title}\nASCII\nDATASET UNSTRUCTURED_GRID\n",
+        f"POINTS {n} double\n",
+        _rows("", (mesh.nodes + a[:, :2], a[:, 2]), "%.17g %.17g %.17g"),
+        f"CELLS {m} {4 * m}\n",
+        _rows("3 ", (mesh.triangles,), "%d %d %d"),
+        f"CELL_TYPES {m}\n",
+        "5\n" * m,
+        f"POINT_DATA {n}\nSCALARS velocity_magnitude double 1\nLOOKUP_TABLE default\n",
+        _rows("", (_speed(state),), "%.17g"),
+    ]))
 
 
 def write_study_csv(path, result: StudyResult) -> None:
@@ -176,8 +157,7 @@ def write_study_csv(path, result: StudyResult) -> None:
     lines.append("norm,rate")
     for w in NORMS:
         lines.append(f"{w},{_g17(result.rates[w])}")
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
+    _write(path, "\n".join(lines) + "\n")
 
 
 def write_run_manifest(path, manifest: dict) -> None:

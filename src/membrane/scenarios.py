@@ -441,6 +441,8 @@ def scenario_from_dict(d: dict, extra_keys=frozenset()) -> ScenarioConfig:
 
     output = _section(d, "output", optional=True, keys={"every_n_steps", "directory"})
     out_dir = output.get("directory")
+    if out_dir is not None and not isinstance(out_dir, str):
+        raise ConfigError(f"output.directory must be a string, got {out_dir!r}")
     translation = _numbers(d, "initial_translation", "", optional=True)
     if translation is not None and len(translation) != 3:
         raise ConfigError("initial_translation must have three components")
@@ -452,7 +454,7 @@ def scenario_from_dict(d: dict, extra_keys=frozenset()) -> ScenarioConfig:
         t_final=_number(d, "T", ""),
         tau=_number(d, "tau", "", None),
         every_n_steps=_number(output, "every_n_steps", "output.", 1, integer=True),
-        out_dir=None if out_dir is None else str(out_dir),
+        out_dir=out_dir,
         initial_translation=translation,
     )
 

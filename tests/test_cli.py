@@ -1,11 +1,15 @@
 """CLI tests: run/convergence/mesh-info, exit codes, determinism."""
 import json
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from membrane.cli import main
 from membrane.errors import SolverError
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _run_config(tau=4e-6, n_steps=20, every=10, **overrides):
@@ -155,6 +159,51 @@ class TestRunCommand:
         cfg_path = _write(tmp_path, "run.json", _run_config())
         assert main(["run", cfg_path, "--out", str(tmp_path / "o")]) == 3
         assert "numerical failure" in capsys.readouterr().err
+
+
+def _shipped_4x4(tmp_path):
+    with open(CONFIGS / "run_case1.json", encoding="utf-8") as f:
+        cfg = json.load(f)
+    cfg["mesh"].update(nx=4, ny=4)
+    cfg["output"]["directory"] = str(tmp_path / "o")
+    return cfg
+
+
+def _set(section, **values):
+    def edit(cfg):
+        (cfg if section is None else cfg[section]).update(values)
+    return edit
+
+
+class TestExitCodeTable:
+    """Values that parse but fail later still exit 2 or 3 with one line."""
+
+    @pytest.mark.parametrize(
+        "edit,code",
+        [
+            (_set("case", id=7), 2),
+            (_set("material", nu=0.5), 2),
+            (_set("material", rho=0), 2),
+            (_set("mesh", Lx=1e308), 2),  # node coordinates overflow to inf
+            (_set("output", directory=5), 2),
+            (_set(None, material={"type": "anisotropic", "rho": 1200.0, "h": 1e-3,
+                                  "moduli_gpa": [[1, 1, 1e300]]}), 2),
+            (_set(None, case={"id": 3, "speed": 1e308}), 3),
+        ],
+        ids=["case_id", "nu", "rho", "Lx", "directory", "moduli_gpa", "speed"],
+    )
+    def test_exit_code_and_one_line(self, tmp_path, capsys, monkeypatch, edit, code):
+        monkeypatch.chdir(tmp_path)  # a relative output directory stays in tmp_path
+        cfg = _shipped_4x4(tmp_path)
+        edit(cfg)
+        cfg_path = _write(tmp_path, "run.json", cfg)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", cfg_path]) == code
+        err = capsys.readouterr().err
+        assert [str(w.message) for w in caught] == []
+        assert err.count("\n") == 1
+        assert err.startswith("error: " if code == 2 else "numerical failure: ")
 
 
 class TestConvergenceCommand:

@@ -1,4 +1,5 @@
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -146,6 +147,19 @@ class TestValidation:
         with pytest.raises(MeshError):
             mb.Mesh(nodes=grid4.nodes, triangles=tris).validate()
 
+    def test_non_finite_node_rejected(self, grid4):
+        nodes = grid4.nodes.copy()
+        nodes[3, 1] = np.nan
+        with pytest.raises(MeshError, match="^node coordinates must be finite"):
+            mb.Mesh(nodes=nodes, triangles=grid4.triangles).validate()
+
+    def test_overflowing_side_length_rejected(self):
+        # i*Lx overflows to inf on the grid, with no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MeshError, match=r"finite, got \[inf, 0.0\]"):
+                mb.generate_structured(mb.StructuredSpec(1e308, 1.0, 4, 4))
+
     def test_disconnected_mesh_rejected(self):
         nodes = np.array(
             [[0, 0], [1, 0], [0, 1], [5, 5], [6, 5], [5, 6]], dtype=float
@@ -218,6 +232,18 @@ class TestMshReader:
         )
         with pytest.raises(MeshError, match="planar"):
             mb.read_msh(io.StringIO(text))
+
+    @pytest.mark.parametrize("coord", ["inf", "nan", "1e400"])
+    def test_non_finite_coordinate_rejected(self, coord):
+        text = (
+            "$MeshFormat\n2.2 0 8\n$EndMeshFormat\n"
+            f"$Nodes\n3\n1 0 0 0\n2 1 0 0\n3 0 1 {coord}\n$EndNodes\n"
+            "$Elements\n1\n1 2 2 0 1 1 2 3\n$EndElements\n"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MeshError, match="^node coordinates must be finite"):
+                mb.read_msh(io.StringIO(text))
 
     def test_duplicate_node_id_rejected(self):
         text = (

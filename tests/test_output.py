@@ -10,6 +10,7 @@ from membrane.element import recover_stress_strain, shape_coefficients
 from membrane.integrator import State
 from membrane.output import (
     CSV_HEADER,
+    _batch_strain_stress,
     ELEMENT_CSV_HEADER,
     write_element_csv,
     write_run_manifest,
@@ -190,6 +191,118 @@ def _fabricated_result():
         tau0=1e-6,
         n_steps0=100,
     )
+
+
+# ---------------------------------------------------------------- byte oracle
+# The writers format whole blocks with one %-template each; these are the
+# per-value loops they replaced, kept as the reference for every byte.
+
+
+def _g17(x):
+    return format(float(x), ".17g")
+
+
+def _oracle_vmag(state):
+    v = state.adot.reshape(-1, 3)
+    with np.errstate(over="ignore"):
+        return np.sqrt((v * v).sum(axis=1))
+
+
+def _oracle_snapshot_csv(mesh, state):
+    a = state.a.reshape(-1, 3)
+    v = state.adot.reshape(-1, 3)
+    vmag = _oracle_vmag(state)
+    lines = [CSV_HEADER]
+    for n in range(mesh.n_nodes):
+        cells = [_g17(state.t), str(n), _g17(mesh.nodes[n, 0]), _g17(mesh.nodes[n, 1])]
+        cells += [_g17(x) for x in a[n]] + [_g17(x) for x in v[n]] + [_g17(vmag[n])]
+        lines.append(",".join(cells))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _oracle_element_csv(mesh, material, state):
+    lines = [ELEMENT_CSV_HEADER]
+    all_eps, all_sig = _batch_strain_stress(mesh, material, state)
+    for e, (eps, sig) in enumerate(zip(all_eps, all_sig)):
+        sflag = int(np.any(np.abs(eps) > material.strain_threshold))
+        tflag = int(np.any(np.abs(sig) > material.stress_threshold))
+        cells = [_g17(state.t), str(e)] + [_g17(x) for x in eps] + [_g17(x) for x in sig]
+        lines.append(",".join(cells + [str(sflag), str(tflag)]))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _oracle_vtk(mesh, state, title="membrane snapshot"):
+    a = state.a.reshape(-1, 3)
+    n, m = mesh.n_nodes, mesh.n_triangles
+    out = ["# vtk DataFile Version 3.0", title, "ASCII", "DATASET UNSTRUCTURED_GRID",
+           f"POINTS {n} double"]
+    for i in range(n):
+        out.append(f"{_g17(mesh.nodes[i, 0] + a[i, 0])} "
+                   f"{_g17(mesh.nodes[i, 1] + a[i, 1])} {_g17(a[i, 2])}")
+    out.append(f"CELLS {m} {4 * m}")
+    out += [f"3 {t[0]} {t[1]} {t[2]}" for t in mesh.triangles]
+    out.append(f"CELL_TYPES {m}")
+    out += ["5"] * m
+    out += [f"POINT_DATA {n}", "SCALARS velocity_magnitude double 1", "LOOKUP_TABLE default"]
+    out += [_g17(x) for x in _oracle_vmag(state)]
+    return ("\n".join(out) + "\n").encode()
+
+
+def _edge_state(mesh):
+    """A state whose values hit the corners of the 17-digit format."""
+    st = _state(mesh, seed=3)
+    st.t = 0.1  # shortest repr has fewer than 17 digits
+    specials = [-0.0, 5e-324, -0.0, 0.1, -5e-324, 1e-300, 2.0**-1074 * 3, 1e16, 123456789.0]
+    st.a[: len(specials)] = specials
+    st.adot[: len(specials)] = specials[::-1]
+    st.adot[-3] = 1e300  # vmag overflows to inf
+    st.adot[-4] = -0.0
+    return st
+
+
+class TestWritersMatchOracle:
+    def test_snapshot_csv_bytes(self, grid4, tmp_path):
+        state = _edge_state(grid4)
+        p = tmp_path / "snap.csv"
+        write_snapshot_csv(p, grid4, state)
+        text = p.read_bytes()
+        assert text == _oracle_snapshot_csv(grid4, state)
+        for token in (b",-0,", b",4.9406564584124654e-324,", b",inf\n",
+                      b"\n0.10000000000000001,", b",123456789,"):
+            assert token in text
+
+    def test_element_csv_bytes_with_flags(self, grid4, tmp_path):
+        state = _edge_state(grid4)
+        plain = mb.MaterialParams(d=mb.isotropic(200e9, 0.3), rho=7800.0, h=1e-3)
+        eps, sig = _batch_strain_stress(grid4, plain, state)
+        emax, smax = np.abs(eps).max(axis=1), np.abs(sig).max(axis=1)
+        flagged = mb.MaterialParams(
+            d=plain.d, rho=7800.0, h=1e-3,
+            strain_threshold=np.median(emax), stress_threshold=np.quantile(smax, 0.25),
+        )
+        p = tmp_path / "elem.csv"
+        write_element_csv(p, grid4, flagged, state)
+        assert p.read_bytes() == _oracle_element_csv(grid4, flagged, state)
+        rows = [l.split(",") for l in p.read_text().splitlines()[1:]]
+        assert {r[14] for r in rows} == {r[15] for r in rows} == {"0", "1"}
+
+    def test_element_csv_bytes_without_thresholds(self, grid4, steel, tmp_path):
+        state = _edge_state(grid4)
+        unflagged = mb.MaterialParams(
+            d=steel.d, rho=steel.rho, h=steel.h,
+            strain_threshold=np.inf, stress_threshold=np.inf,
+        )
+        p = tmp_path / "elem.csv"
+        write_element_csv(p, grid4, steel, state)
+        assert p.read_bytes() == _oracle_element_csv(grid4, unflagged, state)
+
+    def test_vtk_bytes(self, grid4, tmp_path):
+        state = _edge_state(grid4)
+        p = tmp_path / "snap.vtk"
+        write_snapshot_vtk(p, grid4, state, title="edge values")
+        text = p.read_bytes()
+        assert text == _oracle_vtk(grid4, state, title="edge values")
+        assert b" -0\n" in text and b"\ninf\n" in text
 
 
 class TestStudyCsv:
