@@ -42,6 +42,7 @@ from .scenarios import (
     build_case,
     run,
     scenario_from_dict,
+    step_count,
 )
 
 __all__ = [
@@ -233,9 +234,10 @@ def run_study(spec: StudySpec, max_workers: int | None = None) -> StudyResult:
     tau_rule = scenario.tau if scenario.tau is not None else default_timestep(
         base_mesh, scenario.material
     )
-    n0 = int(math.ceil(scenario.t_final / tau_rule - 1e-9))
+    n0 = step_count(scenario.t_final, tau_rule)
     n0 = _snap_steps(n0, scenario.t_final, _window_breakpoints(scenario, base_mesh))
     tau0 = scenario.t_final / n0
+    step_count(scenario.t_final, math.ldexp(tau0, -spec.k_max))  # the finest level, up front
 
     specs = [base_spec]
     for _ in range(spec.k_max):

@@ -112,11 +112,16 @@ class Mesh:
         return self.nodes[tri]
 
     def signed_doubled_areas(self) -> np.ndarray:
-        """Per-triangle doubled signed area (positive for CCW)."""
+        """Per-triangle doubled signed area (positive for CCW).
+
+        Finite coordinates too large for the float range give inf or nan
+        silently; `validate` rejects those meshes.
+        """
         p = self.triangle_coords()
-        d1 = p[:, 1] - p[:, 0]
-        d2 = p[:, 2] - p[:, 0]
-        return d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            d1 = p[:, 1] - p[:, 0]
+            d2 = p[:, 2] - p[:, 0]
+            return d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
 
     def areas(self) -> np.ndarray:
         return 0.5 * self.signed_doubled_areas()
@@ -144,7 +149,8 @@ class Mesh:
     def validate(self) -> None:
         """Check structural invariants, raising MeshError on violation.
 
-        Verified: finite node coordinates, vertex ids in range and
+        Verified: finite node coordinates whose triangle areas and edge
+        lengths stay inside the float range, vertex ids in range and
         distinct per triangle, strictly positive triangle areas (CCW,
         non-degenerate), no duplicate triangles, and edge-connectivity
         of the whole node set.
@@ -167,8 +173,14 @@ class Mesh:
         # scale-aware degeneracy cutoff: doubled area of a healthy triangle
         # is O(edge^2); anything at roundoff level counts as degenerate
         e = self.edges()
-        d = self.nodes[e[:, 0]] - self.nodes[e[:, 1]]
-        max_edge_sq = float((d * d).sum(axis=1).max())
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = self.nodes[e[:, 0]] - self.nodes[e[:, 1]]
+            max_edge_sq = float((d * d).sum(axis=1).max())
+        if not (np.isfinite(s2).all() and np.isfinite(max_edge_sq)):
+            raise MeshError(
+                "node coordinates out of range: triangle areas or edge lengths "
+                f"overflow (largest |coordinate| {float(np.abs(self.nodes).max()):.3g})"
+            )
         bad = np.nonzero(s2 <= 1e-14 * max_edge_sq)[0]
         if bad.size:
             raise MeshError(

@@ -66,6 +66,10 @@ __all__ = [
 # applied in the x-z plane
 TILT_ANGLE = math.pi / 6.0
 
+# most Newmark steps one run may take; more is a typo in T or tau
+# (1e9 steps of even a 2x2 grid would run for hours)
+MAX_STEPS = 10**9
+
 
 @dataclass(frozen=True)
 class LoadSpec:
@@ -269,13 +273,24 @@ def build_mesh(spec) -> Mesh:
     raise ConfigError(f"cannot build a mesh from {type(spec).__name__}")
 
 
+def step_count(t_final: float, tau: float) -> int:
+    """ceil(t_final/tau), or ConfigError when that exceeds MAX_STEPS."""
+    q = t_final / tau if tau > 0.0 else math.inf
+    if not q <= MAX_STEPS:
+        raise ConfigError(
+            f"T/tau = {q:.3g} steps exceeds the limit of {MAX_STEPS:.0e}: T={t_final}, tau={tau}"
+        )
+    return int(math.ceil(q - 1e-9))
+
+
 def run(config: ScenarioConfig, on_snapshot=None, keep_snapshots: bool = True) -> SimulationResult:
     """Integrate a scenario from rest over [0, t_final].
 
     Snapshots are emitted at step 0, every `every_n_steps` steps, and at
     the final step; `on_snapshot(state)` is called for each if given,
     and copies are retained when `keep_snapshots` is true.  The number
-    of steps is ceil(t_final/tau), so the run never stops short.
+    of steps is ceil(t_final/tau), so the run never stops short; above
+    MAX_STEPS it is a ConfigError.
     """
     if config.border not in ("free", "fixed"):
         raise ConfigError(f"border must be 'free' or 'fixed', got {config.border!r}")
@@ -300,9 +315,7 @@ def run(config: ScenarioConfig, on_snapshot=None, keep_snapshots: bool = True) -
 
     tau = config.tau if config.tau is not None else default_timestep(mesh, material)
     params = NewmarkParams(tau=tau)
-    if not math.isfinite(config.t_final / tau):
-        raise ConfigError(f"T/tau overflows: T={config.t_final}, tau={tau}")
-    n_steps = int(math.ceil(config.t_final / tau - 1e-9))
+    n_steps = step_count(config.t_final, tau)
 
     a0 = None
     if config.initial_translation is not None:

@@ -189,8 +189,13 @@ class TestExitCodeTable:
             (_set(None, material={"type": "anisotropic", "rho": 1200.0, "h": 1e-3,
                                   "moduli_gpa": [[1, 1, 1e300]]}), 2),
             (_set(None, case={"id": 3, "speed": 1e308}), 3),
+            # finite coordinates whose areas and edge lengths overflow
+            (_set(None, mesh={"Lx": 1e200, "Ly": 1e200, "nx": 4, "ny": 4}), 2),
+            (_set("case", window=[5e-5, 1e-5]), 2),  # t1 < t0
+            (_set(None, tau=1e-300), 2),  # about 1e297 steps
         ],
-        ids=["case_id", "nu", "rho", "Lx", "directory", "moduli_gpa", "speed"],
+        ids=["case_id", "nu", "rho", "Lx", "directory", "moduli_gpa", "speed",
+             "huge_coordinates", "window_reversed", "step_count"],
     )
     def test_exit_code_and_one_line(self, tmp_path, capsys, monkeypatch, edit, code):
         monkeypatch.chdir(tmp_path)  # a relative output directory stays in tmp_path

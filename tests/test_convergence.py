@@ -206,6 +206,16 @@ class TestRunStudy:
                 assert la.disp == lo.disp
                 assert la.vel == lo.vel
 
+    @pytest.mark.parametrize("tau,k_max", [(1e-300, 2), (None, 40)], ids=["tau", "k_max"])
+    def test_absurd_step_count_rejected_up_front(self, polymer, monkeypatch, tau, k_max):
+        def level_ran(*args, **kwargs):
+            raise AssertionError("a level ran")
+
+        monkeypatch.setattr("membrane.convergence.run", level_ran)
+        spec = _study(polymer, CaseSpec(case_id=1), k_max=k_max, t_final=1e-4, tau=tau)
+        with pytest.raises(ConfigError, match="exceeds the limit"):
+            run_study(spec)
+
     def test_bad_worker_count(self, polymer):
         spec = _study(polymer, CaseSpec(case_id=1), k_max=2, t_final=1e-4)
         with pytest.raises(ConfigError, match="worker count"):

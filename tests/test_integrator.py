@@ -1,4 +1,6 @@
 """Newmark integration tests: order, stability, constraints, energy."""
+import warnings
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -401,3 +403,105 @@ class TestFreeBlockSolve:
         system.constrained_dofs = np.array([2])
         factor = factor_once(system, NewmarkParams(tau=0.1))
         np.testing.assert_array_equal(factor.lu.solve(np.array([2.0, 3.0, 4.0])), [2.0, 3.0, 0.0])
+
+
+def _jittered_grid(n, amplitude, seed):
+    """An n-by-n structured grid with interior nodes moved at random.
+
+    Each interior coordinate moves by up to `amplitude` cell widths, so
+    the element shapes and areas vary across the mesh.
+    """
+    mesh = mb.generate_structured(mb.StructuredSpec(1.0, 1.0, n, n))
+    nodes = mesh.nodes.copy()
+    interior = np.setdiff1d(np.arange(mesh.n_nodes), boundary_nodes(mesh))
+    rng = np.random.default_rng(seed)
+    nodes[interior] += rng.uniform(-amplitude, amplitude, (interior.size, 2)) / n
+    jittered = mb.Mesh(nodes=nodes, triangles=mesh.triangles)
+    jittered.validate()
+    return jittered
+
+
+def _assert_dense_mass_solve(sysc, addot, rhs):
+    """addot solves M x = rhs on the free block to 1e-13, relative."""
+    free = np.setdiff1d(np.arange(sysc.ndof), sysc.constrained_dofs)
+    ref = np.linalg.solve(sysc.M.toarray()[np.ix_(free, free)], rhs[free])
+    assert np.abs(addot[free] - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+class TestMassSolve:
+    """a''_0 comes from Jacobi-preconditioned CG on the free mass block."""
+
+    @pytest.mark.parametrize("border", ["fixed", "free"])
+    @pytest.mark.parametrize("material", ["polymer", "anisotropic"])
+    def test_matches_dense_solve(self, material, border, request):
+        mat = _fully_anisotropic() if material == "anisotropic" else request.getfixturevalue(material)
+        mesh = mb.generate_structured(mb.StructuredSpec(1.0, 1.0, 8, 8))
+        if border == "fixed":
+            sysc = _fixed_border_system(mesh, mat, strike=40)
+        else:
+            sysc = apply_constraints(assemble(mesh, mat))
+        sysc.f = build_load_vector(mesh, mat, [60, 61], (3e5, -1e5, 1e6))
+        a0 = np.random.default_rng(7).uniform(-1e-4, 1e-4, sysc.ndof)
+        state = init_state(sysc, a0=a0)
+        _assert_dense_mass_solve(sysc, state.addot, -(sysc.K @ a0 + sysc.f))
+        assert np.all(state.addot[sysc.constrained_dofs] == 0.0)
+
+    def test_zero_rhs_gives_exact_zeros(self, grid4, polymer):
+        sysc = _fixed_border_system(grid4, polymer, strike=12)
+        state = init_state(sysc)
+        assert np.all(state.addot == 0.0)
+
+    def test_huge_rhs_scales_exactly(self, grid4, polymer):
+        # the inner products see the right-hand side scaled to unit
+        # max-norm, so 2**900 times the load neither overflows nor
+        # changes a bit beyond the power-of-two factor
+        sysc = _fixed_border_system(grid4, polymer)
+        sysc.f = np.random.default_rng(3).standard_normal(sysc.ndof)
+        small = init_state(sysc).addot
+        sysc.f = sysc.f * 2.0**900
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            huge = init_state(sysc).addot
+        np.testing.assert_array_equal(huge, small * 2.0**900)
+
+    def test_nonfinite_rhs_raises(self, grid4, polymer):
+        sysc = _fixed_border_system(grid4, polymer)
+        a0 = np.zeros(sysc.ndof)
+        a0[3 * 12] = np.inf  # an interior node
+        with pytest.raises(SolverError, match="non-finite right-hand side for the mass matrix"):
+            init_state(sysc, a0=a0)
+
+    def test_indefinite_mass_raises(self):
+        system = _oscillator(1.0)
+        # positive diagonal, eigenvalues -1, 1 and 3
+        system.M = sparse.csr_matrix([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        with pytest.raises(SolverError, match="mass matrix"):
+            init_state(system, a0=[1.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_jittered_mesh_within_cap(self, polymer, monkeypatch, seed):
+        # the Jacobi-scaled spectrum bound does not depend on element
+        # shape, so a jittered mesh converges as fast as a regular one
+        monkeypatch.setattr("membrane.integrator._MASS_MAXITER", 40)
+        mesh = _jittered_grid(24, 0.25, seed)
+        sysc = _fixed_border_system(mesh, polymer)
+        rhs = np.random.default_rng(seed).standard_normal(sysc.ndof)
+        sysc.f = -rhs
+        _assert_dense_mass_solve(sysc, init_state(sysc).addot, rhs)
+
+    def test_one_factorization_per_run(self, polymer, monkeypatch):
+        calls = []
+
+        def counting_splu(*args, **kwargs):
+            calls.append(args[0].shape)
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr("membrane.integrator.splu", counting_splu)
+        tau = 4e-6
+        config = mb.ScenarioConfig(
+            mesh=mb.StructuredSpec(1.0, 1.0, 8, 8), material=polymer,
+            case=mb.CaseSpec(case_id=1, b0=1e6), border="fixed",
+            t_final=10 * tau, tau=tau,
+        )
+        mb.run(config)
+        assert len(calls) == 1

@@ -23,8 +23,10 @@ from membrane.scenarios import (
     config_from_json,
     distributed_b,
     elementwise_load,
+    MAX_STEPS,
     run,
     scenario_from_dict,
+    step_count,
 )
 
 from conftest import orthotropic_gpa
@@ -188,6 +190,20 @@ def _scenario(mesh_spec, material, case, border="fixed", t_final=None, tau=None,
 
 
 class TestRun:
+    def test_step_count_ceiling(self):
+        assert step_count(2e-3, 2e-3 / MAX_STEPS) == MAX_STEPS
+        for tau in (1e-3 / MAX_STEPS, 1e-300, 5e-324):
+            with pytest.raises(ConfigError, match="exceeds the limit"):
+                step_count(2e-3, tau)
+
+    def test_absurd_step_count_rejected_before_integrating(self, polymer):
+        cfg = _scenario(
+            mb.StructuredSpec(1.0, 1.0, 2, 2), polymer, CaseSpec(case_id=1, b0=1e6),
+            t_final=2e-3, tau=1e-300,
+        )
+        with pytest.raises(ConfigError, match="exceeds the limit"):
+            run(cfg)
+
     def test_smoke_counts_and_cadence(self, polymer):
         tau = 4e-6
         cfg = _scenario(
