@@ -5,19 +5,13 @@ dimensions under transverse and in-plane loads.  The package builds
 linear-triangle mass and stiffness matrices, integrates the equation
 of motion M a'' + K a + f = 0 with an implicit Newmark scheme, and
 ships a mesh-refinement harness for observed-convergence studies.
+
+The names below are the package-level API; everything else is reached
+through its module (`membrane.assembly`, `membrane.integrator`, ...).
 """
 
 __version__ = "0.1.0"
 
-from .errors import (
-    AssemblyError,
-    ConfigError,
-    ElementError,
-    MaterialError,
-    MembraneError,
-    MeshError,
-    SolverError,
-)
 from .mesh import (
     Mesh,
     StructuredSpec,
@@ -36,55 +30,6 @@ from .material import (
     packed_from_entries,
     params_from_config,
 )
-from .element import (
-    ShapeCoeffs,
-    element_load,
-    element_mass,
-    element_residual,
-    element_stiffness,
-    recover_stress_strain,
-    shape_coefficients,
-    shape_values,
-    strain_displacement,
-)
-from .assembly import (
-    CompiledLoad,
-    Constraint,
-    GlobalSystem,
-    apply_constraints,
-    assemble,
-    build_load_vector,
-    update_load,
-)
-from .integrator import (
-    NewmarkParams,
-    State,
-    default_timestep,
-    energy,
-    factor_once,
-    init_state,
-    step,
-)
-from .scenarios import (
-    CaseSpec,
-    LoadSpec,
-    ScenarioConfig,
-    SimulationResult,
-    StrikeSpec,
-    build_case,
-    build_mesh,
-    compile_case,
-    config_from_json,
-    distributed_b,
-    elementwise_load,
-    run,
-)
-from .convergence import (
-    StudyResult,
-    StudySpec,
-    extract_at_positions,
-    fit_rate,
-    norm,
-    run_study,
-    study_from_json,
-)
+from .integrator import default_timestep
+from .scenarios import CaseSpec, ScenarioConfig, build_case, config_from_json, run
+from .convergence import study_from_json

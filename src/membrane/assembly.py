@@ -102,41 +102,36 @@ def element_dof_ids(triangles: np.ndarray) -> np.ndarray:
 
 
 def _triangle_geometry(mesh: Mesh):
-    """(area, beta, gamma) per triangle, shapes (m,), (m, 3), (m, 3).
+    """(area, B) per triangle, shapes (m,) and (m, 6, 9).
 
-    Shape function i has gradient (beta[:, i], gamma[:, i]).
+    B is the strain-displacement matrix of `element.strain_displacement`
+    for every triangle at once: shape function i has the constant
+    gradient (beta_i, gamma_i), and its vertex block occupies columns
+    3i..3i+2.  This is the only place the solver builds either.
     """
     p = mesh.triangle_coords()
     x, y = p[:, :, 0], p[:, :, 1]
     jj = [1, 2, 0]
     kk = [2, 0, 1]
-    se = (
-        x[:, 0] * (y[:, 1] - y[:, 2])
-        + x[:, 1] * (y[:, 2] - y[:, 0])
-        + x[:, 2] * (y[:, 0] - y[:, 1])
-    )
+    se = mesh.signed_doubled_areas()
     if np.any(se <= 0.0):
         bad = int(np.argmax(se <= 0.0))
         raise AssemblyError(f"triangle {bad} degenerate or clockwise during assembly")
     beta = (y[:, jj] - y[:, kk]) / se[:, None]
     gamma = (x[:, kk] - x[:, jj]) / se[:, None]
-    return 0.5 * se, beta, gamma
+    b = np.zeros((mesh.n_triangles, 6, 9))
+    b[:, 0, 0::3] = beta
+    b[:, 1, 1::3] = gamma
+    b[:, 3, 0::3] = gamma
+    b[:, 3, 1::3] = beta
+    b[:, 4, 2::3] = gamma
+    b[:, 5, 2::3] = beta
+    return 0.5 * se, b
 
 
 def _batch_element_matrices(mesh: Mesh, material: MaterialParams):
     """Stiffness and mass blocks for every triangle, shapes (m, 9, 9)."""
-    area, beta, gamma = _triangle_geometry(mesh)
-    m = mesh.n_triangles
-    b = np.zeros((m, 6, 9))
-    for i in range(3):
-        c = 3 * i
-        b[:, 0, c] = beta[:, i]
-        b[:, 1, c + 1] = gamma[:, i]
-        b[:, 3, c] = gamma[:, i]
-        b[:, 3, c + 1] = beta[:, i]
-        b[:, 4, c + 2] = gamma[:, i]
-        b[:, 5, c + 2] = beta[:, i]
-
+    area, b = _triangle_geometry(mesh)
     ke = np.einsum("eji,jk,ekl->eil", b, material.d, b, optimize=True)
     ke *= (material.h * area)[:, None, None]
     me = _MASS_PATTERN9[None, :, :] * (material.rho * material.h * area / 12.0)[
@@ -145,15 +140,8 @@ def _batch_element_matrices(mesh: Mesh, material: MaterialParams):
     return ke, me, area
 
 
-def assemble(mesh: Mesh, material: MaterialParams, loads=()) -> GlobalSystem:
-    """Assemble the global stiffness, mass, and load of a mesh.
-
-    Parameters
-    ----------
-    mesh : Mesh
-    material : MaterialParams
-    loads : sequence of (element_ids, b_vector) pairs
-        Optional uniform volumetric loads to bake into the initial f.
+def assemble(mesh: Mesh, material: MaterialParams) -> GlobalSystem:
+    """Assemble the global stiffness and mass of a mesh; f starts at zero.
 
     Both matrices are returned as CSR; K is symmetric positive
     semidefinite, M symmetric positive definite.
@@ -169,11 +157,7 @@ def assemble(mesh: Mesh, material: MaterialParams, loads=()) -> GlobalSystem:
     # stored, they would enter every factorization and matvec
     k.eliminate_zeros()
     m.eliminate_zeros()
-
-    f = np.zeros(n)
-    for element_ids, b_vec in loads:
-        f += build_load_vector(mesh, material, element_ids, b_vec)
-    return GlobalSystem(K=k, M=m, f=f, mesh=mesh, material=material)
+    return GlobalSystem(K=k, M=m, f=np.zeros(n), mesh=mesh, material=material)
 
 
 def build_load_vector(mesh: Mesh, material: MaterialParams, element_ids, b_vectors) -> np.ndarray:

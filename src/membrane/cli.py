@@ -8,8 +8,9 @@ Three subcommands:
 
 Exit codes: 0 on success, 2 for configuration problems (bad JSON,
 missing keys, invalid mesh or material), 3 for numerical failures
-(singular matrices, non-finite states).  The environment variable
-MEMBRANE_THREADS caps the worker threads used by convergence studies.
+(singular matrices, non-finite states) and for running out of memory.
+The environment variable MEMBRANE_THREADS caps the worker threads used
+by convergence studies.
 """
 from __future__ import annotations
 
@@ -149,6 +150,9 @@ def main(argv=None) -> int:
         return _cmd_mesh_info(args)
     except SolverError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 3
     except MembraneError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -35,11 +35,11 @@ from .errors import ConfigError, MeshError, config_number
 from .integrator import State, default_timestep
 from .mesh import Mesh, StructuredSpec, generate_structured, refine
 from .scenarios import (
-    CaseSpec,
     LoadSpec,
     ScenarioConfig,
     StrikeSpec,
-    build_case,
+    _read_json_object,
+    _resolve_case,
     run,
     scenario_from_dict,
     step_count,
@@ -162,17 +162,7 @@ def _check_refinable(scenario: ScenarioConfig) -> StructuredSpec:
 
 
 def _window_breakpoints(scenario: ScenarioConfig, base_mesh: Mesh) -> list[float]:
-    case = scenario.case
-    if isinstance(case, CaseSpec):
-        case = build_case(
-            case.case_id,
-            base_mesh,
-            scenario.t_final,
-            b0=case.b0,
-            speed=case.speed,
-            window=case.window,
-            support_radius=case.support_radius,
-        )
+    case = _resolve_case(scenario.case, base_mesh, scenario.t_final)
     if isinstance(case, LoadSpec):
         return [t for t in case.window if 0.0 < t < scenario.t_final]
     return []
@@ -289,20 +279,7 @@ def study_from_json(source) -> StudySpec:
 
     The file is a scenario config plus one extra key, k_max.
     """
-    if isinstance(source, dict):
-        data = source
-    else:
-        import json
-
-        try:
-            with open(source, "r", encoding="utf-8") as f:
-                data = json.load(f)
-        except OSError as exc:
-            raise ConfigError(f"cannot read study file {source}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"malformed JSON in {source}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError("study root must be a JSON object")
+    data = _read_json_object(source, "study")
     if "k_max" not in data:
         raise ConfigError("missing config key: k_max")
     scenario = scenario_from_dict(data, extra_keys={"k_max"})

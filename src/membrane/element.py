@@ -1,4 +1,10 @@
-"""Linear-triangle element kernels.
+"""Per-element reference kernels of the linear triangle.
+
+These scalar, one-triangle-at-a-time functions are the reference the
+tests compare the solver against; the solver itself does not call
+them.  Assembly and strain recovery use the batched kernel
+`assembly._triangle_geometry`, which must agree with
+`shape_coefficients` and `strain_displacement` bitwise.
 
 Each node carries three displacement components (u, v, w): two in the
 membrane plane and one transverse.  Displacements are interpolated by
@@ -30,9 +36,7 @@ __all__ = [
     "strain_displacement",
     "element_stiffness",
     "element_mass",
-    "element_load",
     "recover_stress_strain",
-    "element_residual",
 ]
 
 # consistent-mass vertex pattern: integral of N_i*N_j over the triangle
@@ -146,18 +150,6 @@ def element_mass(rho: float, h: float, area: float) -> np.ndarray:
     return np.kron(_MASS_PATTERN, np.eye(3)) * (rho * h * area / 12.0)
 
 
-def element_load(b_vec, h: float, area: float) -> np.ndarray:
-    """Element load vector for a uniform volumetric load, shape (9,).
-
-    The load enters the equation of motion M a'' + K a + f = 0 on the
-    left-hand side, hence the minus sign: f_e = -(h*area/3)*(b, b, b).
-    """
-    b_vec = np.asarray(b_vec, dtype=float)
-    if b_vec.shape != (3,):
-        raise ElementError(f"load vector must have shape (3,), got {b_vec.shape}")
-    return -(h * area / 3.0) * np.tile(b_vec, 3)
-
-
 def recover_stress_strain(sc: ShapeCoeffs, d: np.ndarray, a_e) -> tuple[np.ndarray, np.ndarray]:
     """Constant strain and stress of one element from its nodal values.
 
@@ -168,12 +160,3 @@ def recover_stress_strain(sc: ShapeCoeffs, d: np.ndarray, a_e) -> tuple[np.ndarr
     strain = strain_displacement(sc) @ a_e
     stress = d @ strain
     return strain, stress
-
-
-def element_residual(ke, me, fe, a_e, addot_e) -> np.ndarray:
-    """Fictive nodal force M_e a''_e + K_e a_e + f_e (diagnostic only).
-
-    Measures how far one element's nodal values sit from local balance;
-    it plays no role in the simulation itself.
-    """
-    return me @ np.asarray(addot_e, float) + ke @ np.asarray(a_e, float) + np.asarray(fe, float)

@@ -65,10 +65,6 @@ class NewmarkParams:
         if not self.tau > 0.0:
             raise SolverError(f"timestep must be positive, got {self.tau}")
 
-    @property
-    def unconditionally_stable(self) -> bool:
-        return self.beta2 >= self.beta1 >= 0.5
-
 
 @dataclass
 class State:

@@ -68,10 +68,6 @@ class StructuredSpec:
     def n_triangles(self) -> int:
         return 2 * self.nx * self.ny
 
-    def node_id(self, i: int, j: int) -> int:
-        """Node id of grid vertex (i, j), 0 <= i <= nx, 0 <= j <= ny."""
-        return j * (self.nx + 1) + i
-
     def rect_triangles(self, i: int, j: int) -> tuple[int, int]:
         """Triangle ids (below-diagonal, above-diagonal) of cell (i, j)."""
         r = j * self.nx + i
@@ -114,14 +110,21 @@ class Mesh:
     def signed_doubled_areas(self) -> np.ndarray:
         """Per-triangle doubled signed area (positive for CCW).
 
+        The cyclic formula x0(y1-y2) + x1(y2-y0) + x2(y0-y1), the same as
+        the scalar `element.shape_coefficients`; assembly, loads and
+        `validate` all take their areas from here.
+
         Finite coordinates too large for the float range give inf or nan
         silently; `validate` rejects those meshes.
         """
         p = self.triangle_coords()
+        x, y = p[:, :, 0], p[:, :, 1]
         with np.errstate(over="ignore", invalid="ignore"):
-            d1 = p[:, 1] - p[:, 0]
-            d2 = p[:, 2] - p[:, 0]
-            return d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+            return (
+                x[:, 0] * (y[:, 1] - y[:, 2])
+                + x[:, 1] * (y[:, 2] - y[:, 0])
+                + x[:, 2] * (y[:, 0] - y[:, 1])
+            )
 
     def areas(self) -> np.ndarray:
         return 0.5 * self.signed_doubled_areas()

@@ -76,16 +76,9 @@ def write_snapshot_csv(path, mesh: Mesh, state: State) -> None:
 
 
 def _batch_strain_stress(mesh: Mesh, material: MaterialParams, state: State):
-    """Constant strain and stress per element, shapes (m, 6)."""
-    _, beta, gamma = _triangle_geometry(mesh)
-    vals = state.a[element_dof_ids(mesh.triangles)]
-    u, v, w = vals[:, 0::3], vals[:, 1::3], vals[:, 2::3]
-    eps = np.zeros((mesh.n_triangles, 6))
-    eps[:, 0] = (beta * u).sum(axis=1)
-    eps[:, 1] = (gamma * v).sum(axis=1)
-    eps[:, 3] = (gamma * u).sum(axis=1) + (beta * v).sum(axis=1)
-    eps[:, 4] = (gamma * w).sum(axis=1)
-    eps[:, 5] = (beta * w).sum(axis=1)
+    """Constant strain B a_e and stress D B a_e per element, shapes (m, 6)."""
+    _, b = _triangle_geometry(mesh)
+    eps = np.einsum("eij,ej->ei", b, state.a[element_dof_ids(mesh.triangles)])
     sig = eps @ material.d.T
     return eps, sig
 

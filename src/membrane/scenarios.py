@@ -183,6 +183,14 @@ def build_case(case_id: int, mesh: Mesh, t_final: float, *, b0: float = 1.0,
     raise ConfigError(f"unknown case id {case_id} (valid: 1..5)")
 
 
+def _resolve_case(case, mesh: Mesh, t_final: float):
+    """A CaseSpec resolved by `build_case` on `mesh`; any other case as is."""
+    if not isinstance(case, CaseSpec):
+        return case
+    return build_case(case.case_id, mesh, t_final, b0=case.b0, speed=case.speed,
+                      window=case.window, support_radius=case.support_radius)
+
+
 def distributed_b(x, y, b0: float, size: float, support_radius=None, center=None):
     """The case-5 load field, vectorized over x and y.
 
@@ -217,16 +225,7 @@ def compile_case(mesh: Mesh, material: MaterialParams, case, t_final: float):
 
     Returns (loads, constraints): CompiledLoad list and Constraint list.
     """
-    if isinstance(case, CaseSpec):
-        case = build_case(
-            case.case_id,
-            mesh,
-            t_final,
-            b0=case.b0,
-            speed=case.speed,
-            window=case.window,
-            support_radius=case.support_radius,
-        )
+    case = _resolve_case(case, mesh, t_final)
     if isinstance(case, StrikeSpec):
         if not 0 <= case.node < mesh.n_nodes:
             raise ConfigError(f"strike node {case.node} out of range")
@@ -472,17 +471,25 @@ def scenario_from_dict(d: dict, extra_keys=frozenset()) -> ScenarioConfig:
     )
 
 
-def config_from_json(source) -> ScenarioConfig:
-    """Load a ScenarioConfig from a JSON file path or a parsed dict."""
+def _read_json_object(source, what: str) -> dict:
+    """The JSON object in file `source` (a dict is returned as is).
+
+    `what` names the file in messages ("config", "study").
+    """
     if isinstance(source, dict):
-        return scenario_from_dict(source)
+        return source
     try:
         with open(source, "r", encoding="utf-8") as f:
             data = json.load(f)
     except OSError as exc:
-        raise ConfigError(f"cannot read config file {source}: {exc}") from exc
+        raise ConfigError(f"cannot read {what} file {source}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON in {source}: {exc}") from exc
     if not isinstance(data, dict):
-        raise ConfigError(f"config root must be a JSON object, got {type(data).__name__}")
-    return scenario_from_dict(data)
+        raise ConfigError(f"{what} root must be a JSON object, got {type(data).__name__}")
+    return data
+
+
+def config_from_json(source) -> ScenarioConfig:
+    """Load a ScenarioConfig from a JSON file path or a parsed dict."""
+    return scenario_from_dict(_read_json_object(source, "config"))

@@ -160,6 +160,16 @@ class TestRunCommand:
         assert main(["run", cfg_path, "--out", str(tmp_path / "o")]) == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_out_of_memory_exit_3_one_line(self, tmp_path, capsys, monkeypatch):
+        def exhausted(spec):
+            raise MemoryError("Unable to allocate 298. GiB for an array")
+
+        monkeypatch.setattr("membrane.cli.build_mesh", exhausted)
+        cfg_path = _write(tmp_path, "run.json", _run_config())
+        assert main(["run", cfg_path, "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err == "out of memory: Unable to allocate 298. GiB for an array\n"
+
 
 def _shipped_4x4(tmp_path):
     with open(CONFIGS / "run_case1.json", encoding="utf-8") as f:

@@ -1,4 +1,4 @@
-"""Element kernel tests: shape functions, B, K_e, M_e, f_e, recovery."""
+"""Element kernel tests: shape functions, B, K_e, M_e, recovery."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,9 +6,7 @@ from hypothesis import strategies as st
 
 import membrane as mb
 from membrane.element import (
-    element_load,
     element_mass,
-    element_residual,
     element_stiffness,
     recover_stress_strain,
     shape_coefficients,
@@ -230,24 +228,6 @@ class TestMass:
         assert np.linalg.eigvalsh(me).min() > 0
 
 
-class TestLoad:
-    def test_values(self):
-        fe = element_load([1.0, 2.0, 3.0], h=1e-3, area=0.5)
-        np.testing.assert_allclose(
-            fe, -(1e-3 * 0.5 / 3.0) * np.array([1, 2, 3, 1, 2, 3, 1, 2, 3.0])
-        )
-
-    def test_total_force(self):
-        b_vec = np.array([0.0, 0.0, 9.81])
-        fe = element_load(b_vec, h=2e-3, area=0.4)
-        for k in range(3):
-            assert abs(fe[k::3].sum() + 2e-3 * 0.4 * b_vec[k]) < 1e-15
-
-    def test_bad_shape(self):
-        with pytest.raises(ElementError, match=r"\(3,\)"):
-            element_load([1.0, 2.0], h=1e-3, area=0.5)
-
-
 class TestRecovery:
     def test_linear_field_exact(self, steel):
         rng = np.random.default_rng(37)
@@ -261,17 +241,3 @@ class TestRecovery:
         )
         np.testing.assert_allclose(strain, exact, atol=1e-12)
         np.testing.assert_allclose(stress, steel.d @ exact, rtol=1e-12, atol=1e-6)
-
-
-class TestResidual:
-    def test_consistent_inputs_balance(self, steel):
-        rng = np.random.default_rng(41)
-        coords = random_triangle(rng)
-        sc = shape_coefficients(coords)
-        ke = element_stiffness(strain_displacement(sc), steel.d, steel.h, sc.area)
-        me = element_mass(steel.rho, steel.h, sc.area)
-        a_e = rng.uniform(-1.0, 1.0, 9)
-        addot_e = rng.uniform(-1.0, 1.0, 9)
-        fe = -(me @ addot_e + ke @ a_e)
-        r = element_residual(ke, me, fe, a_e, addot_e)
-        np.testing.assert_allclose(r, np.zeros(9), atol=1e-9 * np.abs(ke).max())

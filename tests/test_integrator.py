@@ -103,20 +103,6 @@ class TestParams:
         with pytest.raises(SolverError, match="positive"):
             NewmarkParams(tau=-1e-6)
 
-    @pytest.mark.parametrize(
-        "beta1,beta2,stable",
-        [
-            (0.5, 0.5, True),
-            (0.5, 0.6, True),
-            (0.6, 0.6, True),
-            (0.6, 0.5, False),
-            (0.4, 0.6, False),
-            (0.4, 0.4, False),
-        ],
-    )
-    def test_stability_predicate(self, beta1, beta2, stable):
-        assert NewmarkParams(1e-3, beta1, beta2).unconditionally_stable is stable
-
     def test_default_timestep(self, grid4, steel):
         expected = grid4.min_edge_length() / (10.0 * mb.max_wave_speed(steel))
         assert default_timestep(grid4, steel) == expected

@@ -96,6 +96,14 @@ class TestElementCsv:
             np.testing.assert_allclose(got_eps, eps, rtol=1e-13, atol=1e-300)
             np.testing.assert_allclose(got_sig, sig, rtol=1e-12, atol=1e-300)
 
+    def test_zz_strain_written_as_plus_zero(self, grid4, steel, tmp_path):
+        st = _state(grid4)
+        st.a = -np.abs(st.a) - 1e-6  # every product in the zz row is -0.0
+        p = tmp_path / "elem.csv"
+        write_element_csv(p, grid4, steel, st)
+        rows = [l.split(",") for l in p.read_text().splitlines()[1:]]
+        assert {r[4] for r in rows} == {"0"}
+
     def test_flags_without_thresholds(self, grid4, steel, tmp_path):
         p = tmp_path / "elem.csv"
         write_element_csv(p, grid4, steel, _state(grid4))
