@@ -15,7 +15,6 @@ by convergence studies.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -30,7 +29,7 @@ from .output import (
     write_snapshot_vtk,
     write_study_csv,
 )
-from .scenarios import build_mesh, config_from_json, run
+from .scenarios import _read_json_object, build_mesh, run, scenario_from_dict
 
 __all__ = ["main"]
 
@@ -61,7 +60,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    config = config_from_json(args.config)
+    # the manifest echoes the dict that was parsed, not a second read of the file
+    config_echo = _read_json_object(args.config, "config")
+    config = scenario_from_dict(config_echo)
     if args.every is not None:
         if args.every < 1:
             print("error: --every must be >= 1", file=sys.stderr)
@@ -89,8 +90,6 @@ def _cmd_run(args) -> int:
 
     result = run(config, on_snapshot=on_snapshot, keep_snapshots=False)
 
-    with open(args.config, "r", encoding="utf-8") as f:
-        config_echo = json.load(f)
     write_run_manifest(
         out_dir / "manifest.json",
         {
@@ -154,10 +153,7 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"out of memory: {exc}", file=sys.stderr)
         return 3
-    except MembraneError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (MembraneError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import ConfigError, MeshError, config_number
+from .errors import REQUIRED, ConfigError, MeshError, config_section
 from .integrator import State, default_timestep
 from .mesh import Mesh, StructuredSpec, generate_structured, refine
 from .scenarios import (
@@ -66,6 +66,10 @@ class StudySpec:
 
     scenario: ScenarioConfig
     k_max: int
+
+
+# the keys a study config adds to a run config
+_STUDY_KEYS = {"k_max": (int, REQUIRED)}
 
 
 @dataclass(frozen=True)
@@ -277,10 +281,9 @@ def run_study(spec: StudySpec, max_workers: int | None = None) -> StudyResult:
 def study_from_json(source) -> StudySpec:
     """Load a StudySpec from a JSON file path or a parsed dict.
 
-    The file is a scenario config plus one extra key, k_max.
+    The file is a scenario config plus the keys of _STUDY_KEYS, which
+    are taken off a copy: a parsed dict is never changed.
     """
-    data = _read_json_object(source, "study")
-    if "k_max" not in data:
-        raise ConfigError("missing config key: k_max")
-    scenario = scenario_from_dict(data, extra_keys={"k_max"})
-    return StudySpec(scenario=scenario, k_max=config_number(data["k_max"], "k_max", integer=True))
+    data = dict(_read_json_object(source, "study"))
+    study = config_section({k: data.pop(k) for k in _STUDY_KEYS if k in data}, "", _STUDY_KEYS)
+    return StudySpec(scenario=scenario_from_dict(data), **study)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, MaterialError, config_keys, config_number
+from .errors import REQUIRED, ConfigError, MaterialError, config_number, config_section
 
 __all__ = [
     "VOIGT_COMPONENTS",
@@ -157,58 +157,46 @@ class MaterialParams:
     stress_threshold: float | None = None
 
 
+# the keys of a config's `material` section: these, plus the moduli of its type
+_MATERIAL_KEYS = {
+    "type": (object, REQUIRED),
+    "rho": (float, REQUIRED),  # kg/m^3
+    "h": (float, REQUIRED),  # m
+    "strain_threshold": (float, None),
+    "stress_threshold": (float, None),
+}
+_MODULI_KEYS = {
+    "isotropic": {"E": (float, REQUIRED), "nu": (float, REQUIRED)},  # E in Pa
+    # [i, j, value] entries in GPa, 1-based; unspecified entries are zero
+    "anisotropic": {"moduli_gpa": (list, REQUIRED)},
+}
+
+
 def params_from_config(cfg: dict) -> MaterialParams:
     """Build MaterialParams from the `material` section of a JSON config.
 
-    Isotropic materials take E (Pa) and nu; anisotropic ones take
-    `moduli_gpa`, a list of [i, j, value] entries in GPa, unspecified
-    entries zero.  Both take rho (kg/m^3) and h (m), and optionally
-    strain_threshold and stress_threshold; any other key is rejected.
+    Its keys are those of _MATERIAL_KEYS and the type's _MODULI_KEYS.
     """
-
-    def need(key):
-        if key not in cfg:
-            raise ConfigError(f"missing config key: material.{key}")
-        return cfg[key]
-
-    def number(key):
-        return config_number(need(key), f"material.{key}")
-
-    kind = need("type")
-    common = {"type", "rho", "h", "strain_threshold", "stress_threshold"}
+    if "type" not in cfg:
+        raise ConfigError("missing config key: material.type")
+    kind = cfg["type"]
+    if not (isinstance(kind, str) and kind in _MODULI_KEYS):
+        raise ConfigError(f"unknown material.type {kind!r}")
+    values = config_section(cfg, "material.", {**_MODULI_KEYS[kind], **_MATERIAL_KEYS})
     try:
         if kind == "isotropic":
-            config_keys(cfg, common | {"E", "nu"}, "material.")
-            d = isotropic(number("E"), number("nu"))
-        elif kind == "anisotropic":
-            config_keys(cfg, common | {"moduli_gpa"}, "material.")
-            entries = need("moduli_gpa")
-            if not isinstance(entries, list):
-                raise ConfigError(f"material.moduli_gpa must be a list, got {entries!r}")
-            with np.errstate(over="ignore"):  # GPa -> Pa; anisotropic rejects an inf
-                pa = packed_from_entries(entries) * 1e9
-            d = anisotropic(pa)
+            d = isotropic(values.pop("E"), values.pop("nu"))
         else:
-            raise ConfigError(f"unknown material.type {kind!r}")
-        rho = number("rho")
-        h = number("h")
+            with np.errstate(over="ignore"):  # GPa -> Pa; anisotropic rejects an inf
+                pa = packed_from_entries(values.pop("moduli_gpa")) * 1e9
+            d = anisotropic(pa)
     except MaterialError as exc:
         raise ConfigError(f"invalid material: {exc}") from exc
-    if not rho > 0.0:
-        raise ConfigError(f"material.rho must be positive, got {rho}")
-    if not h > 0.0:
-        raise ConfigError(f"material.h must be positive, got {h}")
-
-    def opt(key):
-        return None if cfg.get(key) is None else number(key)
-
-    return MaterialParams(
-        d=d,
-        rho=rho,
-        h=h,
-        strain_threshold=opt("strain_threshold"),
-        stress_threshold=opt("stress_threshold"),
-    )
+    for key in ("rho", "h"):
+        if not values[key] > 0.0:
+            raise ConfigError(f"material.{key} must be positive, got {values[key]}")
+    del values["type"]
+    return MaterialParams(d=d, **values)
 
 
 def max_wave_speed(material: MaterialParams) -> float:

@@ -34,6 +34,10 @@ __all__ = [
     "boundary_nodes",
 ]
 
+# most nodes one mesh may have; more is a typo (at the 5 kB per degree of
+# freedom a 160x160 anisotropic run peaks at, 10**7 nodes need 150 GB)
+MAX_NODES = 10**7
+
 
 @dataclass(frozen=True)
 class StructuredSpec:
@@ -47,6 +51,7 @@ class StructuredSpec:
         Number of rectangular cells along each side, at least 1.  Each
         cell is split into two triangles along its lower-left to
         upper-right diagonal (fixed orientation for the whole grid).
+        The grid may have at most MAX_NODES nodes.
     """
 
     Lx: float
@@ -59,6 +64,8 @@ class StructuredSpec:
             raise MeshError(f"side lengths must be positive, got {self.Lx} x {self.Ly}")
         if self.nx < 1 or self.ny < 1:
             raise MeshError(f"cell counts must be >= 1, got {self.nx} x {self.ny}")
+        if self.n_nodes > MAX_NODES:
+            raise MeshError(f"{self.nx} x {self.ny} cells exceed the node limit {MAX_NODES:.0e}")
 
     @property
     def n_nodes(self) -> int:
@@ -276,10 +283,6 @@ def boundary_nodes(mesh: Mesh) -> np.ndarray:
     return np.unique(np.concatenate([once // n, once % n])).astype(e.dtype, copy=False)
 
 
-def _tokens(line: str):
-    return line.split()
-
-
 def read_msh(source) -> Mesh:
     """Read a planar triangle mesh from MSH version 2.2 ASCII text.
 
@@ -293,7 +296,8 @@ def read_msh(source) -> Mesh:
     elements are skipped; any other type is rejected.  Node ids are
     remapped to dense 0-based ids in file order.  Nodes must be planar:
     |z| < 1e-9 times the larger in-plane extent.  Triangles arriving
-    clockwise are reordered counter-clockwise.
+    clockwise are reordered counter-clockwise.  A node count above
+    MAX_NODES is rejected before any node line is read.
     """
     if isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="utf-8") as f:
@@ -332,7 +336,7 @@ def read_msh(source) -> Mesh:
         name = header[1:]
         if name == "MeshFormat":
             fmt, fline = next_line()
-            parts = _tokens(fmt)
+            parts = fmt.split()
             if len(parts) != 3:
                 fail("malformed $MeshFormat line", fline)
             if parts[0] != "2.2":
@@ -348,9 +352,11 @@ def read_msh(source) -> Mesh:
                 count = int(cnt_line)
             except ValueError:
                 fail(f"bad node count {cnt_line!r}", cline)
+            if count > MAX_NODES:
+                fail(f"{count} nodes exceed the node limit {MAX_NODES:.0e}", cline)
             for _ in range(count):
                 ln, lno = next_line()
-                parts = _tokens(ln)
+                parts = ln.split()
                 if len(parts) != 4:
                     fail(f"bad node line {ln!r}", lno)
                 try:
@@ -372,7 +378,7 @@ def read_msh(source) -> Mesh:
                 fail(f"bad element count {cnt_line!r}", cline)
             for _ in range(count):
                 ln, lno = next_line()
-                parts = _tokens(ln)
+                parts = ln.split()
                 if len(parts) < 3:
                     fail(f"bad element line {ln!r}", lno)
                 try:

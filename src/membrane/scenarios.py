@@ -34,7 +34,7 @@ from .assembly import (
     build_load_vector,
     update_load,
 )
-from .errors import ConfigError, MeshError, config_keys, config_number
+from .errors import REQUIRED, ConfigError, MeshError, config_section
 from .integrator import (
     NewmarkParams,
     State,
@@ -89,6 +89,17 @@ class LoadSpec:
     support_radius: float | None = None
 
 
+# the keys of `case.load`, one per LoadSpec field
+_LOAD_KEYS = {
+    "kind": (object, REQUIRED),
+    "direction": ((float, 3), REQUIRED),
+    "b0": (float, REQUIRED),
+    "window": ((float, 2), REQUIRED),
+    "elements": ((int, None), None),
+    "support_radius": (float, None),
+}
+
+
 @dataclass(frozen=True)
 class StrikeSpec:
     """Constant-velocity strike: one node's velocity is held fixed."""
@@ -101,6 +112,14 @@ class StrikeSpec:
     def v_fix(self) -> tuple[float, float, float]:
         s, c = math.sin(self.angle_to_normal), math.cos(self.angle_to_normal)
         return (self.speed * s, 0.0, self.speed * c)
+
+
+# the keys of `case.strike`, one per StrikeSpec field
+_STRIKE_KEYS = {
+    "node": (int, REQUIRED),
+    "speed": (float, REQUIRED),
+    "angle_to_normal": (float, 0.0),
+}
 
 
 @dataclass(frozen=True)
@@ -118,6 +137,16 @@ class CaseSpec:
     support_radius: float | None = None
 
 
+# the keys of a numbered `case`; "id" fills CaseSpec.case_id
+_CASE_KEYS = {
+    "id": (int, REQUIRED),
+    "b0": (float, 1.0),
+    "speed": (float, 1.0),
+    "window": ((float, 2), None),
+    "support_radius": (float, None),
+}
+
+
 @dataclass
 class ScenarioConfig:
     """Everything needed to run one simulation."""
@@ -131,6 +160,28 @@ class ScenarioConfig:
     every_n_steps: int = 1
     out_dir: str | None = None
     initial_translation: tuple[float, float, float] | None = None
+
+
+# the keys of a run config, of its `output` section, and of its `mesh`
+# section: a StructuredSpec, whose fields they name, or an MSH file
+_RUN_KEYS = {
+    "mesh": (dict, REQUIRED),
+    "material": (dict, REQUIRED),
+    "case": (dict, REQUIRED),
+    "border": (object, REQUIRED),
+    "T": (float, REQUIRED),
+    "tau": (float, None),
+    "output": (dict, {}),
+    "initial_translation": ((float, None), None),
+}
+_OUTPUT_KEYS = {"directory": (str, None), "every_n_steps": (int, 1)}
+_GRID_KEYS = {
+    "Lx": (float, REQUIRED),
+    "Ly": (float, REQUIRED),
+    "nx": (int, REQUIRED),
+    "ny": (int, REQUIRED),
+}
+_MSH_KEYS = {"msh_path": (str, REQUIRED)}
 
 
 @dataclass
@@ -350,123 +401,43 @@ def run(config: ScenarioConfig, on_snapshot=None, keep_snapshots: bool = True) -
     return result
 
 
-def _require(d: dict, key: str, where: str):
-    if key not in d:
-        raise ConfigError(f"missing config key: {where}{key}")
-    return d[key]
-
-
-_REQUIRED = object()
-
-
-def _section(d: dict, key: str, where: str = "", optional: bool = False, keys=None) -> dict:
-    """d[key] as an object; with `keys`, no other key may appear in it."""
-    value = d.get(key, {}) if optional else _require(d, key, where)
-    if not isinstance(value, dict):
-        raise ConfigError(f"config key {where}{key} must be an object, got {value!r}")
-    if keys is not None:
-        config_keys(value, keys, f"{where}{key}.")
-    return value
-
-
-def _number(d: dict, key: str, where: str, default=_REQUIRED, integer: bool = False):
-    """d[key] through `config_number`; an absent key takes `default`."""
-    value = _require(d, key, where) if default is _REQUIRED else d.get(key, default)
-    if value is None and default is None:
-        return None
-    return config_number(value, where + key, integer)
-
-
-def _numbers(d: dict, key: str, where: str, length=None, integer=False, optional=False):
-    """d[key] as a tuple of numbers; an absent optional key gives None."""
-    value = d.get(key) if optional else _require(d, key, where)
-    if value is None and optional:
-        return None
-    if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
-        size = "" if length is None else f"{length} "
-        raise ConfigError(f"{where}{key} must be a list of {size}numbers, got {value!r}")
-    return tuple(config_number(v, f"{where}{key}[{i}]", integer) for i, v in enumerate(value))
-
-
 def _mesh_from_dict(d: dict):
     if "msh_path" in d:
-        config_keys(d, {"msh_path"}, "mesh.")
-        return str(d["msh_path"])
-    config_keys(d, {"Lx", "Ly", "nx", "ny"}, "mesh.")
+        return config_section(d, "mesh.", _MSH_KEYS)["msh_path"]
     try:
-        return StructuredSpec(
-            Lx=_number(d, "Lx", "mesh."),
-            Ly=_number(d, "Ly", "mesh."),
-            nx=_number(d, "nx", "mesh.", integer=True),
-            ny=_number(d, "ny", "mesh.", integer=True),
-        )
+        return StructuredSpec(**config_section(d, "mesh.", _GRID_KEYS))
     except MeshError as exc:
         raise ConfigError(f"invalid mesh: {exc}") from exc
 
 
 def _case_from_dict(d: dict):
+    """The `case` section: "id" wins over "load", which wins over "strike"."""
     if "id" in d:
-        config_keys(d, {"id", "b0", "speed", "window", "support_radius"}, "case.")
-        return CaseSpec(
-            case_id=_number(d, "id", "case.", integer=True),
-            b0=_number(d, "b0", "case.", 1.0),
-            speed=_number(d, "speed", "case.", 1.0),
-            window=_numbers(d, "window", "case.", 2, optional=True),
-            support_radius=_number(d, "support_radius", "case.", None),
-        )
-    if "load" in d:
-        config_keys(d, {"load"}, "case.")
-        load_keys = {"kind", "direction", "b0", "window", "elements", "support_radius"}
-        ld = _section(d, "load", "case.", keys=load_keys)
-        return LoadSpec(
-            kind=_require(ld, "kind", "case.load."),
-            direction=_numbers(ld, "direction", "case.load.", 3),
-            b0=_number(ld, "b0", "case.load."),
-            window=_numbers(ld, "window", "case.load.", 2),
-            elements=_numbers(ld, "elements", "case.load.", integer=True, optional=True),
-            support_radius=_number(ld, "support_radius", "case.load.", None),
-        )
-    if "strike" in d:
-        config_keys(d, {"strike"}, "case.")
-        st = _section(d, "strike", "case.", keys={"node", "speed", "angle_to_normal"})
-        return StrikeSpec(
-            node=_number(st, "node", "case.strike.", integer=True),
-            speed=_number(st, "speed", "case.strike."),
-            angle_to_normal=_number(st, "angle_to_normal", "case.strike.", 0.0),
-        )
+        values = config_section(d, "case.", _CASE_KEYS)
+        return CaseSpec(case_id=values.pop("id"), **values)
+    for form, spec, keys in (("load", LoadSpec, _LOAD_KEYS), ("strike", StrikeSpec, _STRIKE_KEYS)):
+        if form in d:
+            section = config_section(d, "case.", {form: (dict, REQUIRED)})[form]
+            return spec(**config_section(section, f"case.{form}.", keys))
     raise ConfigError("case needs one of: id, load, strike")
 
 
-def scenario_from_dict(d: dict, extra_keys=frozenset()) -> ScenarioConfig:
-    """Parse a scenario config dict (the content of a run JSON file).
-
-    Unknown keys, in any section, are rejected unless they start with
-    an underscore (reserved for user notes) or, at the top level,
-    appear in `extra_keys`.  Every number must be a finite JSON number,
-    and counts must be integers.
-    """
-    known = {
-        "mesh", "material", "case", "border", "T", "tau", "output",
-        "initial_translation",
-    } | set(extra_keys)
-    config_keys(d, known, "")
-
-    output = _section(d, "output", optional=True, keys={"every_n_steps", "directory"})
-    out_dir = output.get("directory")
-    if out_dir is not None and not isinstance(out_dir, str):
-        raise ConfigError(f"output.directory must be a string, got {out_dir!r}")
-    translation = _numbers(d, "initial_translation", "", optional=True)
+def scenario_from_dict(d: dict) -> ScenarioConfig:
+    """Parse a run config dict, each section against its key table."""
+    values = config_section(d, "", _RUN_KEYS)
+    output = config_section(values["output"], "output.", _OUTPUT_KEYS)
+    translation = values["initial_translation"]
     if translation is not None and len(translation) != 3:
         raise ConfigError("initial_translation must have three components")
     return ScenarioConfig(
-        mesh=_mesh_from_dict(_section(d, "mesh")),
-        material=params_from_config(_section(d, "material")),
-        case=_case_from_dict(_section(d, "case")),
-        border=str(_require(d, "border", "")),
-        t_final=_number(d, "T", ""),
-        tau=_number(d, "tau", "", None),
-        every_n_steps=_number(output, "every_n_steps", "output.", 1, integer=True),
-        out_dir=out_dir,
+        mesh=_mesh_from_dict(values["mesh"]),
+        material=params_from_config(values["material"]),
+        case=_case_from_dict(values["case"]),
+        border=str(values["border"]),
+        t_final=values["T"],
+        tau=values["tau"],
+        every_n_steps=output["every_n_steps"],
+        out_dir=output["directory"],
         initial_translation=translation,
     )
 

@@ -5,16 +5,14 @@ lines as they complete.  Each criterion enforces its own wall-clock
 budget; exceeding the budget fails the criterion even if every check
 inside it passed.
 """
-import json
 import math
 import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 import membrane as mb
-from membrane.assembly import Constraint, GlobalSystem, apply_constraints, assemble
+from membrane.assembly import apply_constraints, assemble
 from membrane.assembly import _batch_element_matrices
 from membrane.cli import main as cli_main
 from membrane.convergence import fit_rate, run_study, study_from_json
@@ -37,7 +35,7 @@ from membrane.scenarios import CaseSpec, LoadSpec, ScenarioConfig, run
 
 from conftest import orthotropic_gpa
 from test_assembly import assert_elementwise_close, dense_assemble, _perturbed_grid
-from test_integrator import _integrate_oscillator, _oscillator
+from test_integrator import _integrate_oscillator
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 

@@ -3,11 +3,11 @@ import json
 import warnings
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from membrane.cli import main
 from membrane.errors import SolverError
+from membrane.scenarios import run as scenario_run
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -133,6 +133,9 @@ class TestRunCommand:
             ("material", "rhoo", 1200.0),
             ("case", "bo", 1e6),
             ("output", "every", 10),
+            # the mesh file path must be a string
+            (None, "mesh", {"msh_path": None}),
+            (None, "mesh", {"msh_path": 5}),
         ],
     )
     def test_bad_value_exit_2_one_line(self, tmp_path, capsys, section, key, value):
@@ -150,6 +153,19 @@ class TestRunCommand:
         assert main(["run", cfg_path, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err == "error: unknown config key: mesh.path\n"
+
+    def test_manifest_echoes_the_config_that_was_parsed(self, tmp_path, monkeypatch):
+        cfg = _run_config()
+        cfg_path = _write(tmp_path, "run.json", cfg)
+
+        def rewrite_then_run(*args, **kwargs):
+            _write(tmp_path, "run.json", _run_config(T=1.0))
+            return scenario_run(*args, **kwargs)
+
+        monkeypatch.setattr("membrane.cli.run", rewrite_then_run)
+        out = tmp_path / "out"
+        assert main(["run", cfg_path, "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["config"] == cfg
 
     def test_numerical_failure_exit_3(self, tmp_path, capsys, monkeypatch):
         def explode(config, on_snapshot=None, keep_snapshots=True):
@@ -203,9 +219,13 @@ class TestExitCodeTable:
             (_set(None, mesh={"Lx": 1e200, "Ly": 1e200, "nx": 4, "ny": 4}), 2),
             (_set("case", window=[5e-5, 1e-5]), 2),  # t1 < t0
             (_set(None, tau=1e-300), 2),  # about 1e297 steps
+            # above the node ceiling, rejected before the mesh is allocated
+            (_set("mesh", nx=10**19), 2),
+            (_set("mesh", nx=200000, ny=200000), 2),
         ],
         ids=["case_id", "nu", "rho", "Lx", "directory", "moduli_gpa", "speed",
-             "huge_coordinates", "window_reversed", "step_count"],
+             "huge_coordinates", "window_reversed", "step_count", "nx_1e19",
+             "node_ceiling"],
     )
     def test_exit_code_and_one_line(self, tmp_path, capsys, monkeypatch, edit, code):
         monkeypatch.chdir(tmp_path)  # a relative output directory stays in tmp_path
@@ -237,6 +257,19 @@ class TestConvergenceCommand:
         study_path = _write(tmp_path, "study.json", _study_config(k_max=1))
         assert main(["convergence", study_path]) == 2
         assert "k_max" in capsys.readouterr().err
+
+    def test_node_ceiling_checked_before_any_level(self, tmp_path, capsys, monkeypatch):
+        def level_ran(*args, **kwargs):
+            raise AssertionError("a level ran")
+
+        monkeypatch.setattr("membrane.convergence.run", level_ran)
+        with open(CONFIGS / "study_case1.json", encoding="utf-8") as f:
+            cfg = json.load(f)
+        cfg["k_max"] = 12  # the finest level would have 32768 x 32768 cells
+        study_path = _write(tmp_path, "study.json", cfg)
+        assert main(["convergence", study_path, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "exceed the node limit" in err
 
     def test_bytes_identical_across_runs(self, tmp_path):
         study_path = _write(tmp_path, "study.json", _study_config())

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import membrane as mb
 from membrane.element import (
     element_mass,
     element_stiffness,

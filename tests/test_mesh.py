@@ -7,6 +7,7 @@ from scipy.spatial import Delaunay
 
 import membrane as mb
 from membrane.errors import MeshError
+from membrane.mesh import MAX_NODES
 
 
 def shoelace(coords):
@@ -244,6 +245,15 @@ class TestMshReader:
             warnings.simplefilter("error")
             with pytest.raises(MeshError, match="^node coordinates must be finite"):
                 mb.read_msh(io.StringIO(text))
+
+    def test_node_count_over_ceiling_rejected_before_reading_nodes(self):
+        # one node line follows a count above the ceiling: the count alone decides
+        text = (
+            "$MeshFormat\n2.2 0 8\n$EndMeshFormat\n"
+            f"$Nodes\n{MAX_NODES + 1}\n1 0 0 0\n$EndNodes\n"
+        )
+        with pytest.raises(MeshError, match=r"^MSH parse error at line 5: .* node limit"):
+            mb.read_msh(io.StringIO(text))
 
     def test_duplicate_node_id_rejected(self):
         text = (

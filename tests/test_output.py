@@ -2,7 +2,6 @@
 import json
 
 import numpy as np
-import pytest
 
 import membrane as mb
 from membrane.convergence import LevelDiff, StudyResult

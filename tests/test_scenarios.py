@@ -2,6 +2,7 @@
 import copy
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -376,6 +377,14 @@ class TestScenarioFromDict:
         d = self._minimal()
         d["mesh"] = {"msh_path": "some/mesh.msh"}
         assert scenario_from_dict(d).mesh == "some/mesh.msh"
+
+    @pytest.mark.parametrize("path", [None, 5, ["a.msh"]])
+    def test_msh_path_must_be_a_string(self, path):
+        d = self._minimal()
+        d["mesh"] = {"msh_path": path}
+        message = f"mesh.msh_path must be a string, got {path!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            scenario_from_dict(d)
 
     def test_mesh_key_missing(self):
         d = self._minimal()
