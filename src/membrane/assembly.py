@@ -1,9 +1,10 @@
 """Global system assembly and kinematic constraints.
 
 Node i owns degrees of freedom (3i, 3i+1, 3i+2) = (u_i, v_i, w_i).
-Element matrices are computed for all triangles at once and scattered
-through one COO accumulation; duplicate entries are summed when
-converting to CSR, which is deterministic.
+Linear triangles have constant strain, so one sparse strain operator S
+(rows 6e..6e+5 hold element e's B at its dofs) gives both the stiffness
+K = S^T W S, with W = diag(h*A_e) (x) D, and the element strains S a.
+The consistent mass is M = M_s (x) I_3 for the scalar node mass M_s.
 
 Constraints fix the velocity of whole nodes (all three components).
 They change no matrix entry: `apply_constraints` records the
@@ -19,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.sparse import coo_matrix, csr_matrix
+from scipy.sparse import coo_matrix, csr_matrix, diags, identity, kron
 
 from .errors import AssemblyError, ConfigError
 from .material import MaterialParams
@@ -30,15 +31,12 @@ __all__ = [
     "CompiledLoad",
     "GlobalSystem",
     "element_dof_ids",
+    "strain_operator",
     "assemble",
     "build_load_vector",
     "apply_constraints",
     "update_load",
 ]
-
-_MASS_PATTERN9 = np.kron(
-    np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]), np.eye(3)
-)
 
 
 @dataclass(frozen=True)
@@ -129,35 +127,34 @@ def _triangle_geometry(mesh: Mesh):
     return 0.5 * se, b
 
 
-def _batch_element_matrices(mesh: Mesh, material: MaterialParams):
-    """Stiffness and mass blocks for every triangle, shapes (m, 9, 9)."""
+def strain_operator(mesh: Mesh):
+    """(area, S): triangle areas (m,) and the CSR strain operator (6m, 3n).
+
+    (S @ a).reshape(-1, 6) is every element's strain; B's zeros are not stored.
+    """
     area, b = _triangle_geometry(mesh)
-    ke = np.einsum("eji,jk,ekl->eil", b, material.d, b, optimize=True)
-    ke *= (material.h * area)[:, None, None]
-    me = _MASS_PATTERN9[None, :, :] * (material.rho * material.h * area / 12.0)[
-        :, None, None
-    ]
-    return ke, me, area
+    m = mesh.n_triangles
+    dofs = np.repeat(element_dof_ids(mesh.triangles), 6, axis=0).ravel()
+    s = csr_matrix((b.ravel(), dofs, np.arange(0, 54 * m + 1, 9)), shape=(6 * m, 3 * mesh.n_nodes))
+    s.eliminate_zeros()
+    return area, s
 
 
 def assemble(mesh: Mesh, material: MaterialParams) -> GlobalSystem:
     """Assemble the global stiffness and mass of a mesh; f starts at zero.
 
-    Both matrices are returned as CSR; K is symmetric positive
+    Both matrices are CSR and store no zero; K is symmetric positive
     semidefinite, M symmetric positive definite.
     """
-    ke, me, _ = _batch_element_matrices(mesh, material)
-    ed = element_dof_ids(mesh.triangles)
-    rows = np.broadcast_to(ed[:, :, None], ke.shape).ravel()
-    cols = np.broadcast_to(ed[:, None, :], ke.shape).ravel()
-    n = 3 * mesh.n_nodes
-    k = coo_matrix((ke.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    m = coo_matrix((me.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    # the element blocks hold exact zeros (most of the mass pattern);
-    # stored, they would enter every factorization and matvec
-    k.eliminate_zeros()
-    m.eliminate_zeros()
-    return GlobalSystem(K=k, M=m, f=np.zeros(n), mesh=mesh, material=material)
+    area, s = strain_operator(mesh)
+    k = (s.T @ (kron(diags(material.h * area), material.d, format="bsr") @ s)).tocsr()
+    # scalar consistent mass: rho*h*A/12 * [[2, 1, 1], [1, 2, 1], [1, 1, 2]] per triangle
+    tri, pairs = mesh.triangles, (mesh.n_triangles, 3, 3)
+    me = (1.0 + np.eye(3)) * (material.rho * material.h * area / 12.0)[:, None, None]
+    rows, cols = np.broadcast_to(tri[:, :, None], pairs), np.broadcast_to(tri[:, None, :], pairs)
+    m_s = coo_matrix((me.ravel(), (rows.ravel(), cols.ravel())), shape=(mesh.n_nodes,) * 2)
+    m = kron(m_s.tocsr(), identity(3), format="csr")
+    return GlobalSystem(K=k, M=m, f=np.zeros(3 * mesh.n_nodes), mesh=mesh, material=material)
 
 
 def build_load_vector(mesh: Mesh, material: MaterialParams, element_ids, b_vectors) -> np.ndarray:

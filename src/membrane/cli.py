@@ -19,6 +19,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
+from .assembly import strain_operator
 from .convergence import run_study, study_from_json
 from .errors import MembraneError, SolverError
 from .mesh import boundary_nodes, read_msh
@@ -74,17 +75,19 @@ def _cmd_run(args) -> int:
             return 2
         config.tau = args.tau
     out_dir = Path(args.out or config.out_dir or DEFAULT_OUT)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
-    # build the mesh up front so the snapshot writer can use it
+    # build the mesh and its strain operator up front, once, for the writers
     mesh = build_mesh(config.mesh)
+    _, strain = strain_operator(mesh)
     config.mesh = mesh
     written = []
 
     def on_snapshot(state):
+        if not written:  # step 0 always arrives; a run failing earlier makes no directory
+            out_dir.mkdir(parents=True, exist_ok=True)
         tag = f"{state.step:06d}"
         write_snapshot_csv(out_dir / f"snapshot_{tag}.csv", mesh, state)
-        write_element_csv(out_dir / f"elements_{tag}.csv", mesh, config.material, state)
+        write_element_csv(out_dir / f"elements_{tag}.csv", strain, config.material, state)
         write_snapshot_vtk(out_dir / f"snapshot_{tag}.vtk", mesh, state)
         written.append(state.step)
 
@@ -118,8 +121,8 @@ def _cmd_run(args) -> int:
 def _cmd_convergence(args) -> int:
     spec = study_from_json(args.study)
     out_dir = Path(args.out or spec.scenario.out_dir or DEFAULT_OUT)
-    out_dir.mkdir(parents=True, exist_ok=True)
     result = run_study(spec)
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_study_csv(out_dir / "study.csv", result)
     for name, rate in result.rates.items():
         print(f"{name} rate {rate:.3f}")

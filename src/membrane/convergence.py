@@ -234,16 +234,14 @@ def run_study(spec: StudySpec, max_workers: int | None = None) -> StudyResult:
     step_count(scenario.t_final, math.ldexp(tau0, -spec.k_max))  # the finest level, up front
 
     specs = [base_spec]
-    for _ in range(spec.k_max):
-        specs.append(refine(specs[-1]))
+    for k in range(1, spec.k_max + 1):
+        try:
+            specs.append(refine(specs[-1]))
+        except MeshError as exc:
+            raise ConfigError(f"study level {k} (k_max {spec.k_max}): {exc}") from None
 
     def solve_level(k: int) -> np.ndarray:
-        cfg = replace(
-            scenario,
-            mesh=specs[k],
-            tau=tau0 / 2**k,
-            every_n_steps=max(1, n0 * 2**k),  # snapshots not needed, keep memory flat
-        )
+        cfg = replace(scenario, mesh=specs[k], tau=tau0 / 2**k)
         result = run(cfg, keep_snapshots=False)
         level_mesh = result.mesh
         return extract_at_positions(level_mesh, result.final_state, base_mesh.nodes)

@@ -15,8 +15,8 @@ from __future__ import annotations
 import json
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
-from .assembly import _triangle_geometry, element_dof_ids
 from .convergence import NORMS, StudyResult
 from .integrator import State
 from .material import MaterialParams
@@ -75,10 +75,10 @@ def write_snapshot_csv(path, mesh: Mesh, state: State) -> None:
     _write(path, CSV_HEADER + "\n" + body)
 
 
-def _batch_strain_stress(mesh: Mesh, material: MaterialParams, state: State):
-    """Constant strain B a_e and stress D B a_e per element, shapes (m, 6)."""
-    _, b = _triangle_geometry(mesh)
-    eps = np.einsum("eij,ej->ei", b, state.a[element_dof_ids(mesh.triangles)])
+def _batch_strain_stress(strain: csr_matrix, material: MaterialParams, state: State):
+    """Strain S a and stress D S a per element, shapes (m, 6); S from
+    `assembly.strain_operator`."""
+    eps = (strain @ state.a).reshape(-1, 6)
     sig = eps @ material.d.T
     return eps, sig
 
@@ -89,14 +89,15 @@ def _flags(values: np.ndarray, threshold) -> np.ndarray:
     return (np.abs(values) > threshold).any(axis=1)
 
 
-def write_element_csv(path, mesh: Mesh, material: MaterialParams, state: State) -> None:
+def write_element_csv(path, strain: csr_matrix, material: MaterialParams, state: State) -> None:
     """One row per element: strain, stress, and threshold flags.
 
+    `strain` is the mesh's `assembly.strain_operator`, built once per run.
     A flag is 1 when any component magnitude exceeds the configured
     threshold, 0 otherwise (and always 0 without a threshold).
     """
-    eps, sig = _batch_strain_stress(mesh, material, state)
-    cols = (np.arange(mesh.n_triangles), eps, sig,
+    eps, sig = _batch_strain_stress(strain, material, state)
+    cols = (np.arange(len(eps)), eps, sig,
             _flags(eps, material.strain_threshold), _flags(sig, material.stress_threshold))
     body = _rows(_g17(state.t), cols, ",%d" + ",%.17g" * 12 + ",%d,%d")
     _write(path, ELEMENT_CSV_HEADER + "\n" + body)

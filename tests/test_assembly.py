@@ -1,6 +1,7 @@
 """Assembly tests: sparse vs dense oracle, constraints, load windows."""
 import numpy as np
 import pytest
+from scipy.sparse import identity, kron
 
 import membrane as mb
 from membrane.assembly import (
@@ -11,6 +12,7 @@ from membrane.assembly import (
     assemble,
     build_load_vector,
     element_dof_ids,
+    strain_operator,
     update_load,
 )
 from membrane.element import (
@@ -92,6 +94,35 @@ class TestTriangleGeometry:
             sc = shape_coefficients(c)
             np.testing.assert_array_equal(b[e], strain_displacement(sc))
             assert area[e] == sc.area
+
+
+class TestStrainOperator:
+    """S holds each element's B at its dofs; K and M follow from it."""
+
+    def test_row_blocks_match_reference_bitwise(self):
+        mesh = _perturbed_grid(8, 8, seed=5)
+        _, s = strain_operator(mesh)
+        assert s.shape == (6 * mesh.n_triangles, 3 * mesh.n_nodes)
+        dense = s.toarray()
+        dofs = element_dof_ids(mesh.triangles)
+        for e, c in enumerate(mesh.triangle_coords()):
+            sc = shape_coefficients(c)
+            block = dense[6 * e : 6 * e + 6]
+            np.testing.assert_array_equal(block[:, dofs[e]], strain_displacement(sc))
+            assert not np.delete(block, dofs[e], axis=1).any()
+
+    def test_no_stored_zeros(self, grid4, steel, orthotropic):
+        for mesh, material in ((grid4, steel), (_perturbed_grid(8, 8, seed=5), orthotropic)):
+            sys0 = assemble(mesh, material)
+            for a in (strain_operator(mesh)[1], sys0.K, sys0.M):
+                assert a.nnz == np.count_nonzero(a.data)
+
+    def test_mass_is_scalar_mass_times_identity(self, orthotropic):
+        m = assemble(_perturbed_grid(8, 8, seed=5), orthotropic).M
+        coo = m.tocoo()
+        assert np.all(coo.row % 3 == coo.col % 3)
+        scalar = m[0::3, 0::3]
+        np.testing.assert_array_equal(m.toarray(), kron(scalar, identity(3)).toarray())
 
 
 class TestGlobalProperties:

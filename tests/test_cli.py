@@ -241,6 +241,22 @@ class TestExitCodeTable:
         assert err.startswith("error: " if code == 2 else "numerical failure: ")
 
 
+@pytest.mark.parametrize("command", ["run", "convergence"])
+def test_exit_2_leaves_no_output_directory(tmp_path, capsys, command):
+    if command == "run":
+        cfg = _run_config()
+        cfg["tau"] = 1e-300  # about 1e295 steps, rejected after assembly
+    else:
+        with open(CONFIGS / "study_case1.json", encoding="utf-8") as f:
+            cfg = json.load(f)
+        cfg["k_max"] = 12  # over the node ceiling
+    path = _write(tmp_path, "config.json", cfg)
+    out = tmp_path / "out"
+    assert main([command, path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not out.exists()
+
+
 class TestConvergenceCommand:
     def test_success_writes_study_csv(self, tmp_path, capsys):
         study_path = _write(tmp_path, "study.json", _study_config())
@@ -270,6 +286,7 @@ class TestConvergenceCommand:
         assert main(["convergence", study_path, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "exceed the node limit" in err
+        assert "k_max" in err
 
     def test_bytes_identical_across_runs(self, tmp_path):
         study_path = _write(tmp_path, "study.json", _study_config())

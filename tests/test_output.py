@@ -4,6 +4,7 @@ import json
 import numpy as np
 
 import membrane as mb
+from membrane.assembly import strain_operator
 from membrane.convergence import LevelDiff, StudyResult
 from membrane.element import recover_stress_strain, shape_coefficients
 from membrane.integrator import State
@@ -79,7 +80,7 @@ class TestElementCsv:
     def test_header_and_values(self, grid4, steel, tmp_path):
         state = _state(grid4)
         p = tmp_path / "elem.csv"
-        write_element_csv(p, grid4, steel, state)
+        write_element_csv(p, strain_operator(grid4)[1], steel, state)
         lines = p.read_text().splitlines()
         assert lines[0] == ELEMENT_CSV_HEADER
         assert len(lines) == 1 + grid4.n_triangles
@@ -99,13 +100,13 @@ class TestElementCsv:
         st = _state(grid4)
         st.a = -np.abs(st.a) - 1e-6  # every product in the zz row is -0.0
         p = tmp_path / "elem.csv"
-        write_element_csv(p, grid4, steel, st)
+        write_element_csv(p, strain_operator(grid4)[1], steel, st)
         rows = [l.split(",") for l in p.read_text().splitlines()[1:]]
         assert {r[4] for r in rows} == {"0"}
 
     def test_flags_without_thresholds(self, grid4, steel, tmp_path):
         p = tmp_path / "elem.csv"
-        write_element_csv(p, grid4, steel, _state(grid4))
+        write_element_csv(p, strain_operator(grid4)[1], steel, _state(grid4))
         for line in p.read_text().splitlines()[1:]:
             assert line.split(",")[14:] == ["0", "0"]
 
@@ -128,7 +129,7 @@ class TestElementCsv:
             strain_threshold=eps_cut, stress_threshold=sig_cut,
         )
         p = tmp_path / "elem.csv"
-        write_element_csv(p, grid4, flagged, state)
+        write_element_csv(p, strain_operator(grid4)[1], flagged, state)
         for e, line in enumerate(p.read_text().splitlines()[1:]):
             sflag, tflag = line.split(",")[14:]
             assert int(sflag) == int(eps_max[e] > eps_cut)
@@ -229,7 +230,7 @@ def _oracle_snapshot_csv(mesh, state):
 
 def _oracle_element_csv(mesh, material, state):
     lines = [ELEMENT_CSV_HEADER]
-    all_eps, all_sig = _batch_strain_stress(mesh, material, state)
+    all_eps, all_sig = _batch_strain_stress(strain_operator(mesh)[1], material, state)
     for e, (eps, sig) in enumerate(zip(all_eps, all_sig)):
         sflag = int(np.any(np.abs(eps) > material.strain_threshold))
         tflag = int(np.any(np.abs(sig) > material.stress_threshold))
@@ -281,14 +282,14 @@ class TestWritersMatchOracle:
     def test_element_csv_bytes_with_flags(self, grid4, tmp_path):
         state = _edge_state(grid4)
         plain = mb.MaterialParams(d=mb.isotropic(200e9, 0.3), rho=7800.0, h=1e-3)
-        eps, sig = _batch_strain_stress(grid4, plain, state)
+        eps, sig = _batch_strain_stress(strain_operator(grid4)[1], plain, state)
         emax, smax = np.abs(eps).max(axis=1), np.abs(sig).max(axis=1)
         flagged = mb.MaterialParams(
             d=plain.d, rho=7800.0, h=1e-3,
             strain_threshold=np.median(emax), stress_threshold=np.quantile(smax, 0.25),
         )
         p = tmp_path / "elem.csv"
-        write_element_csv(p, grid4, flagged, state)
+        write_element_csv(p, strain_operator(grid4)[1], flagged, state)
         assert p.read_bytes() == _oracle_element_csv(grid4, flagged, state)
         rows = [l.split(",") for l in p.read_text().splitlines()[1:]]
         assert {r[14] for r in rows} == {r[15] for r in rows} == {"0", "1"}
@@ -300,7 +301,7 @@ class TestWritersMatchOracle:
             strain_threshold=np.inf, stress_threshold=np.inf,
         )
         p = tmp_path / "elem.csv"
-        write_element_csv(p, grid4, steel, state)
+        write_element_csv(p, strain_operator(grid4)[1], steel, state)
         assert p.read_bytes() == _oracle_element_csv(grid4, unflagged, state)
 
     def test_vtk_bytes(self, grid4, tmp_path):
