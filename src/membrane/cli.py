@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from pathlib import Path
 
 from . import __version__
@@ -121,11 +122,18 @@ def _cmd_run(args) -> int:
 def _cmd_convergence(args) -> int:
     spec = study_from_json(args.study)
     out_dir = Path(args.out or spec.scenario.out_dir or DEFAULT_OUT)
-    result = run_study(spec)
+    # a study whose differences vanish (say, every baseline node fixed)
+    # warns once per norm that its rate is undefined: one stderr line
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run_study(spec)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_study_csv(out_dir / "study.csv", result)
     for name, rate in result.rates.items():
         print(f"{name} rate {rate:.3f}")
+    if caught:
+        notes = dict.fromkeys(str(w.message) for w in caught)
+        print("warning: " + "; ".join(notes), file=sys.stderr)
     print(f"study report written to {out_dir / 'study.csv'}")
     return 0
 

@@ -222,6 +222,8 @@ def run_study(spec: StudySpec, max_workers: int | None = None) -> StudyResult:
     if spec.k_max < 2:
         raise ConfigError(f"k_max must be >= 2 to fit a rate, got {spec.k_max}")
     scenario = spec.scenario
+    if not scenario.t_final > 0.0:
+        raise ConfigError(f"t_final must be positive, got {scenario.t_final}")
     base_spec = _check_refinable(scenario)
     base_mesh = generate_structured(base_spec)
 

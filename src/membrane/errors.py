@@ -84,7 +84,9 @@ def config_section(section: dict, where: str, schema: dict) -> dict:
     """
     for key in section:
         if key not in schema and not key.startswith("_"):
-            raise ConfigError(f"unknown config key: {where}{key}")
+            # escaped, so a key holding a line break still gives a one-line message
+            shown = key.encode("unicode_escape").decode("ascii")
+            raise ConfigError(f"unknown config key: {where}{shown}")
     values = {}
     for key, (kind, default) in schema.items():
         value, name = section.get(key, default), where + key

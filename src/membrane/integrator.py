@@ -22,6 +22,16 @@ It is symmetric positive definite, so it takes a symmetric-mode LU: a
 minimum degree ordering of A + A^T and diagonal pivots.  The free rows
 keep the coupling K_fc a_c through the matvec K a_bar.
 
+When no stored entry of A couples a transverse dof (w) with an
+in-plane one (u, v), as for isotropic and orthotropic materials, A is
+block diagonal in the two fields, so the free (u, v) and w blocks are
+factored apart and solved apart; the solution is the same, up to
+rounding.  A block whose right-hand side is all zeros is not solved:
+its block of A is nonsingular, so A x = 0 has only x = 0, and its
+entries of a'' are exact zeros.  That is the step's cost under a load
+along the normal: with (u, v) at rest, K a_bar + f has no in-plane
+entry, and the in-plane field never moves (acceptance criterion 05).
+
 The one solve with M, for a''_0 at t=0, needs no factorization.
 Scaled by its diagonal, every linear-triangle element mass has the
 eigenvalues {1/2, 1/2, 2}, so the scaled free block of the consistent
@@ -34,6 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
 from .errors import SolverError
@@ -146,19 +157,52 @@ def _mass_solve(system: GlobalSystem, rhs: np.ndarray) -> np.ndarray:
     raise SolverError(f"mass matrix solve did not converge in {_MASS_MAXITER} CG iterations")
 
 
+def _dof_groups(matrix, free: np.ndarray) -> list[np.ndarray]:
+    """The free dofs as an in-plane (u, v) and a transverse (w) group,
+    or as one group when a stored entry of `matrix` (CSR) couples them."""
+    w = np.arange(matrix.shape[0]) % 3 == 2
+    if np.any(np.repeat(w, np.diff(matrix.indptr)) != w[matrix.indices]):
+        return [free]
+    return [free[~w[free]], free[w[free]]]
+
+
+def _block_diag(blocks: list) -> csc_matrix:
+    """The block-diagonal matrix of the square CSC `blocks`.
+
+    The index arrays are stacked directly: `scipy.sparse.block_diag`
+    goes through COO, which costs seconds and a second copy on factors
+    of tens of millions of entries.  One block is returned as it is.
+    """
+    if len(blocks) == 1:
+        return blocks[0]
+    sizes = np.cumsum([0] + [b.shape[0] for b in blocks])
+    nnz = np.cumsum([0] + [b.nnz for b in blocks])
+    indptr = np.concatenate([[0]] + [b.indptr[1:] + nnz[k] for k, b in enumerate(blocks)])
+    indices = np.concatenate([b.indices + sizes[k] for k, b in enumerate(blocks)])
+    data = np.concatenate([b.data for b in blocks])
+    return csc_matrix((data, indices, indptr), shape=(sizes[-1], sizes[-1]))
+
+
 class _FreeBlockLU:
-    """Sparse LU of the free-dof block of A.
+    """Sparse LU of the free-dof block of A, one factor per dof group.
 
     `solve` takes and returns full-length vectors; the constrained
-    entries of the result are exact zeros.  `superlu` is the factor of
-    the free block; its L and U are built only when read.
+    entries of the result are exact zeros, and so are those of a group
+    whose right-hand side is all zeros.  `groups` pairs each group's
+    dofs with its SuperLU factor; L and U are the block diagonals of
+    the groups' factors, built only when read.
     """
 
     def __init__(self, matrix, constrained_dofs):
-        self.free = _free_dofs(matrix.shape[0], constrained_dofs)
-        block = matrix.tocsr()[self.free][:, self.free].tocsc()
+        matrix = matrix.tocsr()
+        free = _free_dofs(matrix.shape[0], constrained_dofs)
+        self.groups = [(dofs, self._factor(matrix[dofs][:, dofs].tocsc()))
+                       for dofs in _dof_groups(matrix, free)]
+
+    @staticmethod
+    def _factor(block):
         try:
-            self.superlu = splu(
+            return splu(
                 block,
                 permc_spec="MMD_AT_PLUS_A",
                 diag_pivot_thresh=0.0,
@@ -169,16 +213,19 @@ class _FreeBlockLU:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         x = np.zeros(rhs.shape[0])
-        x[self.free] = self.superlu.solve(rhs[self.free])
+        for dofs, superlu in self.groups:
+            b = rhs[dofs]
+            if b.any():
+                x[dofs] = superlu.solve(b)
         return x
 
     @property
     def L(self):
-        return self.superlu.L
+        return _block_diag([superlu.L for _, superlu in self.groups])
 
     @property
     def U(self):
-        return self.superlu.U
+        return _block_diag([superlu.U for _, superlu in self.groups])
 
 
 @dataclass(frozen=True)

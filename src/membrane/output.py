@@ -6,13 +6,16 @@ never mutate the state they are given.
 
 A snapshot file is produced block by block: the columns of a block are
 stacked into one float array, and one ``%`` format of a row template
-repeated once per row turns the whole block into text.  ``"%.17g" % x``
-and ``format(x, ".17g")`` share CPython's float-to-string routine, so
-the bytes are those of formatting each value on its own.
+repeated once per row turns each chunk of a few hundred rows into text,
+which is written before the next chunk is formatted, so the text of a
+whole block is never held at once.  ``"%.17g" % x`` and
+``format(x, ".17g")`` share CPython's float-to-string routine, so the
+bytes are those of formatting each value on its own.
 """
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -43,11 +46,20 @@ def _g17(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _rows(prefix: str, cols, fmt: str) -> str:
+# rows per string from `_rows`: large enough that the per-chunk overhead
+# is negligible, small enough that a chunk's Python floats stay small
+_CHUNK_ROWS = 256
+
+
+def _rows(prefix: str, cols, fmt: str):
     """One line per row of the stacked columns ``cols``: ``prefix``, then
-    the row's values through ``fmt``, all in a single ``%`` call."""
+    the row's values through ``fmt``.  Yields one string per chunk of
+    `_CHUNK_ROWS` rows, each from a single ``%`` call."""
     block = np.column_stack(cols)
-    return ((prefix + fmt + "\n") * len(block)) % tuple(block.ravel().tolist())
+    line = prefix + fmt + "\n"
+    for start in range(0, len(block), _CHUNK_ROWS):
+        chunk = block[start:start + _CHUNK_ROWS]
+        yield (line * len(chunk)) % tuple(chunk.ravel().tolist())
 
 
 def _speed(state: State) -> np.ndarray:
@@ -59,9 +71,10 @@ def _speed(state: State) -> np.ndarray:
         return np.sqrt((v * v).sum(axis=1))
 
 
-def _write(path, text: str) -> None:
+def _write(path, parts) -> None:
+    """Write the strings of the iterable ``parts`` in order."""
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(text)
+        f.writelines(parts)
 
 
 def write_snapshot_csv(path, mesh: Mesh, state: State) -> None:
@@ -72,7 +85,7 @@ def write_snapshot_csv(path, mesh: Mesh, state: State) -> None:
     cols = (np.arange(mesh.n_nodes), mesh.nodes, state.a.reshape(-1, 3),
             state.adot.reshape(-1, 3), _speed(state))
     body = _rows(_g17(state.t), cols, ",%d" + ",%.17g" * 9)
-    _write(path, CSV_HEADER + "\n" + body)
+    _write(path, chain([CSV_HEADER + "\n"], body))
 
 
 def _batch_strain_stress(strain: csr_matrix, material: MaterialParams, state: State):
@@ -100,7 +113,7 @@ def write_element_csv(path, strain: csr_matrix, material: MaterialParams, state:
     cols = (np.arange(len(eps)), eps, sig,
             _flags(eps, material.strain_threshold), _flags(sig, material.stress_threshold))
     body = _rows(_g17(state.t), cols, ",%d" + ",%.17g" * 12 + ",%d,%d")
-    _write(path, ELEMENT_CSV_HEADER + "\n" + body)
+    _write(path, chain([ELEMENT_CSV_HEADER + "\n"], body))
 
 
 def write_snapshot_vtk(path, mesh: Mesh, state: State, title: str = "membrane snapshot") -> None:
@@ -111,17 +124,16 @@ def write_snapshot_vtk(path, mesh: Mesh, state: State, title: str = "membrane sn
     """
     a = state.a.reshape(-1, 3)
     n, m = mesh.n_nodes, mesh.n_triangles
-    _write(path, "".join([
-        f"# vtk DataFile Version 3.0\n{title}\nASCII\nDATASET UNSTRUCTURED_GRID\n",
-        f"POINTS {n} double\n",
+    _write(path, chain(
+        [f"# vtk DataFile Version 3.0\n{title}\nASCII\nDATASET UNSTRUCTURED_GRID\n",
+         f"POINTS {n} double\n"],
         _rows("", (mesh.nodes + a[:, :2], a[:, 2]), "%.17g %.17g %.17g"),
-        f"CELLS {m} {4 * m}\n",
+        [f"CELLS {m} {4 * m}\n"],
         _rows("3 ", (mesh.triangles,), "%d %d %d"),
-        f"CELL_TYPES {m}\n",
-        "5\n" * m,
-        f"POINT_DATA {n}\nSCALARS velocity_magnitude double 1\nLOOKUP_TABLE default\n",
+        [f"CELL_TYPES {m}\n", "5\n" * m,
+         f"POINT_DATA {n}\nSCALARS velocity_magnitude double 1\nLOOKUP_TABLE default\n"],
         _rows("", (_speed(state),), "%.17g"),
-    ]))
+    ))
 
 
 def write_study_csv(path, result: StudyResult) -> None:
@@ -151,7 +163,7 @@ def write_study_csv(path, result: StudyResult) -> None:
     lines.append("norm,rate")
     for w in NORMS:
         lines.append(f"{w},{_g17(result.rates[w])}")
-    _write(path, "\n".join(lines) + "\n")
+    _write(path, ["\n".join(lines) + "\n"])
 
 
 def write_run_manifest(path, manifest: dict) -> None:

@@ -324,13 +324,15 @@ def build_mesh(spec) -> Mesh:
 
 
 def step_count(t_final: float, tau: float) -> int:
-    """ceil(t_final/tau), or ConfigError when that exceeds MAX_STEPS."""
+    """ceil(t_final/tau), at least 1, or ConfigError when that exceeds
+    MAX_STEPS."""
     q = t_final / tau if tau > 0.0 else math.inf
     if not q <= MAX_STEPS:
         raise ConfigError(
             f"T/tau = {q:.3g} steps exceeds the limit of {MAX_STEPS:.0e}: T={t_final}, tau={tau}"
         )
-    return int(math.ceil(q - 1e-9))
+    # a t_final far below tau still takes one step: the run never stops short
+    return max(1, int(math.ceil(q - 1e-9)))
 
 
 def run(config: ScenarioConfig, on_snapshot=None, keep_snapshots: bool = True) -> SimulationResult:

@@ -1,9 +1,13 @@
 """CLI tests: run/convergence/mesh-info, exit codes, determinism."""
+import io
 import json
+import tempfile
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from membrane.cli import main
 from membrane.errors import SolverError
@@ -274,6 +278,33 @@ class TestConvergenceCommand:
         assert main(["convergence", study_path]) == 2
         assert "k_max" in capsys.readouterr().err
 
+    def test_undefined_rate_warns_in_one_line(self, tmp_path, capsys):
+        # on a 1x1 fixed-border grid every coarse node is fixed, so every
+        # level difference is zero and no rate can be fitted
+        cfg = _study_config(mesh={"Lx": 1.0, "Ly": 1.0, "nx": 1, "ny": 1})
+        study_path = _write(tmp_path, "study.json", cfg)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["convergence", study_path, "--out", str(tmp_path / "o")]) == 0
+        assert caught == []
+        out, err = capsys.readouterr()
+        assert err == ("warning: zero difference norm excluded from rate fit; "
+                       "fewer than two usable norms; rate undefined\n")
+        assert "L1 rate nan" in out
+
+    def test_tiny_T_takes_one_step(self, tmp_path):
+        # T/tau below 1e-9 once sized the levels at 0 steps and divided by zero
+        study_path = _write(tmp_path, "study.json", _study_config(T=1e-60))
+        assert main(["convergence", study_path, "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize("t_final", [0.0, -4e-5])
+    def test_nonpositive_T_rejected(self, tmp_path, capsys, t_final):
+        # T = 0 once divided by zero while sizing the levels
+        study_path = _write(tmp_path, "study.json", _study_config(T=t_final))
+        assert main(["convergence", study_path, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: t_final must be positive, got {t_final}\n"
+
     def test_node_ceiling_checked_before_any_level(self, tmp_path, capsys, monkeypatch):
         def level_ran(*args, **kwargs):
             raise AssertionError("a level ran")
@@ -332,3 +363,131 @@ class TestVersion:
         out = capsys.readouterr().out
         assert out.startswith("membrane ")
         assert out.strip().split()[1][0].isdigit()
+
+
+# ------------------------------------------------- mutated inputs, any outcome
+
+CONFIG_WORDS = sorted(
+    {"mesh", "msh_path", "Lx", "Ly", "nx", "ny", "material", "type", "isotropic",
+     "anisotropic", "moduli_gpa", "E", "nu", "rho", "h", "strain_threshold", "case",
+     "id", "b0", "window", "load", "kind", "direction", "elements", "strike", "node",
+     "speed", "border", "fixed", "free", "T", "tau", "k_max", "output",
+     "every_n_steps", "directory", "initial_translation", "_note"}
+)
+# generic leaves: integers stay small, so a count (every_n_steps, a node
+# id) cannot ask for much work
+LEAVES = (st.none() | st.booleans() | st.integers(-3, 6) | st.floats()
+          | st.sampled_from(CONFIG_WORDS) | st.text(max_size=4))
+JSON_VALUES = st.recursive(
+    LEAVES,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.sampled_from(CONFIG_WORDS) | st.text(max_size=4), kids, max_size=3),
+    max_leaves=8,
+)
+# The keys that set the size of a run draw from these bounds instead, so
+# each example takes milliseconds: at most 4x4 cells (16x16 at the finest
+# level of a study with k_max 2), and T/tau at most 25 steps at level 0.
+# A bad value of each kind, and one past each ceiling, stays in reach.
+# These keys are never deleted, and tau is never null: the default
+# timestep of a mutated mesh or material could ask for 10^9 steps.
+BAD = st.sampled_from([None, "4", True, float("nan"), float("inf")])
+BAD_COUNT = BAD | st.just(2.5)
+BOUNDED = {
+    "nx": st.integers(-1, 4) | st.just(10**19) | BAD_COUNT,
+    "ny": st.integers(-1, 4) | st.just(10**19) | BAD_COUNT,
+    "k_max": st.integers(-1, 2) | st.just(12) | BAD_COUNT,
+    "T": st.floats(-1e-4, 1e-4) | BAD,
+    "tau": st.floats(4e-6, 1e-4) | st.sampled_from([0.0, -4e-6, 1e-300, "x", float("nan")]),
+}
+MSH_TOKENS = ["", "x", "0", "1", "-1", "2", "3", "4", "5", "15", "2.2", "-0.5", "1e400",
+              "nan", "10000000000", "$Nodes", "$EndNodes", "$Elements", "$EndElements"]
+
+
+def _containers(node):
+    """Every dict and list inside a parsed JSON value, outermost first."""
+    yield node
+    for child in node.values() if isinstance(node, dict) else node:
+        if isinstance(child, (dict, list)):
+            yield from _containers(child)
+
+
+def _mutate_config(data, cfg):
+    """Up to three edits: replace, delete or add a key or list item, or
+    scale a number (an edit that often leaves the config valid)."""
+    for _ in range(data.draw(st.integers(1, 3))):
+        op = data.draw(st.sampled_from(["replace", "delete", "add", "scale", "scale", "scale"]))
+        if op == "scale":
+            numbers = [(node, key) for node in _containers(cfg)
+                       for key in (node if isinstance(node, dict) else range(len(node)))
+                       if isinstance(node[key], (int, float)) and not isinstance(node[key], bool)]
+            if numbers:
+                node, key = data.draw(st.sampled_from(numbers))
+                factor = data.draw(st.sampled_from([0.5, 2.0, 1e-3, 1e3, -1.0, 0.0, 1e-300, 1e300]))
+                node[key] = data.draw(BOUNDED[key]) if key in BOUNDED else node[key] * factor
+                continue
+        node = data.draw(st.sampled_from(list(_containers(cfg))))
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        if op == "add" or not keys:
+            if isinstance(node, dict):
+                key = data.draw(st.sampled_from(CONFIG_WORDS) | st.text(max_size=4))
+                node[key] = data.draw(BOUNDED.get(key, JSON_VALUES))
+            else:
+                node.append(data.draw(JSON_VALUES))
+            continue
+        key = data.draw(st.sampled_from(keys))
+        if key in BOUNDED:
+            node[key] = data.draw(BOUNDED[key])
+        elif op == "delete":
+            del node[key]
+        else:
+            node[key] = data.draw(JSON_VALUES)
+
+
+def _mutate_msh(data, text):
+    """Up to three line edits: swap a token, delete or repeat a line."""
+    lines = text.splitlines()
+    for _ in range(data.draw(st.integers(1, 3))):
+        if not lines:
+            lines.append(data.draw(st.sampled_from(MSH_TOKENS)))
+            continue
+        i = data.draw(st.integers(0, len(lines) - 1))
+        op = data.draw(st.sampled_from(["token", "delete", "repeat"]))
+        if op == "token":
+            parts = lines[i].split() or [""]
+            parts[data.draw(st.integers(0, len(parts) - 1))] = data.draw(st.sampled_from(MSH_TOKENS))
+            lines[i] = " ".join(parts)
+        elif op == "delete":
+            del lines[i]
+        else:
+            lines.insert(i, lines[i])
+    return "\n".join(lines) + "\n"
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.data())
+def test_mutated_input_exits_0_2_or_3_with_one_line(data):
+    kind = data.draw(st.sampled_from(["run", "convergence", "msh"]))
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        if kind == "msh":
+            msh = tmp / "mesh.msh"
+            msh.write_text(_mutate_msh(data, TWO_TRIANGLE_MSH))
+            cfg = _run_config(mesh={"msh_path": str(msh)},
+                              border=data.draw(st.sampled_from(["fixed", "free"])))
+            command = data.draw(st.sampled_from(["run", "mesh-info"]))
+        else:
+            cfg = _run_config() if kind == "run" else _study_config()
+            _mutate_config(data, cfg)
+            command = kind
+        path = _write(tmp, "config.json", cfg)
+        argv = [command, str(msh) if command == "mesh-info" else path]
+        if command != "mesh-info":
+            argv += ["--out", str(tmp / "out")]
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                code = main(argv)
+    assert code in (0, 2, 3), (argv, cfg)
+    assert err.getvalue().count("\n") <= 1, err.getvalue()
+    assert [str(w.message) for w in caught] == []

@@ -1,4 +1,5 @@
 """Newmark integration tests: order, stability, constraints, energy."""
+import json
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 import membrane as mb
+from membrane.cli import main
 from membrane.assembly import (
     Constraint,
     GlobalSystem,
@@ -363,9 +365,11 @@ class TestFreeBlockSolve:
         sysc = _fixed_border_system(mesh, mat)
         params = NewmarkParams(tau=default_timestep(mesh, mat))
         lu = factor_once(sysc, params).lu
-        np.testing.assert_array_equal(lu.superlu.perm_r, lu.superlu.perm_c)
+        for _, superlu in lu.groups:
+            np.testing.assert_array_equal(superlu.perm_r, superlu.perm_c)
         general = splu((sysc.M + 0.5 * params.tau**2 * params.beta2 * sysc.K).tocsc())
-        assert lu.L.nnz + lu.U.nnz < general.L.nnz + general.U.nnz
+        fill = sum(superlu.L.nnz + superlu.U.nnz for _, superlu in lu.groups)
+        assert fill < general.L.nnz + general.U.nnz
 
     def test_solve_is_full_length_with_zero_constrained_entries(self, grid4, steel):
         sysc = _fixed_border_system(grid4, steel, strike=12)
@@ -389,6 +393,111 @@ class TestFreeBlockSolve:
         system.constrained_dofs = np.array([2])
         factor = factor_once(system, NewmarkParams(tau=0.1))
         np.testing.assert_array_equal(factor.lu.solve(np.array([2.0, 3.0, 4.0])), [2.0, 3.0, 0.0])
+
+
+# the moduli of the bench's run_aniso_160 workload, in GPa: [1, 6] is
+# xx-xz in the code's (xx, yy, zz, xy, yz, xz) order, so they couple w
+# with u and v
+ANISO_160_MODULI_GPA = [
+    [1, 1, 140.0], [1, 2, 3.0], [1, 3, 3.0], [1, 6, 5.0],
+    [2, 2, 10.0], [2, 3, 3.0], [2, 6, 2.0], [3, 3, 10.0],
+    [4, 4, 5.0], [4, 5, 1.0], [5, 5, 5.0], [6, 6, 5.0],
+]
+
+
+class _CountingLU:
+    """A SuperLU factor that counts its solves."""
+
+    def __init__(self, *args, **kwargs):
+        self.superlu = splu(*args, **kwargs)
+        self.solves = 0
+
+    def solve(self, rhs):
+        self.solves += 1
+        return self.superlu.solve(rhs)
+
+
+def _keep_factors(monkeypatch):
+    """A list that collects every factor `scenarios.run` builds."""
+    factors = []
+
+    def keeping_factor_once(*args):
+        factors.append(factor_once(*args))
+        return factors[-1]
+
+    monkeypatch.setattr("membrane.scenarios.factor_once", keeping_factor_once)
+    return factors
+
+
+def _counted_run(monkeypatch, config):
+    """Run `config`; return the result and each dof group's solve count,
+    keyed "uv" or "w"."""
+    monkeypatch.setattr("membrane.integrator.splu", _CountingLU)
+    factors = _keep_factors(monkeypatch)
+    result = mb.run(config)
+    [factor] = factors
+    counts = {}
+    for dofs, lu in factor.lu.groups:
+        kinds = set((dofs % 3 == 2).tolist())
+        assert len(kinds) == 1, "a group mixes in-plane and transverse dofs"
+        counts["w" if kinds.pop() else "uv"] = lu.solves
+    return result, counts
+
+
+class TestDofGroups:
+    """The (u, v) and w blocks of A are factored apart when A does not
+    couple them, and a block with a zero right-hand side is not solved."""
+
+    def _case(self, case_id, material, n_steps=20):
+        tau = 4e-6
+        return mb.ScenarioConfig(
+            mesh=mb.StructuredSpec(1.0, 1.0, 8, 8), material=material,
+            case=mb.CaseSpec(case_id=case_id, b0=1e6), border="fixed",
+            t_final=n_steps * tau, tau=tau,
+        )
+
+    def test_transverse_load_never_solves_in_plane_group(self, polymer, monkeypatch):
+        result, counts = _counted_run(monkeypatch, self._case(1, polymer))
+        assert counts == {"uv": 0, "w": 20}
+        final = result.final_state
+        for vec in (final.a, final.adot):
+            assert np.all(vec[0::3] == 0.0) and np.all(vec[1::3] == 0.0)
+        assert np.abs(final.a[2::3]).max() > 0.0
+
+    def test_tilted_load_solves_both_groups(self, polymer, monkeypatch):
+        _, counts = _counted_run(monkeypatch, self._case(2, polymer))
+        assert counts == {"uv": 20, "w": 20}
+
+    @pytest.mark.parametrize("material,n_groups", [
+        ("aniso_160", 1), ("fully_anisotropic", 1), ("orthotropic", 2), ("polymer", 2),
+    ])
+    def test_group_count(self, material, n_groups, grid4, request):
+        if material == "aniso_160":
+            d = mb.anisotropic(mb.packed_from_entries(ANISO_160_MODULI_GPA) * 1e9)
+            mat = mb.MaterialParams(d=d, rho=1600.0, h=1e-3)
+        elif material == "fully_anisotropic":
+            mat = _fully_anisotropic()
+        else:
+            mat = request.getfixturevalue(material)
+        sysc = _fixed_border_system(grid4, mat)
+        lu = factor_once(sysc, NewmarkParams(tau=1e-6)).lu
+        assert len(lu.groups) == n_groups
+        fill = lu.L.nnz + lu.U.nnz
+        assert fill == sum(superlu.L.nnz + superlu.U.nnz for _, superlu in lu.groups)
+
+    def test_no_free_dofs_runs(self, tmp_path, capsys):
+        # a 1x1 fixed-border grid: every dof is constrained, both groups
+        # are empty and the run still writes its snapshots
+        cfg = {
+            "mesh": {"Lx": 1.0, "Ly": 1.0, "nx": 1, "ny": 1},
+            "material": {"type": "isotropic", "E": 2e9, "nu": 0.3, "rho": 1200.0, "h": 1e-3},
+            "case": {"id": 1, "b0": 1e6}, "border": "fixed", "T": 1e-5,
+        }
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "out" / "manifest.json").exists()
 
 
 def _jittered_grid(n, amplitude, seed):
@@ -476,13 +585,15 @@ class TestMassSolve:
         _assert_dense_mass_solve(sysc, init_state(sysc).addot, rhs)
 
     def test_one_factorization_per_run(self, polymer, monkeypatch):
-        calls = []
+        # each dof group of A is factored once; M never is
+        blocks = []
 
         def counting_splu(*args, **kwargs):
-            calls.append(args[0].shape)
+            blocks.append(args[0])
             return splu(*args, **kwargs)
 
         monkeypatch.setattr("membrane.integrator.splu", counting_splu)
+        factors = _keep_factors(monkeypatch)
         tau = 4e-6
         config = mb.ScenarioConfig(
             mesh=mb.StructuredSpec(1.0, 1.0, 8, 8), material=polymer,
@@ -490,4 +601,13 @@ class TestMassSolve:
             t_final=10 * tau, tau=tau,
         )
         mb.run(config)
-        assert len(calls) == 1
+        [factor] = factors
+        system = factor.system
+        free = np.setdiff1d(np.arange(system.ndof), system.constrained_dofs)
+        groups = [dofs for dofs, _ in factor.lu.groups]
+        assert len(blocks) == len(groups) == 2
+        np.testing.assert_array_equal(np.sort(np.concatenate(groups)), free)
+        a = (system.M + 0.5 * tau**2 * 0.5 * system.K).tocsr()
+        for block, dofs in zip(blocks, groups):
+            assert (block != a[dofs][:, dofs]).nnz == 0
+            assert (block != system.M.tocsr()[dofs][:, dofs]).nnz > 0

@@ -313,6 +313,23 @@ class TestWritersMatchOracle:
         assert b" -0\n" in text and b"\ninf\n" in text
 
 
+    def test_bytes_across_chunks(self, grid4, steel, tmp_path, monkeypatch):
+        # 25 nodes and 32 triangles in chunks of 7 rows: several full
+        # chunks and a short last one in every block
+        monkeypatch.setattr("membrane.output._CHUNK_ROWS", 7)
+        state = _edge_state(grid4)
+        unflagged = mb.MaterialParams(
+            d=steel.d, rho=steel.rho, h=steel.h,
+            strain_threshold=np.inf, stress_threshold=np.inf,
+        )
+        write_snapshot_csv(tmp_path / "snap.csv", grid4, state)
+        write_element_csv(tmp_path / "elem.csv", strain_operator(grid4)[1], steel, state)
+        write_snapshot_vtk(tmp_path / "snap.vtk", grid4, state)
+        assert (tmp_path / "snap.csv").read_bytes() == _oracle_snapshot_csv(grid4, state)
+        assert (tmp_path / "elem.csv").read_bytes() == _oracle_element_csv(grid4, unflagged, state)
+        assert (tmp_path / "snap.vtk").read_bytes() == _oracle_vtk(grid4, state)
+
+
 class TestStudyCsv:
     def test_structure(self, tmp_path):
         p = tmp_path / "study.csv"
