@@ -14,6 +14,10 @@ constrained accelerations are exact zeros, so the velocity stays at
 its initial value exactly and the displacement integrates it.  The
 free rows keep their coupling to the constrained dofs through K and
 M, which stay the physical matrices.
+
+`held_dofs` are held at zero acceleration like constrained dofs, with
+no constraint (an in-plane field that nothing drives, see
+`scenarios.run`); the integrator solves only for the rest, `free_dofs`.
 """
 from __future__ import annotations
 
@@ -72,7 +76,8 @@ class GlobalSystem:
 
     K and M are CSR of order 3*n_nodes; f is the current load vector.
     `constraints` lists the velocity constraints; `apply_constraints`
-    sets `constrained_dofs` to the dof ids they hold.
+    sets `constrained_dofs` to the dof ids they hold.  `held_dofs` are
+    held at rest without a constraint.
     """
 
     K: csr_matrix
@@ -82,10 +87,20 @@ class GlobalSystem:
     material: MaterialParams
     constraints: list[Constraint] = field(default_factory=list)
     constrained_dofs: np.ndarray | None = None
+    held_dofs: np.ndarray | None = None
 
     @property
     def constrained(self) -> bool:
         return self.constrained_dofs is not None
+
+    @property
+    def free_dofs(self) -> np.ndarray:
+        """The dofs that can move, ascending: neither constrained nor held."""
+        free = np.ones(self.ndof, dtype=bool)
+        for dofs in (self.constrained_dofs, self.held_dofs):
+            if dofs is not None:
+                free[dofs] = False
+        return np.flatnonzero(free)
 
     @property
     def ndof(self) -> int:

@@ -22,7 +22,7 @@ from pathlib import Path
 from . import __version__
 from .assembly import strain_operator
 from .convergence import run_study, study_from_json
-from .errors import MembraneError, SolverError
+from .errors import ConfigError, MembraneError, SolverError
 from .mesh import boundary_nodes, read_msh
 from .output import (
     write_element_csv,
@@ -38,8 +38,15 @@ __all__ = ["main"]
 DEFAULT_OUT = "membrane-out"
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are one `error:` line and exit 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="membrane",
         description="Dynamic simulation of thin anisotropic composite membranes.",
     )
@@ -110,6 +117,7 @@ def _cmd_run(args) -> int:
             "n_triangles": result.mesh.n_triangles,
             "snapshot_steps": written,
             "wall_time_s": result.wall_time,
+            "solver": result.solver,
         },
     )
     print(
@@ -151,8 +159,8 @@ def _cmd_mesh_info(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.command == "run":
             return _cmd_run(args)
         if args.command == "convergence":

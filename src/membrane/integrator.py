@@ -17,20 +17,14 @@ M, K, and tau are, so it is factorized once and reused every step.
 Constrained dofs are eliminated from every solve: only the block of
 free rows and columns is solved, and the constrained entries of the
 solution are exact zeros, so the constrained rows of K, M and f are
-never read.  The free block of A is the only factorization of a run.
+never read.  Held dofs (`GlobalSystem.held_dofs`) are eliminated the
+same way: `scenarios.run` holds the in-plane field (u, v) when nothing
+drives it, as under a load or strike along the normal on an isotropic
+or orthotropic layer (acceptance criterion 05), so only the free w
+dofs are solved for.  The free block of A is the only factorization.
 It is symmetric positive definite, so it takes a symmetric-mode LU: a
 minimum degree ordering of A + A^T and diagonal pivots.  The free rows
 keep the coupling K_fc a_c through the matvec K a_bar.
-
-When no stored entry of A couples a transverse dof (w) with an
-in-plane one (u, v), as for isotropic and orthotropic materials, A is
-block diagonal in the two fields, so the free (u, v) and w blocks are
-factored apart and solved apart; the solution is the same, up to
-rounding.  A block whose right-hand side is all zeros is not solved:
-its block of A is nonsingular, so A x = 0 has only x = 0, and its
-entries of a'' are exact zeros.  That is the step's cost under a load
-along the normal: with (u, v) at rest, K a_bar + f has no in-plane
-entry, and the in-plane field never moves (acceptance criterion 05).
 
 The one solve with M, for a''_0 at t=0, needs no factorization.
 Scaled by its diagonal, every linear-triangle element mass has the
@@ -44,7 +38,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
 from .errors import SolverError
@@ -97,14 +90,6 @@ _MASS_RTOL = 1e-14
 _MASS_MAXITER = 100
 
 
-def _free_dofs(n: int, constrained_dofs) -> np.ndarray:
-    """Indices of the dofs not in `constrained_dofs`, ascending."""
-    free = np.ones(n, dtype=bool)
-    if constrained_dofs is not None:
-        free[constrained_dofs] = False
-    return np.flatnonzero(free)
-
-
 def _dot(x: np.ndarray, y: np.ndarray) -> float:
     # numpy's pairwise sum, not BLAS: the result must not depend on the
     # BLAS thread count (study.csv is byte-identical across thread counts)
@@ -114,13 +99,13 @@ def _dot(x: np.ndarray, y: np.ndarray) -> float:
 def _mass_solve(system: GlobalSystem, rhs: np.ndarray) -> np.ndarray:
     """Solve M x = rhs on the free dofs by Jacobi-preconditioned CG.
 
-    Takes and returns full-length vectors; the constrained entries of
-    the result are exact zeros.  A zero right-hand side returns zeros
-    without iterating.  The right-hand side is scaled to unit max-norm
-    first, so the inner products cannot overflow.
+    Takes and returns full-length vectors; the entries of the result
+    outside `system.free_dofs` are exact zeros.  A zero right-hand side
+    returns zeros without iterating.  The right-hand side is scaled to
+    unit max-norm first, so the inner products cannot overflow.
     """
     x = np.zeros(rhs.shape[0])
-    free = _free_dofs(system.ndof, system.constrained_dofs)
+    free = system.free_dofs
     diag = system.M.diagonal()[free]
     if not np.all(diag > 0.0):
         raise SolverError("mass matrix has a non-positive diagonal entry (singular?)")
@@ -157,54 +142,22 @@ def _mass_solve(system: GlobalSystem, rhs: np.ndarray) -> np.ndarray:
     raise SolverError(f"mass matrix solve did not converge in {_MASS_MAXITER} CG iterations")
 
 
-def _dof_groups(matrix, free: np.ndarray) -> list[np.ndarray]:
-    """The free dofs as an in-plane (u, v) and a transverse (w) group,
-    or as one group when a stored entry of `matrix` (CSR) couples them."""
-    w = np.arange(matrix.shape[0]) % 3 == 2
-    if np.any(np.repeat(w, np.diff(matrix.indptr)) != w[matrix.indices]):
-        return [free]
-    return [free[~w[free]], free[w[free]]]
-
-
-def _block_diag(blocks: list) -> csc_matrix:
-    """The block-diagonal matrix of the square CSC `blocks`.
-
-    The index arrays are stacked directly: `scipy.sparse.block_diag`
-    goes through COO, which costs seconds and a second copy on factors
-    of tens of millions of entries.  One block is returned as it is.
-    """
-    if len(blocks) == 1:
-        return blocks[0]
-    sizes = np.cumsum([0] + [b.shape[0] for b in blocks])
-    nnz = np.cumsum([0] + [b.nnz for b in blocks])
-    indptr = np.concatenate([[0]] + [b.indptr[1:] + nnz[k] for k, b in enumerate(blocks)])
-    indices = np.concatenate([b.indices + sizes[k] for k, b in enumerate(blocks)])
-    data = np.concatenate([b.data for b in blocks])
-    return csc_matrix((data, indices, indptr), shape=(sizes[-1], sizes[-1]))
-
-
 class _FreeBlockLU:
-    """Sparse LU of the free-dof block of A, one factor per dof group.
+    """Sparse LU of the block of A over `dofs`, the dofs that can move.
 
-    `solve` takes and returns full-length vectors; the constrained
-    entries of the result are exact zeros, and so are those of a group
-    whose right-hand side is all zeros.  `groups` pairs each group's
-    dofs with its SuperLU factor; L and U are the block diagonals of
-    the groups' factors, built only when read.
+    `solve` takes and returns full-length vectors; the entries outside
+    `dofs` are exact zeros.  `nnz` counts the entries SuperLU stores for
+    L and U, read without building either.
     """
 
-    def __init__(self, matrix, constrained_dofs):
-        matrix = matrix.tocsr()
-        free = _free_dofs(matrix.shape[0], constrained_dofs)
-        self.groups = [(dofs, self._factor(matrix[dofs][:, dofs].tocsc()))
-                       for dofs in _dof_groups(matrix, free)]
+    ordering = "MMD_AT_PLUS_A"
 
-    @staticmethod
-    def _factor(block):
+    def __init__(self, matrix, dofs: np.ndarray):
+        self.dofs = dofs
         try:
-            return splu(
-                block,
-                permc_spec="MMD_AT_PLUS_A",
+            self.superlu = splu(
+                matrix.tocsr()[dofs][:, dofs].tocsc(),
+                permc_spec=self.ordering,
                 diag_pivot_thresh=0.0,
                 options={"SymmetricMode": True},
             )
@@ -213,19 +166,12 @@ class _FreeBlockLU:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         x = np.zeros(rhs.shape[0])
-        for dofs, superlu in self.groups:
-            b = rhs[dofs]
-            if b.any():
-                x[dofs] = superlu.solve(b)
+        x[self.dofs] = self.superlu.solve(rhs[self.dofs])
         return x
 
-    @property
-    def L(self):
-        return _block_diag([superlu.L for _, superlu in self.groups])
-
-    @property
-    def U(self):
-        return _block_diag([superlu.U for _, superlu in self.groups])
+    L = property(lambda self: self.superlu.L)
+    U = property(lambda self: self.superlu.U)
+    nnz = property(lambda self: self.superlu.nnz)
 
 
 @dataclass(frozen=True)
@@ -249,8 +195,8 @@ def init_state(system: GlobalSystem, a0=None, v0=None) -> State:
     a''_0 solves M a''_0 = -(K a_0 + f) on the free dofs by Jacobi-
     preconditioned conjugate gradients to a relative residual of 1e-14;
     no factorization is built (see the module docstring).  Constrained
-    accelerations are exact zeros and constrained velocity entries are
-    overwritten with their v_fix regardless of v0.
+    and held accelerations are exact zeros, and constrained velocity
+    entries are overwritten with their v_fix regardless of v0.
     """
     if not system.constrained:
         raise SolverError("init_state needs a system with constraints applied")
@@ -266,14 +212,14 @@ def init_state(system: GlobalSystem, a0=None, v0=None) -> State:
 
 
 def factor_once(system: GlobalSystem, params: NewmarkParams) -> NewmarkFactor:
-    """Factorize the free-dof block of A = M + 0.5*tau^2*beta2*K.
+    """Factorize the block of A = M + 0.5*tau^2*beta2*K over the free dofs.
 
     The block is symmetric positive definite, so it takes a
     symmetric-mode LU (see the module docstring).  The handle records
     the system and timestep; `step` refuses a stale handle.
     """
     a = system.M + (0.5 * params.tau**2 * params.beta2) * system.K
-    lu = _FreeBlockLU(a, system.constrained_dofs)
+    lu = _FreeBlockLU(a, system.free_dofs)
     return NewmarkFactor(lu=lu, tau=params.tau, beta2=params.beta2, system=system)
 
 

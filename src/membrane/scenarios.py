@@ -186,7 +186,8 @@ _MSH_KEYS = {"msh_path": (str, REQUIRED)}
 
 @dataclass
 class SimulationResult:
-    """Run artifacts: mesh, system, snapshots, and timing."""
+    """Run artifacts: mesh, system, snapshots, timing, and the size of
+    the factored system (`solver`, as the run manifest records it)."""
 
     mesh: Mesh
     material: MaterialParams
@@ -196,6 +197,7 @@ class SimulationResult:
     snapshots: list[State] = field(default_factory=list)
     final_state: State | None = None
     wall_time: float = 0.0
+    solver: dict = field(default_factory=dict)
 
 
 def build_case(case_id: int, mesh: Mesh, t_final: float, *, b0: float = 1.0,
@@ -335,6 +337,22 @@ def step_count(t_final: float, tau: float) -> int:
     return max(1, int(math.ceil(q - 1e-9)))
 
 
+def _in_plane_undriven(system: GlobalSystem, loads, a0) -> bool:
+    """Whether nothing drives the in-plane field (u, v) of `system`.
+
+    True when K stores no entry coupling a w row with a u or v column
+    (M = M_s (x) I3 never does) and no load window, constraint or
+    initial displacement `a0` has an in-plane entry: every in-plane
+    right-hand side is then exactly zero at every step.
+    """
+    w = np.arange(system.ndof) % 3 == 2
+    k = system.K
+    return (np.array_equal(np.repeat(w, np.diff(k.indptr)), w[k.indices])
+            and not any(ld.vector[~w].any() for ld in loads)
+            and not any(c.v_fix[0] or c.v_fix[1] for c in system.constraints)
+            and (a0 is None or not a0[~w].any()))
+
+
 def run(config: ScenarioConfig, on_snapshot=None, keep_snapshots: bool = True) -> SimulationResult:
     """Integrate a scenario from rest over [0, t_final].
 
@@ -342,7 +360,8 @@ def run(config: ScenarioConfig, on_snapshot=None, keep_snapshots: bool = True) -
     the final step; `on_snapshot(state)` is called for each if given,
     and copies are retained when `keep_snapshots` is true.  The number
     of steps is ceil(t_final/tau), so the run never stops short; above
-    MAX_STEPS it is a ConfigError.
+    MAX_STEPS it is a ConfigError.  When nothing drives the in-plane
+    field (`_in_plane_undriven`), its dofs are held at rest.
     """
     if config.border not in ("free", "fixed"):
         raise ConfigError(f"border must be 'free' or 'fixed', got {config.border!r}")
@@ -350,8 +369,8 @@ def run(config: ScenarioConfig, on_snapshot=None, keep_snapshots: bool = True) -
         raise ConfigError(f"t_final must be positive, got {config.t_final}")
     if config.every_n_steps < 1:
         raise ConfigError(f"every_n_steps must be >= 1, got {config.every_n_steps}")
-    if config.tau is not None and not config.tau > 0.0:
-        raise ConfigError(f"tau must be positive, got {config.tau}")
+    if config.tau is not None and not 0.0 < config.tau < math.inf:
+        raise ConfigError(f"tau must be positive and finite, got {config.tau}")
 
     t_start = time.perf_counter()
     mesh = build_mesh(config.mesh)
@@ -373,6 +392,10 @@ def run(config: ScenarioConfig, on_snapshot=None, keep_snapshots: bool = True) -
     if config.initial_translation is not None:
         a0 = np.tile(np.asarray(config.initial_translation, dtype=float), mesh.n_nodes)
 
+    held = _in_plane_undriven(system, loads, a0)
+    if held:
+        system.held_dofs = np.flatnonzero(np.arange(system.ndof) % 3 != 2)
+
     update_load(system, 0.0, loads)
     state = init_state(system, a0=a0)
     factor = factor_once(system, params)
@@ -383,6 +406,9 @@ def run(config: ScenarioConfig, on_snapshot=None, keep_snapshots: bool = True) -
         system=system,
         params=params,
         n_steps=n_steps,
+        solver={"ndof": system.ndof, "factored_dofs": int(factor.lu.dofs.size),
+                "held_in_plane": held, "lu_stored_entries": factor.lu.nnz,
+                "ordering": factor.lu.ordering},
     )
 
     def emit(s: State):

@@ -244,6 +244,40 @@ class TestExitCodeTable:
         assert err.count("\n") == 1
         assert err.startswith("error: " if code == 2 else "numerical failure: ")
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--tau", "inf"], "error: tau must be positive and finite, got inf\n"),
+            (["--tau", "nan"], "error: tau must be positive and finite, got nan\n"),
+            (["--every", "x"], "error: argument --every: invalid int value: 'x'\n"),
+            (["--tau", "x"], "error: argument --tau: invalid float value: 'x'\n"),
+            (["--bogus"], "error: unrecognized arguments: --bogus\n"),
+        ],
+        ids=["tau_inf", "tau_nan", "every_x", "tau_x", "unknown_flag"],
+    )
+    def test_bad_flag_exit_2_one_line(self, tmp_path, capsys, flags, message):
+        cfg_path = _write(tmp_path, "run.json", _shipped_4x4(tmp_path))
+        assert main(["run", cfg_path, *flags]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", message)
+        assert not (tmp_path / "o").exists()
+
+
+def test_shipped_case1_factors_only_free_w_dofs(tmp_path):
+    # a transverse load on an isotropic layer holds (u, v) at rest: the
+    # factor covers the 31 x 31 interior w dofs of the 32 x 32 fixed grid
+    out = tmp_path / "out"
+    assert main(["run", str(CONFIGS / "run_case1.json"), "--out", str(out), "--every", "1000"]) == 0
+    solver = json.loads((out / "manifest.json").read_text())["solver"]
+    assert solver == {
+        "ndof": 3 * 33 * 33,
+        "factored_dofs": 31 * 31,
+        "held_in_plane": True,
+        "lu_stored_entries": solver["lu_stored_entries"],
+        "ordering": "MMD_AT_PLUS_A",
+    }
+    assert solver["lu_stored_entries"] > 0
+
 
 @pytest.mark.parametrize("command", ["run", "convergence"])
 def test_exit_2_leaves_no_output_directory(tmp_path, capsys, command):

@@ -19,6 +19,7 @@ from membrane.assembly import (
 from membrane.errors import SolverError
 from membrane.material import validate_elastic_matrix
 from membrane.mesh import boundary_nodes
+from membrane.scenarios import LoadSpec
 from membrane.integrator import (
     NewmarkParams,
     default_timestep,
@@ -365,11 +366,9 @@ class TestFreeBlockSolve:
         sysc = _fixed_border_system(mesh, mat)
         params = NewmarkParams(tau=default_timestep(mesh, mat))
         lu = factor_once(sysc, params).lu
-        for _, superlu in lu.groups:
-            np.testing.assert_array_equal(superlu.perm_r, superlu.perm_c)
+        np.testing.assert_array_equal(lu.superlu.perm_r, lu.superlu.perm_c)
         general = splu((sysc.M + 0.5 * params.tau**2 * params.beta2 * sysc.K).tocsc())
-        fill = sum(superlu.L.nnz + superlu.U.nnz for _, superlu in lu.groups)
-        assert fill < general.L.nnz + general.U.nnz
+        assert lu.L.nnz + lu.U.nnz < general.L.nnz + general.U.nnz
 
     def test_solve_is_full_length_with_zero_constrained_entries(self, grid4, steel):
         sysc = _fixed_border_system(grid4, steel, strike=12)
@@ -405,18 +404,6 @@ ANISO_160_MODULI_GPA = [
 ]
 
 
-class _CountingLU:
-    """A SuperLU factor that counts its solves."""
-
-    def __init__(self, *args, **kwargs):
-        self.superlu = splu(*args, **kwargs)
-        self.solves = 0
-
-    def solve(self, rhs):
-        self.solves += 1
-        return self.superlu.solve(rhs)
-
-
 def _keep_factors(monkeypatch):
     """A list that collects every factor `scenarios.run` builds."""
     factors = []
@@ -429,65 +416,107 @@ def _keep_factors(monkeypatch):
     return factors
 
 
-def _counted_run(monkeypatch, config):
-    """Run `config`; return the result and each dof group's solve count,
-    keyed "uv" or "w"."""
-    monkeypatch.setattr("membrane.integrator.splu", _CountingLU)
-    factors = _keep_factors(monkeypatch)
-    result = mb.run(config)
-    [factor] = factors
-    counts = {}
-    for dofs, lu in factor.lu.groups:
-        kinds = set((dofs % 3 == 2).tolist())
-        assert len(kinds) == 1, "a group mixes in-plane and transverse dofs"
-        counts["w" if kinds.pop() else "uv"] = lu.solves
-    return result, counts
+def _count_factorizations(monkeypatch):
+    """A list that collects the order of every matrix `splu` factors."""
+    orders = []
+
+    def counting_splu(*args, **kwargs):
+        orders.append(args[0].shape[0])
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr("membrane.integrator.splu", counting_splu)
+    return orders
 
 
-class TestDofGroups:
-    """The (u, v) and w blocks of A are factored apart when A does not
-    couple them, and a block with a zero right-hand side is not solved."""
+def _free_count(result, w_only):
+    """How many dofs of `result`'s system no constraint holds (w only, or all)."""
+    system = result.system
+    dofs = np.setdiff1d(np.arange(system.ndof), system.constrained_dofs)
+    return int(np.count_nonzero(dofs % 3 == 2)) if w_only else dofs.size
 
-    def _case(self, case_id, material, n_steps=20):
-        tau = 4e-6
+
+def _aniso_160():
+    d = mb.anisotropic(mb.packed_from_entries(ANISO_160_MODULI_GPA) * 1e9)
+    return mb.MaterialParams(d=d, rho=1600.0, h=1e-3)
+
+
+class TestHeldField:
+    """`scenarios.run` holds the in-plane field (u, v) at rest when nothing
+    drives it, and factors only the free w dofs; otherwise, and through
+    the API, A is factored once over every free dof."""
+
+    TAU = 4e-6
+
+    def _config(self, case, material, n_steps=20, **kwargs):
+        if isinstance(case, int):
+            case = mb.CaseSpec(case_id=case, b0=1e6)
         return mb.ScenarioConfig(
-            mesh=mb.StructuredSpec(1.0, 1.0, 8, 8), material=material,
-            case=mb.CaseSpec(case_id=case_id, b0=1e6), border="fixed",
-            t_final=n_steps * tau, tau=tau,
+            mesh=mb.StructuredSpec(1.0, 1.0, 8, 8), material=material, case=case,
+            border="fixed", t_final=n_steps * self.TAU, tau=self.TAU, **kwargs,
         )
 
-    def test_transverse_load_never_solves_in_plane_group(self, polymer, monkeypatch):
-        result, counts = _counted_run(monkeypatch, self._case(1, polymer))
-        assert counts == {"uv": 0, "w": 20}
-        final = result.final_state
-        for vec in (final.a, final.adot):
-            assert np.all(vec[0::3] == 0.0) and np.all(vec[1::3] == 0.0)
-        assert np.abs(final.a[2::3]).max() > 0.0
+    @pytest.mark.parametrize("material", ["polymer", "orthotropic"])
+    @pytest.mark.parametrize("case_id", [1, 3, 5])
+    def test_held_run_matches_unheld_reference(self, case_id, material, request, monkeypatch):
+        config = self._config(case_id, request.getfixturevalue(material))
+        orders = _count_factorizations(monkeypatch)
+        held = mb.run(config)
+        assert orders == [_free_count(held, w_only=True)]
+        assert held.solver["held_in_plane"] is True
+        assert held.solver["factored_dofs"] == orders[0]
 
-    def test_tilted_load_solves_both_groups(self, polymer, monkeypatch):
-        _, counts = _counted_run(monkeypatch, self._case(2, polymer))
-        assert counts == {"uv": 20, "w": 20}
+        monkeypatch.setattr("membrane.scenarios._in_plane_undriven", lambda *args: False)
+        ref = mb.run(config)
+        assert orders[1:] == [_free_count(ref, w_only=False)]
+        assert ref.solver["held_in_plane"] is False
+        assert len(held.snapshots) == len(ref.snapshots) == 21
+        for got, want in zip(held.snapshots, ref.snapshots):
+            for name in ("a", "adot", "addot"):
+                g, r = getattr(got, name), getattr(want, name)
+                assert np.abs(g - r).max() <= 1e-12 * np.abs(r).max()
+            for vec in (got.a, got.adot, got.addot):
+                assert np.all(vec[0::3] == 0.0) and np.all(vec[1::3] == 0.0)
+        assert np.abs(held.final_state.a[2::3]).max() > 0.0
 
-    @pytest.mark.parametrize("material,n_groups", [
-        ("aniso_160", 1), ("fully_anisotropic", 1), ("orthotropic", 2), ("polymer", 2),
+    @pytest.mark.parametrize("driver", [
+        "case_2", "case_4", "initial_translation", "late_in_plane_load", "aniso_160",
     ])
-    def test_group_count(self, material, n_groups, grid4, request):
+    def test_driven_in_plane_factors_all_free_dofs(self, driver, polymer, monkeypatch):
+        if driver in ("case_2", "case_4"):
+            config = self._config(int(driver[-1]), polymer)
+        elif driver == "initial_translation":
+            config = self._config(1, polymer, initial_translation=(1e-6, 0.0, 0.0))
+        elif driver == "late_in_plane_load":
+            # closed at t = 0, so only a rule that reads every window sees it
+            load = LoadSpec(kind="element-uniform", direction=(0.6, 0.0, 0.8), b0=1e6,
+                               window=(5 * self.TAU, 10 * self.TAU), elements=(60, 61))
+            config = self._config(load, polymer)
+        else:
+            config = self._config(1, _aniso_160())
+        orders = _count_factorizations(monkeypatch)
+        result = mb.run(config)
+        assert orders == [_free_count(result, w_only=False)]
+        assert result.solver["held_in_plane"] is False
+        assert np.abs(result.final_state.a[0::3]).max() > 0.0
+
+    @pytest.mark.parametrize("material", ["aniso_160", "fully_anisotropic", "orthotropic", "polymer"])
+    def test_api_factors_every_free_dof(self, material, grid4, request):
         if material == "aniso_160":
-            d = mb.anisotropic(mb.packed_from_entries(ANISO_160_MODULI_GPA) * 1e9)
-            mat = mb.MaterialParams(d=d, rho=1600.0, h=1e-3)
+            mat = _aniso_160()
         elif material == "fully_anisotropic":
             mat = _fully_anisotropic()
         else:
             mat = request.getfixturevalue(material)
         sysc = _fixed_border_system(grid4, mat)
         lu = factor_once(sysc, NewmarkParams(tau=1e-6)).lu
-        assert len(lu.groups) == n_groups
-        fill = lu.L.nnz + lu.U.nnz
-        assert fill == sum(superlu.L.nnz + superlu.U.nnz for _, superlu in lu.groups)
+        free = np.setdiff1d(np.arange(sysc.ndof), sysc.constrained_dofs)
+        np.testing.assert_array_equal(lu.dofs, free)
+        assert lu.L.shape == (free.size, free.size)
+        assert lu.nnz >= lu.L.nnz + lu.U.nnz - free.size
 
     def test_no_free_dofs_runs(self, tmp_path, capsys):
-        # a 1x1 fixed-border grid: every dof is constrained, both groups
-        # are empty and the run still writes its snapshots
+        # a 1x1 fixed-border grid: every dof is constrained, the factor
+        # is empty and the run still writes its snapshots
         cfg = {
             "mesh": {"Lx": 1.0, "Ly": 1.0, "nx": 1, "ny": 1},
             "material": {"type": "isotropic", "E": 2e9, "nu": 0.3, "rho": 1200.0, "h": 1e-3},
@@ -497,7 +526,8 @@ class TestDofGroups:
         path.write_text(json.dumps(cfg))
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
         assert capsys.readouterr().err == ""
-        assert (tmp_path / "out" / "manifest.json").exists()
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["solver"]["factored_dofs"] == 0
 
 
 def _jittered_grid(n, amplitude, seed):
@@ -585,7 +615,8 @@ class TestMassSolve:
         _assert_dense_mass_solve(sysc, init_state(sysc).addot, rhs)
 
     def test_one_factorization_per_run(self, polymer, monkeypatch):
-        # each dof group of A is factored once; M never is
+        # A is factored once, over the dofs that move (the free w dofs of
+        # a transverse load on an isotropic layer); M never is
         blocks = []
 
         def counting_splu(*args, **kwargs):
@@ -602,12 +633,11 @@ class TestMassSolve:
         )
         mb.run(config)
         [factor] = factors
+        [block] = blocks
         system = factor.system
         free = np.setdiff1d(np.arange(system.ndof), system.constrained_dofs)
-        groups = [dofs for dofs, _ in factor.lu.groups]
-        assert len(blocks) == len(groups) == 2
-        np.testing.assert_array_equal(np.sort(np.concatenate(groups)), free)
+        dofs = factor.lu.dofs
+        np.testing.assert_array_equal(dofs, free[free % 3 == 2])
         a = (system.M + 0.5 * tau**2 * 0.5 * system.K).tocsr()
-        for block, dofs in zip(blocks, groups):
-            assert (block != a[dofs][:, dofs]).nnz == 0
-            assert (block != system.M.tocsr()[dofs][:, dofs]).nnz > 0
+        assert (block != a[dofs][:, dofs]).nnz == 0
+        assert (block != system.M.tocsr()[dofs][:, dofs]).nnz > 0
