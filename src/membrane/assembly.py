@@ -36,6 +36,7 @@ __all__ = [
     "GlobalSystem",
     "element_dof_ids",
     "strain_operator",
+    "couples_normal",
     "assemble",
     "build_load_vector",
     "apply_constraints",
@@ -117,8 +118,9 @@ def element_dof_ids(triangles: np.ndarray) -> np.ndarray:
 def _triangle_geometry(mesh: Mesh):
     """(area, B) per triangle, shapes (m,) and (m, 6, 9).
 
-    B is the strain-displacement matrix of `element.strain_displacement`
-    for every triangle at once: shape function i has the constant
+    B is the strain-displacement matrix of the reference
+    `strain_displacement` (tests/reference_element.py) for every
+    triangle at once: shape function i has the constant
     gradient (beta_i, gamma_i), and its vertex block occupies columns
     3i..3i+2.  This is the only place the solver builds either.
     """
@@ -170,6 +172,16 @@ def assemble(mesh: Mesh, material: MaterialParams) -> GlobalSystem:
     m_s = coo_matrix((me.ravel(), (rows.ravel(), cols.ravel())), shape=(mesh.n_nodes,) * 2)
     m = kron(m_s.tocsr(), identity(3), format="csr")
     return GlobalSystem(K=k, M=m, f=np.zeros(3 * mesh.n_nodes), mesh=mesh, material=material)
+
+
+def couples_normal(matrix: csr_matrix, dofs: np.ndarray) -> bool:
+    """Whether `matrix`, CSR over `dofs`, stores an entry coupling a w dof with a u or v dof.
+
+    K couples them only through the material's coupled moduli; M =
+    M_s (x) I3 never does, so K, M + cK and their blocks all answer alike.
+    """
+    w = dofs % 3 == 2
+    return not np.array_equal(np.repeat(w, np.diff(matrix.indptr)), w[matrix.indices])
 
 
 def build_load_vector(mesh: Mesh, material: MaterialParams, element_ids, b_vectors) -> np.ndarray:

@@ -26,18 +26,6 @@ class MaterialError(MembraneError):
     """Invalid material parameters or elastic matrix."""
 
 
-class ElementError(MembraneError):
-    """Per-element kernel failure (degenerate geometry etc.).
-
-    Carries the offending triangle id when known; -1 means "not tied to
-    a mesh element" (stand-alone coordinate input).
-    """
-
-    def __init__(self, message: str, element_id: int = -1):
-        super().__init__(message)
-        self.element_id = element_id
-
-
 class AssemblyError(MembraneError):
     """Global system assembly or constraint application failure."""
 

@@ -22,9 +22,15 @@ same way: `scenarios.run` holds the in-plane field (u, v) when nothing
 drives it, as under a load or strike along the normal on an isotropic
 or orthotropic layer (acceptance criterion 05), so only the free w
 dofs are solved for.  The free block of A is the only factorization.
-It is symmetric positive definite, so it takes a symmetric-mode LU: a
-minimum degree ordering of A + A^T and diagonal pivots.  The free rows
-keep the coupling K_fc a_c through the matvec K a_bar.
+It is symmetric positive definite, so it takes a symmetric-mode LU:
+diagonal pivots and a minimum degree ordering of A + A^T.  When the
+block couples w with u or v (`assembly.couples_normal`), a node's three
+dofs share one adjacency, so the ordering is taken on the graph of the
+nodes and each node expands to its dofs (Ashcraft 1995): about a fifth
+less fill on a coupled anisotropic layer.  Any other block, where
+(u, v) and w are separate components of the graph, is ordered dof by
+dof.  The free rows keep the coupling K_fc a_c through the matvec
+K a_bar.
 
 The one solve with M, for a''_0 at t=0, needs no factorization.
 Scaled by its diagonal, every linear-triangle element mass has the
@@ -38,10 +44,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import splu
+from scipy.sparse import csr_matrix, diags
+from scipy.sparse.linalg import spilu, splu
 
 from .errors import SolverError
-from .assembly import GlobalSystem
+from .assembly import GlobalSystem, couples_normal
 from .material import MaterialParams, max_wave_speed
 from .mesh import Mesh
 
@@ -142,25 +149,53 @@ def _mass_solve(system: GlobalSystem, rhs: np.ndarray) -> np.ndarray:
     raise SolverError(f"mass matrix solve did not converge in {_MASS_MAXITER} CG iterations")
 
 
+def _node_order(block, dofs: np.ndarray) -> np.ndarray:
+    """Positions of `dofs` in the minimum degree order of their nodes.
+
+    `block` is A's CSR block over `dofs`.  Its pattern, collapsed onto
+    the nodes `dofs // 3`, is ordered by SuperLU's MMD on A + A^T, read
+    as `perm_c` from an ILU that drops every entry (scipy exposes no
+    ordering alone) of a diagonally dominant proxy of the node graph;
+    each node's dofs then follow in their own order.
+    """
+    nodes, local = np.unique(dofs // 3, return_inverse=True)
+    to_node = csr_matrix((np.ones(dofs.size, dtype=bool), local, np.arange(dofs.size + 1)),
+                         shape=(dofs.size, nodes.size))
+    pattern = csr_matrix((np.ones(block.nnz, dtype=bool), block.indices, block.indptr),
+                         shape=block.shape)
+    graph = (to_node.T @ pattern @ to_node).astype(float)
+    # -1 off the diagonal, 1 + 2*degree on it (A's diagonal is stored)
+    graph.data[:] = -1.0
+    proxy = graph + diags(2.0 * np.diff(graph.indptr))
+    perm_c = spilu(proxy.tocsc(), drop_tol=np.inf, fill_factor=1, permc_spec="MMD_AT_PLUS_A",
+                   diag_pivot_thresh=0.0, options={"SymmetricMode": True}).perm_c
+    return np.argsort(perm_c[local], kind="stable")
+
+
 class _FreeBlockLU:
     """Sparse LU of the block of A over `dofs`, the dofs that can move.
 
-    `solve` takes and returns full-length vectors; the entries outside
-    `dofs` are exact zeros.  `nnz` counts the entries SuperLU stores for
-    L and U, read without building either.
+    When the block couples w with u or v, `dofs` is reordered by node
+    (`_node_order`) and factored in that order; otherwise SuperLU orders
+    the dofs itself.  `ordering` names which.  `solve` takes and returns
+    full-length vectors; the entries outside `dofs` are exact zeros.
+    `nnz` counts the entries SuperLU stores for L and U, read without
+    building either; `factored_entries` counts those of the block.
     """
 
-    ordering = "MMD_AT_PLUS_A"
-
     def __init__(self, matrix, dofs: np.ndarray):
+        block = matrix.tocsr()[dofs][:, dofs]
+        self.ordering, spec = "MMD_AT_PLUS_A", "MMD_AT_PLUS_A"
+        if couples_normal(block, dofs):
+            order = _node_order(block, dofs)
+            dofs, block = dofs[order], block[order][:, order]
+            self.ordering, spec = "MMD_AT_PLUS_A (node graph)", "NATURAL"
         self.dofs = dofs
+        self.factored_entries = block.nnz
+        block = block.tocsc()  # the one copy alive while SuperLU factors
         try:
-            self.superlu = splu(
-                matrix.tocsr()[dofs][:, dofs].tocsc(),
-                permc_spec=self.ordering,
-                diag_pivot_thresh=0.0,
-                options={"SymmetricMode": True},
-            )
+            self.superlu = splu(block, permc_spec=spec, diag_pivot_thresh=0.0,
+                                options={"SymmetricMode": True})
         except RuntimeError as exc:
             raise SolverError(f"factorization of A failed (singular?): {exc}") from exc
 

@@ -118,7 +118,8 @@ class Mesh:
         """Per-triangle doubled signed area (positive for CCW).
 
         The cyclic formula x0(y1-y2) + x1(y2-y0) + x2(y0-y1), the same as
-        the scalar `element.shape_coefficients`; assembly, loads and
+        the scalar `shape_coefficients` of the tests' reference kernels
+        (tests/reference_element.py); assembly, loads and
         `validate` all take their areas from here.
 
         Finite coordinates too large for the float range give inf or nan

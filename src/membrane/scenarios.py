@@ -32,6 +32,7 @@ from .assembly import (
     apply_constraints,
     assemble,
     build_load_vector,
+    couples_normal,
     update_load,
 )
 from .errors import REQUIRED, ConfigError, MeshError, config_section
@@ -340,14 +341,13 @@ def step_count(t_final: float, tau: float) -> int:
 def _in_plane_undriven(system: GlobalSystem, loads, a0) -> bool:
     """Whether nothing drives the in-plane field (u, v) of `system`.
 
-    True when K stores no entry coupling a w row with a u or v column
-    (M = M_s (x) I3 never does) and no load window, constraint or
-    initial displacement `a0` has an in-plane entry: every in-plane
-    right-hand side is then exactly zero at every step.
+    True when K does not couple w with u or v (`couples_normal`) and
+    no load window, constraint or initial displacement `a0` has an
+    in-plane entry: every in-plane right-hand side is then exactly
+    zero at every step.
     """
     w = np.arange(system.ndof) % 3 == 2
-    k = system.K
-    return (np.array_equal(np.repeat(w, np.diff(k.indptr)), w[k.indices])
+    return (not couples_normal(system.K, np.arange(system.ndof))
             and not any(ld.vector[~w].any() for ld in loads)
             and not any(c.v_fix[0] or c.v_fix[1] for c in system.constraints)
             and (a0 is None or not a0[~w].any()))
@@ -407,8 +407,8 @@ def run(config: ScenarioConfig, on_snapshot=None, keep_snapshots: bool = True) -
         params=params,
         n_steps=n_steps,
         solver={"ndof": system.ndof, "factored_dofs": int(factor.lu.dofs.size),
-                "held_in_plane": held, "lu_stored_entries": factor.lu.nnz,
-                "ordering": factor.lu.ordering},
+                "held_in_plane": held, "factored_entries": factor.lu.factored_entries,
+                "lu_stored_entries": factor.lu.nnz, "ordering": factor.lu.ordering},
     )
 
     def emit(s: State):

@@ -1,8 +1,8 @@
 """Per-element reference kernels of the linear triangle.
 
 These scalar, one-triangle-at-a-time functions are the reference the
-tests compare the solver against; the solver itself does not call
-them.  It builds every B at once in `assembly._triangle_geometry`,
+tests compare the solver against; they live with the tests because the
+package never calls them.  The solver builds every B at once in `assembly._triangle_geometry`,
 which must agree with `strain_displacement` bitwise, and places them
 in one strain operator S (`assembly.strain_operator`): K = S^T W S
 sums h*A*B^T D B, and S a stacks the element strains B a_e.
@@ -28,9 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ElementError
+from membrane.errors import MembraneError
 
 __all__ = [
+    "ElementError",
     "ShapeCoeffs",
     "shape_coefficients",
     "shape_values",
@@ -43,6 +44,18 @@ __all__ = [
 # consistent-mass vertex pattern: integral of N_i*N_j over the triangle
 # equals area/12 times this matrix
 _MASS_PATTERN = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]])
+
+
+class ElementError(MembraneError):
+    """Per-element kernel failure (degenerate geometry etc.).
+
+    Carries the offending triangle id when known; -1 means "not tied to
+    a mesh element" (stand-alone coordinate input).
+    """
+
+    def __init__(self, message: str, element_id: int = -1):
+        super().__init__(message)
+        self.element_id = element_id
 
 
 @dataclass(frozen=True)

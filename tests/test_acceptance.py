@@ -15,11 +15,6 @@ import membrane as mb
 from membrane.assembly import apply_constraints, assemble
 from membrane.cli import main as cli_main
 from membrane.convergence import fit_rate, run_study, study_from_json
-from membrane.element import (
-    recover_stress_strain,
-    shape_coefficients,
-    shape_values,
-)
 from membrane.integrator import (
     NewmarkParams,
     default_timestep,
@@ -33,6 +28,11 @@ from membrane.mesh import boundary_nodes, central_element_pair, nearest_node
 from membrane.scenarios import CaseSpec, LoadSpec, ScenarioConfig, run
 
 from conftest import orthotropic_gpa
+from reference_element import (
+    recover_stress_strain,
+    shape_coefficients,
+    shape_values,
+)
 from test_assembly import assert_elementwise_close, dense_assemble, _perturbed_grid
 from test_integrator import _integrate_oscillator
 

@@ -15,14 +15,15 @@ from membrane.assembly import (
     strain_operator,
     update_load,
 )
-from membrane.element import (
+from membrane.errors import AssemblyError, ConfigError
+from membrane.integrator import NewmarkParams, factor_once, init_state, step
+
+from reference_element import (
     element_mass,
     element_stiffness,
     shape_coefficients,
     strain_displacement,
 )
-from membrane.errors import AssemblyError, ConfigError
-from membrane.integrator import NewmarkParams, factor_once, init_state, step
 
 
 def dense_assemble(mesh, material):

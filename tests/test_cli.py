@@ -273,10 +273,23 @@ def test_shipped_case1_factors_only_free_w_dofs(tmp_path):
         "ndof": 3 * 33 * 33,
         "factored_dofs": 31 * 31,
         "held_in_plane": True,
+        "factored_entries": solver["factored_entries"],
         "lu_stored_entries": solver["lu_stored_entries"],
         "ordering": "MMD_AT_PLUS_A",
     }
     assert solver["lu_stored_entries"] > 0
+
+
+def test_shipped_aniso_orders_the_node_graph(tmp_path):
+    # coupled moduli couple w with (u, v): nothing is held, and the one
+    # factor of every free dof is ordered by nodes
+    out = tmp_path / "out"
+    assert main(["run", str(CONFIGS / "run_aniso.json"), "--out", str(out)]) == 0
+    solver = json.loads((out / "manifest.json").read_text())["solver"]
+    assert solver["ordering"] == "MMD_AT_PLUS_A (node graph)"
+    assert solver["held_in_plane"] is False
+    assert solver["factored_dofs"] == 3 * (31 * 31 - 1)
+    assert solver["lu_stored_entries"] > solver["factored_entries"] > 0
 
 
 @pytest.mark.parametrize("command", ["run", "convergence"])

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from membrane.element import (
+from reference_element import (
+    ElementError,
     element_mass,
     element_stiffness,
     recover_stress_strain,
@@ -12,7 +13,6 @@ from membrane.element import (
     shape_values,
     strain_displacement,
 )
-from membrane.errors import ElementError
 
 from conftest import random_triangle
 

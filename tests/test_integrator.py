@@ -510,9 +510,37 @@ class TestHeldField:
         sysc = _fixed_border_system(grid4, mat)
         lu = factor_once(sysc, NewmarkParams(tau=1e-6)).lu
         free = np.setdiff1d(np.arange(sysc.ndof), sysc.constrained_dofs)
-        np.testing.assert_array_equal(lu.dofs, free)
+        if material in ("aniso_160", "fully_anisotropic"):
+            # coupled moduli: the free dofs in node order, each node's
+            # dofs next to each other in u, v, w order
+            np.testing.assert_array_equal(np.sort(lu.dofs), free)
+            nodes = lu.dofs // 3
+            same = np.diff(nodes) == 0
+            assert np.count_nonzero(~same) + 1 == np.unique(nodes).size
+            assert np.all(np.diff(lu.dofs)[same] > 0)
+            assert lu.ordering == "MMD_AT_PLUS_A (node graph)"
+        else:
+            np.testing.assert_array_equal(lu.dofs, free)
+            assert lu.ordering == "MMD_AT_PLUS_A"
         assert lu.L.shape == (free.size, free.size)
         assert lu.nnz >= lu.L.nnz + lu.U.nnz - free.size
+
+    def test_node_order_solves_as_dof_order_with_less_fill(self):
+        mesh = mb.generate_structured(mb.StructuredSpec(1.0, 1.0, 16, 16))
+        sysc = _fixed_border_system(mesh, _aniso_160())
+        params = NewmarkParams(tau=1e-6)
+        lu = factor_once(sysc, params).lu
+        assert lu.ordering == "MMD_AT_PLUS_A (node graph)"
+        free = sysc.free_dofs
+        a = (sysc.M + 0.5 * params.tau**2 * params.beta2 * sysc.K).tocsr()
+        ref = splu(a[free][:, free].tocsc(), permc_spec="MMD_AT_PLUS_A",
+                   diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+        rhs = np.random.default_rng(0).standard_normal(sysc.ndof)
+        got, want = lu.solve(rhs), ref.solve(rhs[free])
+        assert np.abs(got[free] - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.all(got[sysc.constrained_dofs] == 0.0)
+        assert lu.factored_entries == a[free][:, free].nnz
+        assert lu.nnz < ref.nnz
 
     def test_no_free_dofs_runs(self, tmp_path, capsys):
         # a 1x1 fixed-border grid: every dof is constrained, the factor

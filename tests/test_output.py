@@ -6,7 +6,6 @@ import numpy as np
 import membrane as mb
 from membrane.assembly import strain_operator
 from membrane.convergence import LevelDiff, StudyResult
-from membrane.element import recover_stress_strain, shape_coefficients
 from membrane.integrator import State
 from membrane.output import (
     CSV_HEADER,
@@ -18,6 +17,8 @@ from membrane.output import (
     write_snapshot_vtk,
     write_study_csv,
 )
+
+from reference_element import recover_stress_strain, shape_coefficients
 
 
 def _state(mesh, seed=0, scale=1e-3):
