@@ -2,10 +2,11 @@
 
 These scalar, one-triangle-at-a-time functions are the reference the
 tests compare the solver against; they live with the tests because the
-package never calls them.  The solver builds every B at once in `assembly._triangle_geometry`,
-which must agree with `strain_displacement` bitwise, and places them
-in one strain operator S (`assembly.strain_operator`): K = S^T W S
-sums h*A*B^T D B, and S a stacks the element strains B a_e.
+package never calls them.  The solver builds every B at once in
+`assembly._triangle_geometry`, which must agree with
+`strain_displacement` bitwise, and places them in one strain operator
+S (`assembly.strain_operator`): K = S^T W S sums h*A*B^T D B, and S a
+stacks the element strains B a_e.
 
 Each node carries three displacement components (u, v, w): two in the
 membrane plane and one transverse.  Displacements are interpolated by
