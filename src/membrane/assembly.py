@@ -15,9 +15,11 @@ its initial value exactly and the displacement integrates it.  The
 free rows keep their coupling to the constrained dofs through K and
 M, which stay the physical matrices.
 
-`held_dofs` are held at zero acceleration like constrained dofs, with
-no constraint (an in-plane field that nothing drives, see
-`scenarios.run`); the integrator solves only for the rest, `free_dofs`.
+`held_dofs` are held at rest, with no constraint (an in-plane field
+that nothing drives, see `scenarios.run`).  The integrator solves only
+for `free_dofs`, neither constrained nor held, and carries its state
+over `state_dofs`, every dof not held: a held dof stays exactly zero,
+while a constrained one moves at its fixed velocity.
 """
 from __future__ import annotations
 
@@ -78,7 +80,8 @@ class GlobalSystem:
     K and M are CSR of order 3*n_nodes; f is the current load vector.
     `constraints` lists the velocity constraints; `apply_constraints`
     sets `constrained_dofs` to the dof ids they hold.  `held_dofs` are
-    held at rest without a constraint.
+    held at rest without a constraint; a time-stepping state spans
+    `state_dofs`, the rest.
     """
 
     K: csr_matrix
@@ -94,14 +97,22 @@ class GlobalSystem:
     def constrained(self) -> bool:
         return self.constrained_dofs is not None
 
+    def _dofs_except(self, *groups) -> np.ndarray:
+        keep = np.ones(self.ndof, dtype=bool)
+        for dofs in groups:
+            if dofs is not None:
+                keep[dofs] = False
+        return np.flatnonzero(keep)
+
     @property
     def free_dofs(self) -> np.ndarray:
         """The dofs that can move, ascending: neither constrained nor held."""
-        free = np.ones(self.ndof, dtype=bool)
-        for dofs in (self.constrained_dofs, self.held_dofs):
-            if dofs is not None:
-                free[dofs] = False
-        return np.flatnonzero(free)
+        return self._dofs_except(self.constrained_dofs, self.held_dofs)
+
+    @property
+    def state_dofs(self) -> np.ndarray:
+        """The dofs a time-stepping state carries, ascending: every dof not held."""
+        return self._dofs_except(self.held_dofs)
 
     @property
     def ndof(self) -> int:

@@ -29,8 +29,14 @@ dofs share one adjacency, so the ordering is taken on the graph of the
 nodes and each node expands to its dofs (Ashcraft 1995): about a fifth
 less fill on a coupled anisotropic layer.  Any other block, where
 (u, v) and w are separate components of the graph, is ordered dof by
-dof.  The free rows keep the coupling K_fc a_c through the matvec
-K a_bar.
+dof.
+
+A state carries only the dofs that are not held (`GlobalSystem.state_dofs`):
+a held dof is exactly zero for the whole run.  Each step multiplies
+only the rows of K it solves for, over the carried columns, so a
+constrained dof that moves (a strike node) still enters the free rows
+through K_fc a_c, and each row sums the same terms in the same order as
+the full product K a_bar: the results are bitwise those of a full step.
 
 The one solve with M, for a''_0 at t=0, needs no factorization.
 Scaled by its diagonal, every linear-triangle element mass has the
@@ -79,16 +85,17 @@ class NewmarkParams:
 
 @dataclass
 class State:
-    """Displacement, velocity, and acceleration at one instant."""
+    """Displacement, velocity, and acceleration at one instant.
+
+    The vectors span the system's `state_dofs`: every dof when nothing
+    is held.
+    """
 
     a: np.ndarray
     adot: np.ndarray
     addot: np.ndarray
     t: float
     step: int
-
-    def copy(self) -> "State":
-        return State(self.a.copy(), self.adot.copy(), self.addot.copy(), self.t, self.step)
 
 
 # The t=0 mass solve stops at ||r|| <= _MASS_RTOL*||b||.  The Jacobi-scaled
@@ -211,12 +218,19 @@ class _FreeBlockLU:
 
 @dataclass(frozen=True)
 class NewmarkFactor:
-    """LU factorization of A, pinned to the system and timestep it used."""
+    """LU factorization of A, pinned to the system and timestep it used.
+
+    `rows` holds K's rows over `lu.dofs`, in factor order, with its
+    columns over `system.state_dofs`; `pos` holds the positions of
+    `lu.dofs` within `system.state_dofs`.
+    """
 
     lu: object
     tau: float
     beta2: float
     system: GlobalSystem
+    rows: csr_matrix
+    pos: np.ndarray
 
 
 def default_timestep(mesh: Mesh, material: MaterialParams) -> float:
@@ -231,7 +245,9 @@ def init_state(system: GlobalSystem, a0=None, v0=None) -> State:
     preconditioned conjugate gradients to a relative residual of 1e-14;
     no factorization is built (see the module docstring).  Constrained
     and held accelerations are exact zeros, and constrained velocity
-    entries are overwritten with their v_fix regardless of v0.
+    entries are overwritten with their v_fix regardless of v0.  `a0`
+    and `v0` span every dof, and must be zero on held ones; the state
+    returned spans `system.state_dofs`.
     """
     if not system.constrained:
         raise SolverError("init_state needs a system with constraints applied")
@@ -242,8 +258,11 @@ def init_state(system: GlobalSystem, a0=None, v0=None) -> State:
         raise SolverError(f"initial vectors must have shape ({n},)")
     for c in system.constraints:
         v[3 * c.node: 3 * c.node + 3] = c.v_fix
+    if system.held_dofs is not None and (a[system.held_dofs].any() or v[system.held_dofs].any()):
+        raise SolverError("held dofs must start at rest")
     addot = _mass_solve(system, -(system.K @ a + system.f))
-    return State(a=a, adot=v, addot=addot, t=0.0, step=0)
+    dofs = system.state_dofs
+    return State(a=a[dofs], adot=v[dofs], addot=addot[dofs], t=0.0, step=0)
 
 
 def factor_once(system: GlobalSystem, params: NewmarkParams) -> NewmarkFactor:
@@ -251,29 +270,39 @@ def factor_once(system: GlobalSystem, params: NewmarkParams) -> NewmarkFactor:
 
     The block is symmetric positive definite, so it takes a
     symmetric-mode LU (see the module docstring).  The handle records
-    the system and timestep; `step` refuses a stale handle.
+    the system and timestep; `step` refuses a stale handle.  K's rows
+    for the step are sliced only once A is released, so they add
+    nothing to the peak memory of the factorization.
     """
-    a = system.M + (0.5 * params.tau**2 * params.beta2) * system.K
-    lu = _FreeBlockLU(a, system.free_dofs)
-    return NewmarkFactor(lu=lu, tau=params.tau, beta2=params.beta2, system=system)
+    lu = _FreeBlockLU(system.M + (0.5 * params.tau**2 * params.beta2) * system.K,
+                      system.free_dofs)
+    carried = system.state_dofs
+    return NewmarkFactor(lu=lu, tau=params.tau, beta2=params.beta2, system=system,
+                         rows=system.K[lu.dofs][:, carried],
+                         pos=np.searchsorted(carried, lu.dofs))
 
 
 def step(state: State, system: GlobalSystem, params: NewmarkParams, factor: NewmarkFactor) -> State:
     """Advance one Newmark step; system.f must hold the load at t_n+1.
 
-    The solve leaves constrained accelerations at exact zero, which
-    keeps constrained velocities bitwise constant.  Time is
-    computed as step*tau rather than accumulated, so snapshot times of
-    a halved timestep line up bitwise with the coarser run.
+    `state` spans `system.state_dofs`, as `init_state` returns it, and
+    so does the result.  The solve leaves constrained accelerations at
+    exact zero, which keeps constrained velocities bitwise constant.
+    Time is computed as step*tau rather than accumulated, so snapshot
+    times of a halved timestep line up bitwise with the coarser run.
     """
     if factor.system is not system or factor.tau != params.tau or factor.beta2 != params.beta2:
         raise SolverError("stale factorization: system or timestep changed")
+    if state.a.shape != (factor.rows.shape[1],):
+        raise SolverError(f"state must span system.state_dofs ({factor.rows.shape[1]} dofs)")
     tau = params.tau
     v_bar = state.adot + tau * (1.0 - params.beta1) * state.addot
     a_bar = state.a + tau * state.adot + 0.5 * tau**2 * (1.0 - params.beta2) * state.addot
-    addot = factor.lu.solve(-(system.f + system.K @ a_bar))
-    if not np.all(np.isfinite(addot)):
+    x = factor.lu.superlu.solve(-(system.f[factor.lu.dofs] + factor.rows @ a_bar))
+    if not np.all(np.isfinite(x)):
         raise SolverError(f"non-finite acceleration at step {state.step + 1}")
+    addot = np.zeros(a_bar.size)
+    addot[factor.pos] = x
     adot = v_bar + params.beta1 * tau * addot
     a = a_bar + 0.5 * tau**2 * params.beta2 * addot
     n = state.step + 1
@@ -284,7 +313,8 @@ def energy(state: State, k, m) -> tuple[float, float]:
     """Kinetic and strain energy: (0.5*a'^T M a', 0.5*a^T K a).
 
     `k` and `m` are the assembled matrices, `system.K` and `system.M`,
-    constrained or not.
+    constrained or not; a state with held dofs needs their blocks over
+    `system.state_dofs`.
     """
     kinetic = 0.5 * float(state.adot @ (m @ state.adot))
     strain = 0.5 * float(state.a @ (k @ state.a))

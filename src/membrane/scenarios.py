@@ -358,10 +358,12 @@ def run(config: ScenarioConfig, on_snapshot=None, keep_snapshots: bool = True) -
 
     Snapshots are emitted at step 0, every `every_n_steps` steps, and at
     the final step; `on_snapshot(state)` is called for each if given,
-    and copies are retained when `keep_snapshots` is true.  The number
+    and they are retained when `keep_snapshots` is true.  The number
     of steps is ceil(t_final/tau), so the run never stops short; above
     MAX_STEPS it is a ConfigError.  When nothing drives the in-plane
-    field (`_in_plane_undriven`), its dofs are held at rest.
+    field (`_in_plane_undriven`), its dofs are held at rest, and the
+    steps carry only the others (`GlobalSystem.state_dofs`); snapshots
+    and `final_state` span every dof, held ones exact zeros.
     """
     if config.border not in ("free", "fixed"):
         raise ConfigError(f"border must be 'free' or 'fixed', got {config.border!r}")
@@ -399,6 +401,7 @@ def run(config: ScenarioConfig, on_snapshot=None, keep_snapshots: bool = True) -
     update_load(system, 0.0, loads)
     state = init_state(system, a0=a0)
     factor = factor_once(system, params)
+    carried = system.state_dofs
 
     result = SimulationResult(
         mesh=mesh,
@@ -407,15 +410,25 @@ def run(config: ScenarioConfig, on_snapshot=None, keep_snapshots: bool = True) -
         params=params,
         n_steps=n_steps,
         solver={"ndof": system.ndof, "factored_dofs": int(factor.lu.dofs.size),
-                "held_in_plane": held, "factored_entries": factor.lu.factored_entries,
+                "stepped_dofs": int(carried.size), "held_in_plane": held,
+                "factored_entries": factor.lu.factored_entries,
                 "lu_stored_entries": factor.lu.nnz, "ordering": factor.lu.ordering},
     )
 
+    def full(s: State) -> State:
+        """`s` over every dof; held dofs are exact zeros."""
+        vectors = np.zeros((3, system.ndof))
+        vectors[:, carried] = (s.a, s.adot, s.addot)
+        return State(*vectors, t=s.t, step=s.step)
+
     def emit(s: State):
+        if on_snapshot is None and not keep_snapshots:
+            return
+        s = full(s)
         if on_snapshot is not None:
             on_snapshot(s)
         if keep_snapshots:
-            result.snapshots.append(s.copy())
+            result.snapshots.append(s)
 
     emit(state)
     for k in range(n_steps):
@@ -424,7 +437,7 @@ def run(config: ScenarioConfig, on_snapshot=None, keep_snapshots: bool = True) -
         if state.step % config.every_n_steps == 0 or state.step == n_steps:
             emit(state)
 
-    result.final_state = state.copy()
+    result.final_state = full(state)
     result.wall_time = time.perf_counter() - t_start
     return result
 

@@ -265,13 +265,15 @@ class TestExitCodeTable:
 
 def test_shipped_case1_factors_only_free_w_dofs(tmp_path):
     # a transverse load on an isotropic layer holds (u, v) at rest: the
-    # factor covers the 31 x 31 interior w dofs of the 32 x 32 fixed grid
+    # factor covers the 31 x 31 interior w dofs of the 32 x 32 fixed grid,
+    # and the steps carry the 33 x 33 w dofs, border ones included
     out = tmp_path / "out"
     assert main(["run", str(CONFIGS / "run_case1.json"), "--out", str(out), "--every", "1000"]) == 0
     solver = json.loads((out / "manifest.json").read_text())["solver"]
     assert solver == {
         "ndof": 3 * 33 * 33,
         "factored_dofs": 31 * 31,
+        "stepped_dofs": 33 * 33,
         "held_in_plane": True,
         "factored_entries": solver["factored_entries"],
         "lu_stored_entries": solver["lu_stored_entries"],
@@ -289,6 +291,7 @@ def test_shipped_aniso_orders_the_node_graph(tmp_path):
     assert solver["ordering"] == "MMD_AT_PLUS_A (node graph)"
     assert solver["held_in_plane"] is False
     assert solver["factored_dofs"] == 3 * (31 * 31 - 1)
+    assert solver["stepped_dofs"] == solver["ndof"] == 3 * 33 * 33
     assert solver["lu_stored_entries"] > solver["factored_entries"] > 0
 
 

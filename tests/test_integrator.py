@@ -1,6 +1,8 @@
 """Newmark integration tests: order, stability, constraints, energy."""
 import json
+import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,11 +19,13 @@ from membrane.assembly import (
     build_load_vector,
 )
 from membrane.errors import SolverError
-from membrane.material import validate_elastic_matrix
+from membrane import scenarios
+from membrane.material import params_from_config, validate_elastic_matrix
 from membrane.mesh import boundary_nodes
 from membrane.scenarios import LoadSpec
 from membrane.integrator import (
     NewmarkParams,
+    State,
     default_timestep,
     energy,
     factor_once,
@@ -30,6 +34,8 @@ from membrane.integrator import (
 )
 
 from conftest import orthotropic_gpa
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _oscillator(omega):
@@ -556,6 +562,126 @@ class TestHeldField:
         assert capsys.readouterr().err == ""
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["solver"]["factored_dofs"] == 0
+
+
+def _full_step(state, system, params, factor, f):
+    """One Newmark step over every dof: the full product K a_bar, a
+    solve of full length, and updates of full length."""
+    tau = params.tau
+    v_bar = state.adot + tau * (1.0 - params.beta1) * state.addot
+    a_bar = state.a + tau * state.adot + 0.5 * tau**2 * (1.0 - params.beta2) * state.addot
+    addot = factor.lu.solve(-(f + system.K @ a_bar))
+    adot = v_bar + params.beta1 * tau * addot
+    a = a_bar + 0.5 * tau**2 * params.beta2 * addot
+    return State(a=a, adot=adot, addot=addot, t=(state.step + 1) * tau, step=state.step + 1)
+
+
+class TestSteppedDofs:
+    """`run` carries its state over `state_dofs` only, and each step
+    multiplies only the factored rows of K: bitwise the full-length step."""
+
+    TAU = 4e-6
+    N_STEPS = 30
+
+    @pytest.mark.parametrize("case_id, material, n, held", [
+        (1, "polymer", 16, True),
+        # a strike: the constrained w of the struck node moves, held
+        (3, "polymer", 16, True),
+        # coupled moduli, node-ordered factor, nothing held
+        (3, "aniso_160", 12, False),
+    ])
+    def test_matches_full_length_steps_bitwise(self, case_id, material, n, held, request,
+                                               monkeypatch):
+        mat = _aniso_160() if material == "aniso_160" else request.getfixturevalue(material)
+        config = mb.ScenarioConfig(
+            mesh=mb.StructuredSpec(1.0, 1.0, n, n), material=mat,
+            case=mb.CaseSpec(case_id=case_id, b0=1e6), border="fixed",
+            t_final=self.N_STEPS * self.TAU, tau=self.TAU,
+        )
+        calls = []  # per step: the carried length, f at t_n+1, and the arguments
+        real_step = scenarios.step
+
+        def recording_step(state, system, params, factor):
+            calls.append((state.a.size, system.f.copy(), system, params, factor))
+            return real_step(state, system, params, factor)
+
+        monkeypatch.setattr(scenarios, "step", recording_step)
+        result = mb.run(config)
+        system, params, factor = calls[0][2:]
+        assert result.solver["held_in_plane"] is held
+        assert system.state_dofs.size == (result.mesh.n_nodes if held else system.ndof)
+        assert len(calls) == result.n_steps == self.N_STEPS
+        assert {size for size, *_ in calls} == {system.state_dofs.size}
+
+        state = result.snapshots[0]
+        for _, f, *_ in calls:
+            state = _full_step(state, system, params, factor, f)
+        got = result.final_state
+        assert np.abs(got.a).max() > 0.0
+        for name in ("a", "adot", "addot"):
+            assert np.array_equal(getattr(got, name), getattr(state, name))
+
+    def test_held_dofs_must_start_at_rest(self, grid4, polymer):
+        sysc = _fixed_border_system(grid4, polymer)
+        sysc.held_dofs = np.flatnonzero(np.arange(sysc.ndof) % 3 != 2)
+        a0 = np.zeros(sysc.ndof)
+        a0[3 * 12] = 1e-6  # u of an interior node
+        with pytest.raises(SolverError, match="held dofs must start at rest"):
+            init_state(sysc, a0=a0)
+        assert init_state(sysc).a.size == grid4.n_nodes
+
+    def test_state_must_span_state_dofs(self, grid4, polymer):
+        sysc = _fixed_border_system(grid4, polymer)
+        sysc.held_dofs = np.flatnonzero(np.arange(sysc.ndof) % 3 != 2)
+        params = NewmarkParams(tau=1e-6)
+        factor = factor_once(sysc, params)
+        z = np.zeros(sysc.ndof)
+        with pytest.raises(SolverError, match="state_dofs"):
+            step(State(a=z, adot=z, addot=z, t=0.0, step=0), sysc, params, factor)
+
+
+class TestStandingMode:
+    """The (1, 1) standing shear mode of a fixed unit square is exact.
+
+    With the in-plane field at rest, w obeys rho w_tt = G lap(w) (the
+    shear rows of D, G = D[4, 4]), so w = sin(pi x) sin(pi y) cos(omega t)
+    with omega = pi sqrt(2) sqrt(G/rho).  One period at tau = T/(4n),
+    through the API with nothing held, gives at its end (max over nodes)
+
+        n           8        16       32       64
+        max error   7.47e-3  5.12e-4  8.76e-5  1.80e-5
+
+    rates 3.87, 2.55 and 2.28: second order, approached from above.
+    """
+
+    LEVELS = (8, 16, 32, 64)
+    # the measured rate of the two finest levels is 2.28
+    RATE_BAND = (2.0, 2.6)
+
+    def test_second_order_energy_and_rest(self):
+        study = json.loads((CONFIGS / "study_case1.json").read_text(encoding="utf-8"))
+        material = params_from_config(study["material"])
+        omega = math.pi * math.sqrt(2.0) * math.sqrt(material.d[4, 4] / material.rho)
+        period = 2.0 * math.pi / omega
+        errors = []
+        for n in self.LEVELS:
+            mesh = mb.generate_structured(mb.StructuredSpec(1.0, 1.0, n, n))
+            sysc = _fixed_border_system(mesh, material)
+            shape = np.sin(math.pi * mesh.nodes[:, 0]) * np.sin(math.pi * mesh.nodes[:, 1])
+            a0 = np.zeros(sysc.ndof)
+            a0[2::3] = shape
+            params = NewmarkParams(tau=period / (4 * n))
+            state = init_state(sysc, a0=a0)
+            factor = factor_once(sysc, params)
+            e0 = sum(energy(state, sysc.K, sysc.M))
+            for _ in range(4 * n):
+                state = step(state, sysc, params, factor)
+            assert abs(sum(energy(state, sysc.K, sysc.M)) - e0) <= 1e-12 * e0
+            for vec in (state.a, state.adot, state.addot):
+                assert np.all(vec[0::3] == 0.0) and np.all(vec[1::3] == 0.0)
+            errors.append(np.abs(state.a[2::3] - shape * math.cos(omega * state.t)).max())
+        lo, hi = self.RATE_BAND
+        assert lo <= math.log2(errors[-2] / errors[-1]) <= hi
 
 
 def _jittered_grid(n, amplitude, seed):
