@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from .convergence import run_study, study_from_json
 from .errors import ConfigError, MembraneError, SolverError
 from .mesh import boundary_nodes, read_msh
 from .output import (
+    MeshText,
     write_element_csv,
     write_run_manifest,
     write_snapshot_csv,
@@ -87,16 +89,24 @@ def _cmd_run(args) -> int:
     # build the mesh and its strain operator up front, once, for the writers
     mesh = build_mesh(config.mesh)
     _, strain = strain_operator(mesh)
+    text = MeshText(mesh, strain)
     config.mesh = mesh
     written = []
+    output = {"files": 0, "bytes": 0, "write_s": 0.0}
 
     def on_snapshot(state):
         if not written:  # step 0 always arrives; a run failing earlier makes no directory
             out_dir.mkdir(parents=True, exist_ok=True)
         tag = f"{state.step:06d}"
-        write_snapshot_csv(out_dir / f"snapshot_{tag}.csv", mesh, state)
-        write_element_csv(out_dir / f"elements_{tag}.csv", strain, config.material, state)
-        write_snapshot_vtk(out_dir / f"snapshot_{tag}.vtk", mesh, state)
+        paths = (out_dir / f"snapshot_{tag}.csv", out_dir / f"elements_{tag}.csv",
+                 out_dir / f"snapshot_{tag}.vtk")
+        start = time.perf_counter()
+        write_snapshot_csv(paths[0], text, state)
+        write_element_csv(paths[1], text, config.material, state)
+        write_snapshot_vtk(paths[2], text, state)
+        output["write_s"] += time.perf_counter() - start
+        output["files"] += len(paths)
+        output["bytes"] += sum(p.stat().st_size for p in paths)
         written.append(state.step)
 
     result = run(config, on_snapshot=on_snapshot, keep_snapshots=False)
@@ -118,6 +128,7 @@ def _cmd_run(args) -> int:
             "snapshot_steps": written,
             "wall_time_s": result.wall_time,
             "solver": result.solver,
+            "output": output,
         },
     )
     print(

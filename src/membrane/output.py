@@ -4,17 +4,24 @@ All floats are written with 17 significant digits so files are
 bitwise-reproducible and round-trip through float64 exactly.  Writers
 never mutate the state they are given.
 
-A snapshot file is produced block by block: the columns of a block are
-stacked into one float array, and one ``%`` format of a row template
-repeated once per row turns each chunk of a few hundred rows into text,
-which is written before the next chunk is formatted, so the text of a
-whole block is never held at once.  ``"%.17g" % x`` and
-``format(x, ".17g")`` share CPython's float-to-string routine, so the
-bytes are those of formatting each value on its own.
+Each value is formatted once.  Text a run repeats at every snapshot is
+held by one `MeshText` and formatted at its first use: the "i,x0,y0"
+head of each node CSV row, the element ids, the VTK ``CELLS`` block and
+the "x0 y0" of each VTK point (used while the in-plane displacement
+leaves every point where it was).  Within a block, a column whose
+values all have the same bits (a held in-plane field's zeros, flags
+without a threshold) is formatted once into the row template.  The
+other columns are formatted chunk by chunk: one ``%`` of the template
+repeated once per row turns a few hundred rows into text, which is
+written before the next chunk is formatted, so the text of a whole
+block is never held at once.  ``"%.17g" % x`` and ``format(x, ".17g")``
+share CPython's float-to-string routine, so the bytes are those of
+formatting each value on its own.
 """
 from __future__ import annotations
 
 import json
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -28,6 +35,7 @@ from .mesh import Mesh
 __all__ = [
     "CSV_HEADER",
     "ELEMENT_CSV_HEADER",
+    "MeshText",
     "write_snapshot_csv",
     "write_element_csv",
     "write_snapshot_vtk",
@@ -47,19 +55,89 @@ def _g17(x: float) -> str:
 
 
 # rows per string from `_rows`: large enough that the per-chunk overhead
-# is negligible, small enough that a chunk's Python floats stay small
+# is negligible, small enough that a chunk's Python objects stay small
 _CHUNK_ROWS = 256
 
 
-def _rows(prefix: str, cols, fmt: str):
-    """One line per row of the stacked columns ``cols``: ``prefix``, then
-    the row's values through ``fmt``.  Yields one string per chunk of
-    `_CHUNK_ROWS` rows, each from a single ``%`` call."""
-    block = np.column_stack(cols)
-    line = prefix + fmt + "\n"
-    for start in range(0, len(block), _CHUNK_ROWS):
-        chunk = block[start:start + _CHUNK_ROWS]
-        yield (line * len(chunk)) % tuple(chunk.ravel().tolist())
+def _constant(col: np.ndarray) -> bool:
+    """Whether every value of `col` has the same bits (so -0.0 differs
+    from 0.0, and inf and nan are kept as they are)."""
+    bits = col.view(f"u{col.itemsize}")
+    return bool((bits == bits[0]).all())
+
+
+class _Lines:
+    """Lines of text held as one string; ``lines[a:b]`` is the text of
+    lines a to b, each ending in a newline."""
+
+    def __init__(self, parts):
+        self.text = "".join(parts)
+        self.starts = np.cumsum([0] + [len(line) + 1 for line in self.text.splitlines()])
+
+    def __getitem__(self, rows: slice) -> str:
+        return self.text[self.starts[rows.start]:self.starts[rows.stop]]
+
+
+def _rows(prefix: str, cols, fmts, lines: _Lines | None = None):
+    """One line per row of the equal-length columns `cols`: `prefix`,
+    the row's line of `lines` (if given), then each column's value
+    through its spec in `fmts`.
+
+    A constant column is formatted once, into the row template; the
+    others are formatted per chunk of `_CHUNK_ROWS` rows, one ``%`` call
+    each.  Yields one string per chunk.  `prefix` and `lines` go into
+    the template as they are, so they must hold no ``%``.
+    """
+    n = len(cols[0])
+    rest, varying = "", []
+    for col, fmt in zip(cols, fmts):
+        if _constant(col):
+            rest += fmt % col[0].item()
+        else:
+            rest += fmt
+            varying.append(col)
+    for start in range(0, n, _CHUNK_ROWS):
+        stop = min(start + _CHUNK_ROWS, n)
+        lead = "\n" * (stop - start) if lines is None else lines[start:stop]
+        template = prefix + lead[:-1].replace("\n", f"{rest}\n{prefix}") + rest + "\n"
+        values = chain.from_iterable(zip(*(c[start:stop].tolist() for c in varying)))
+        yield template % tuple(values)
+
+
+class MeshText:
+    """The text every snapshot of a run repeats, formatted on first use.
+
+    `strain` is the mesh's `assembly.strain_operator`; build one
+    `MeshText` per run and hand it to every writer call.
+    """
+
+    def __init__(self, mesh: Mesh, strain: csr_matrix):
+        self.mesh = mesh
+        self.strain = strain
+
+    @cached_property
+    def node_heads(self) -> _Lines:
+        """The "i,x0,y0" head of each node's CSV row."""
+        x, y = self.mesh.nodes.T
+        return _Lines(_rows("", (np.arange(len(x)), x, y), ("%d", ",%.17g", ",%.17g")))
+
+    @cached_property
+    def element_ids(self) -> _Lines:
+        """The id of each element's CSV row."""
+        return _Lines(_rows("", (np.arange(self.mesh.n_triangles),), ("%d",)))
+
+    @cached_property
+    def cells(self) -> str:
+        """The VTK ``CELLS`` block, its header line first."""
+        m = self.mesh.n_triangles
+        body = _rows("3 ", tuple(self.mesh.triangles.T), ("%d", " %d", " %d"))
+        return f"CELLS {m} {4 * m}\n" + "".join(body)
+
+    @cached_property
+    def points(self) -> _Lines:
+        """The "x0 y0" of each node's VTK point."""
+        x, y = self.mesh.nodes.T
+        return _Lines(_rows("", (x, y), ("%.17g", " %.17g")))
 
 
 def _speed(state: State) -> np.ndarray:
@@ -72,19 +150,18 @@ def _speed(state: State) -> np.ndarray:
 
 
 def _write(path, parts) -> None:
-    """Write the strings of the iterable ``parts`` in order."""
+    """Write the strings of the iterable `parts` in order."""
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.writelines(parts)
 
 
-def write_snapshot_csv(path, mesh: Mesh, state: State) -> None:
+def write_snapshot_csv(path, text: MeshText, state: State) -> None:
     """One row per node: reference position, displacement, velocity.
 
     vmag is the Euclidean norm of (vx, vy, vz).
     """
-    cols = (np.arange(mesh.n_nodes), mesh.nodes, state.a.reshape(-1, 3),
-            state.adot.reshape(-1, 3), _speed(state))
-    body = _rows(_g17(state.t), cols, ",%d" + ",%.17g" * 9)
+    cols = (*state.a.reshape(-1, 3).T, *state.adot.reshape(-1, 3).T, _speed(state))
+    body = _rows(_g17(state.t) + ",", cols, (",%.17g",) * 7, text.node_heads)
     _write(path, chain([CSV_HEADER + "\n"], body))
 
 
@@ -102,37 +179,41 @@ def _flags(values: np.ndarray, threshold) -> np.ndarray:
     return (np.abs(values) > threshold).any(axis=1)
 
 
-def write_element_csv(path, strain: csr_matrix, material: MaterialParams, state: State) -> None:
+def write_element_csv(path, text: MeshText, material: MaterialParams, state: State) -> None:
     """One row per element: strain, stress, and threshold flags.
 
-    `strain` is the mesh's `assembly.strain_operator`, built once per run.
     A flag is 1 when any component magnitude exceeds the configured
     threshold, 0 otherwise (and always 0 without a threshold).
     """
-    eps, sig = _batch_strain_stress(strain, material, state)
-    cols = (np.arange(len(eps)), eps, sig,
+    eps, sig = _batch_strain_stress(text.strain, material, state)
+    cols = (*eps.T, *sig.T,
             _flags(eps, material.strain_threshold), _flags(sig, material.stress_threshold))
-    body = _rows(_g17(state.t), cols, ",%d" + ",%.17g" * 12 + ",%d,%d")
+    body = _rows(_g17(state.t) + ",", cols, (",%.17g",) * 12 + (",%d", ",%d"), text.element_ids)
     _write(path, chain([ELEMENT_CSV_HEADER + "\n"], body))
 
 
-def write_snapshot_vtk(path, mesh: Mesh, state: State, title: str = "membrane snapshot") -> None:
+def write_snapshot_vtk(path, text: MeshText, state: State, title: str = "membrane snapshot") -> None:
     """Legacy ASCII VTK unstructured grid of the deformed membrane.
 
     Points are the deformed positions (x0 + u, y0 + v, w); cells are the
     triangles; the velocity magnitude is attached as point data.
     """
     a = state.a.reshape(-1, 3)
+    mesh = text.mesh
     n, m = mesh.n_nodes, mesh.n_triangles
+    xy = mesh.nodes + a[:, :2]
+    # compare the sums, not u and v: x0 = -0.0 plus u = +0.0 is +0.0
+    if np.array_equal(xy.view(np.int64), mesh.nodes.view(np.int64)):
+        points = _rows("", (a[:, 2],), (" %.17g",), text.points)
+    else:
+        points = _rows("", (*xy.T, a[:, 2]), ("%.17g", " %.17g", " %.17g"))
     _write(path, chain(
         [f"# vtk DataFile Version 3.0\n{title}\nASCII\nDATASET UNSTRUCTURED_GRID\n",
          f"POINTS {n} double\n"],
-        _rows("", (mesh.nodes + a[:, :2], a[:, 2]), "%.17g %.17g %.17g"),
-        [f"CELLS {m} {4 * m}\n"],
-        _rows("3 ", (mesh.triangles,), "%d %d %d"),
-        [f"CELL_TYPES {m}\n", "5\n" * m,
+        points,
+        [text.cells, f"CELL_TYPES {m}\n", "5\n" * m,
          f"POINT_DATA {n}\nSCALARS velocity_magnitude double 1\nLOOKUP_TABLE default\n"],
-        _rows("", (_speed(state),), "%.17g"),
+        _rows("", (_speed(state),), ("%.17g",)),
     ))
 
 

@@ -431,8 +431,13 @@ def run(config: ScenarioConfig, on_snapshot=None, keep_snapshots: bool = True) -
             result.snapshots.append(s)
 
     emit(state)
+    # the load vectors are fixed, so f changes only when a window opens or closes
+    active = [ld.active(0.0) for ld in loads]
     for k in range(n_steps):
-        update_load(system, (k + 1) * tau, loads)
+        now = [ld.active((k + 1) * tau) for ld in loads]
+        if now != active:
+            update_load(system, (k + 1) * tau, loads)
+            active = now
         state = step(state, system, params, factor)
         if state.step % config.every_n_steps == 0 or state.step == n_steps:
             emit(state)

@@ -88,6 +88,17 @@ class TestRunCommand:
         steps = json.loads((out / "manifest.json").read_text())["snapshot_steps"]
         assert steps == [0, 5, 10, 15, 20]
 
+    def test_manifest_output_counts_match_files(self, tmp_path):
+        cfg_path = _write(tmp_path, "run.json", _run_config())
+        out = tmp_path / "out"
+        assert main(["run", cfg_path, "--out", str(out)]) == 0
+        stats = json.loads((out / "manifest.json").read_text())["output"]
+        snapshots = [p for p in out.iterdir() if p.name != "manifest.json"]
+        assert len(snapshots) == 9
+        assert stats["files"] == len(snapshots)
+        assert stats["bytes"] == sum(p.stat().st_size for p in snapshots)
+        assert 0.0 < stats["write_s"] < 60.0
+
     def test_bad_every_rejected(self, tmp_path, capsys):
         cfg_path = _write(tmp_path, "run.json", _run_config())
         assert main(["run", cfg_path, "--every", "0"]) == 2

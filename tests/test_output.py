@@ -11,6 +11,7 @@ from membrane.output import (
     CSV_HEADER,
     _batch_strain_stress,
     ELEMENT_CSV_HEADER,
+    MeshText,
     write_element_csv,
     write_run_manifest,
     write_snapshot_csv,
@@ -19,6 +20,10 @@ from membrane.output import (
 )
 
 from reference_element import recover_stress_strain, shape_coefficients
+
+
+def _text(mesh):
+    return MeshText(mesh, strain_operator(mesh)[1])
 
 
 def _state(mesh, seed=0, scale=1e-3):
@@ -36,7 +41,7 @@ def _state(mesh, seed=0, scale=1e-3):
 class TestSnapshotCsv:
     def test_header_and_row_count(self, grid4, tmp_path):
         p = tmp_path / "snap.csv"
-        write_snapshot_csv(p, grid4, _state(grid4))
+        write_snapshot_csv(p, _text(grid4), _state(grid4))
         lines = p.read_text().splitlines()
         assert lines[0] == CSV_HEADER
         assert len(lines) == 1 + grid4.n_nodes
@@ -45,7 +50,7 @@ class TestSnapshotCsv:
     def test_floats_round_trip_bitwise(self, grid4, tmp_path):
         state = _state(grid4)
         p = tmp_path / "snap.csv"
-        write_snapshot_csv(p, grid4, state)
+        write_snapshot_csv(p, _text(grid4), state)
         rows = [r.split(",") for r in p.read_text().splitlines()[1:]]
         for n, row in enumerate(rows):
             assert float(row[0]) == state.t
@@ -62,7 +67,7 @@ class TestSnapshotCsv:
         n = 3 * grid4.n_nodes
         state = State(a=np.zeros(n), adot=np.zeros(n), addot=np.zeros(n), t=0.0, step=0)
         p = tmp_path / "zero.csv"
-        write_snapshot_csv(p, grid4, state)
+        write_snapshot_csv(p, _text(grid4), state)
         row = p.read_text().splitlines()[1].split(",")
         assert row[4:] == ["0"] * 7
 
@@ -70,8 +75,8 @@ class TestSnapshotCsv:
         state = _state(grid4)
         a0, v0 = state.a.copy(), state.adot.copy()
         nodes0 = grid4.nodes.copy()
-        write_snapshot_csv(tmp_path / "a.csv", grid4, state)
-        write_snapshot_vtk(tmp_path / "a.vtk", grid4, state)
+        write_snapshot_csv(tmp_path / "a.csv", _text(grid4), state)
+        write_snapshot_vtk(tmp_path / "a.vtk", _text(grid4), state)
         np.testing.assert_array_equal(state.a, a0)
         np.testing.assert_array_equal(state.adot, v0)
         np.testing.assert_array_equal(grid4.nodes, nodes0)
@@ -81,7 +86,7 @@ class TestElementCsv:
     def test_header_and_values(self, grid4, steel, tmp_path):
         state = _state(grid4)
         p = tmp_path / "elem.csv"
-        write_element_csv(p, strain_operator(grid4)[1], steel, state)
+        write_element_csv(p, _text(grid4), steel, state)
         lines = p.read_text().splitlines()
         assert lines[0] == ELEMENT_CSV_HEADER
         assert len(lines) == 1 + grid4.n_triangles
@@ -101,13 +106,13 @@ class TestElementCsv:
         st = _state(grid4)
         st.a = -np.abs(st.a) - 1e-6  # every product in the zz row is -0.0
         p = tmp_path / "elem.csv"
-        write_element_csv(p, strain_operator(grid4)[1], steel, st)
+        write_element_csv(p, _text(grid4), steel, st)
         rows = [l.split(",") for l in p.read_text().splitlines()[1:]]
         assert {r[4] for r in rows} == {"0"}
 
     def test_flags_without_thresholds(self, grid4, steel, tmp_path):
         p = tmp_path / "elem.csv"
-        write_element_csv(p, strain_operator(grid4)[1], steel, _state(grid4))
+        write_element_csv(p, _text(grid4), steel, _state(grid4))
         for line in p.read_text().splitlines()[1:]:
             assert line.split(",")[14:] == ["0", "0"]
 
@@ -130,7 +135,7 @@ class TestElementCsv:
             strain_threshold=eps_cut, stress_threshold=sig_cut,
         )
         p = tmp_path / "elem.csv"
-        write_element_csv(p, strain_operator(grid4)[1], flagged, state)
+        write_element_csv(p, _text(grid4), flagged, state)
         for e, line in enumerate(p.read_text().splitlines()[1:]):
             sflag, tflag = line.split(",")[14:]
             assert int(sflag) == int(eps_max[e] > eps_cut)
@@ -142,7 +147,7 @@ class TestVtk:
     def test_grammar(self, grid4, tmp_path):
         state = _state(grid4)
         p = tmp_path / "snap.vtk"
-        write_snapshot_vtk(p, grid4, state)
+        write_snapshot_vtk(p, _text(grid4), state)
         lines = p.read_text().splitlines()
         n, m = grid4.n_nodes, grid4.n_triangles
         assert lines[0] == "# vtk DataFile Version 3.0"
@@ -180,7 +185,7 @@ class TestVtk:
 
     def test_custom_title(self, grid4, tmp_path):
         p = tmp_path / "t.vtk"
-        write_snapshot_vtk(p, grid4, _state(grid4), title="step 42")
+        write_snapshot_vtk(p, _text(grid4), _state(grid4), title="step 42")
         assert p.read_text().splitlines()[1] == "step 42"
 
 
@@ -269,11 +274,38 @@ def _edge_state(mesh):
     return st
 
 
+def _held_state(mesh, seed=5):
+    """A state like a held in-plane field's: u, v, vx and vy exact +0.0."""
+    st = _state(mesh, seed=seed)
+    for vec in (st.a, st.adot):
+        vec[0::3] = 0.0
+        vec[1::3] = 0.0
+    return st
+
+
+def _write_all(tmp_path, text, material, state):
+    """Bytes of the node CSV, element CSV and VTK of one snapshot."""
+    paths = (tmp_path / "snap.csv", tmp_path / "elem.csv", tmp_path / "snap.vtk")
+    write_snapshot_csv(paths[0], text, state)
+    write_element_csv(paths[1], text, material, state)
+    write_snapshot_vtk(paths[2], text, state)
+    return tuple(p.read_bytes() for p in paths)
+
+
+def _oracle_all(mesh, material, state):
+    unflagged = mb.MaterialParams(
+        d=material.d, rho=material.rho, h=material.h,
+        strain_threshold=np.inf, stress_threshold=np.inf,
+    )
+    return (_oracle_snapshot_csv(mesh, state), _oracle_element_csv(mesh, unflagged, state),
+            _oracle_vtk(mesh, state))
+
+
 class TestWritersMatchOracle:
     def test_snapshot_csv_bytes(self, grid4, tmp_path):
         state = _edge_state(grid4)
         p = tmp_path / "snap.csv"
-        write_snapshot_csv(p, grid4, state)
+        write_snapshot_csv(p, _text(grid4), state)
         text = p.read_bytes()
         assert text == _oracle_snapshot_csv(grid4, state)
         for token in (b",-0,", b",4.9406564584124654e-324,", b",inf\n",
@@ -290,7 +322,7 @@ class TestWritersMatchOracle:
             strain_threshold=np.median(emax), stress_threshold=np.quantile(smax, 0.25),
         )
         p = tmp_path / "elem.csv"
-        write_element_csv(p, strain_operator(grid4)[1], flagged, state)
+        write_element_csv(p, _text(grid4), flagged, state)
         assert p.read_bytes() == _oracle_element_csv(grid4, flagged, state)
         rows = [l.split(",") for l in p.read_text().splitlines()[1:]]
         assert {r[14] for r in rows} == {r[15] for r in rows} == {"0", "1"}
@@ -302,13 +334,13 @@ class TestWritersMatchOracle:
             strain_threshold=np.inf, stress_threshold=np.inf,
         )
         p = tmp_path / "elem.csv"
-        write_element_csv(p, strain_operator(grid4)[1], steel, state)
+        write_element_csv(p, _text(grid4), steel, state)
         assert p.read_bytes() == _oracle_element_csv(grid4, unflagged, state)
 
     def test_vtk_bytes(self, grid4, tmp_path):
         state = _edge_state(grid4)
         p = tmp_path / "snap.vtk"
-        write_snapshot_vtk(p, grid4, state, title="edge values")
+        write_snapshot_vtk(p, _text(grid4), state, title="edge values")
         text = p.read_bytes()
         assert text == _oracle_vtk(grid4, state, title="edge values")
         assert b" -0\n" in text and b"\ninf\n" in text
@@ -316,20 +348,69 @@ class TestWritersMatchOracle:
 
     def test_bytes_across_chunks(self, grid4, steel, tmp_path, monkeypatch):
         # 25 nodes and 32 triangles in chunks of 7 rows: several full
-        # chunks and a short last one in every block
+        # chunks and a short last one in every block and every cached
+        # line block of one shared MeshText
         monkeypatch.setattr("membrane.output._CHUNK_ROWS", 7)
-        state = _edge_state(grid4)
-        unflagged = mb.MaterialParams(
-            d=steel.d, rho=steel.rho, h=steel.h,
-            strain_threshold=np.inf, stress_threshold=np.inf,
-        )
-        write_snapshot_csv(tmp_path / "snap.csv", grid4, state)
-        write_element_csv(tmp_path / "elem.csv", strain_operator(grid4)[1], steel, state)
-        write_snapshot_vtk(tmp_path / "snap.vtk", grid4, state)
-        assert (tmp_path / "snap.csv").read_bytes() == _oracle_snapshot_csv(grid4, state)
-        assert (tmp_path / "elem.csv").read_bytes() == _oracle_element_csv(grid4, unflagged, state)
-        assert (tmp_path / "snap.vtk").read_bytes() == _oracle_vtk(grid4, state)
+        shared = _text(grid4)
+        for state in (_edge_state(grid4), _held_state(grid4)):
+            got = _write_all(tmp_path, shared, steel, state)
+            assert got == _oracle_all(grid4, steel, state)
 
+
+class TestFormattedOnce:
+    """Constant columns written as literals and `MeshText` reuse keep
+    every byte of the per-value oracle."""
+
+    def test_minus_zero_column(self, grid4, steel, tmp_path):
+        state = _held_state(grid4)
+        state.a[0::3] = -0.0
+        got = _write_all(tmp_path, _text(grid4), steel, state)
+        assert got == _oracle_all(grid4, steel, state)
+        assert {r.split(",")[4] for r in got[0].decode().splitlines()[1:]} == {"-0"}
+        # one +0.0 among the -0.0: the column is not constant
+        state.a[3] = 0.0
+        got = _write_all(tmp_path, _text(grid4), steel, state)
+        assert got == _oracle_all(grid4, steel, state)
+        assert [r.split(",")[4] for r in got[0].decode().splitlines()[1:4]] == ["-0", "0", "-0"]
+
+    def test_constant_nonzero_column(self, grid4, steel, tmp_path):
+        state = _held_state(grid4)
+        state.a[2::3] = 1.25e-3
+        state.adot[2::3] = -0.1
+        got = _write_all(tmp_path, _text(grid4), steel, state)
+        assert got == _oracle_all(grid4, steel, state)
+        rows = [r.split(",") for r in got[0].decode().splitlines()[1:]]
+        assert {(r[6], r[9], r[10]) for r in rows} == {("0.00125", "-0.10000000000000001",
+                                                        "0.10000000000000001")}
+
+    def test_one_triangle_every_column_constant(self, steel, tmp_path):
+        mesh = mb.Mesh(nodes=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+                       triangles=np.array([[0, 1, 2]]))
+        for state in (_state(mesh), _held_state(mesh), _edge_state(mesh)):
+            got = _write_all(tmp_path, _text(mesh), steel, state)
+            assert got == _oracle_all(mesh, steel, state)
+            assert len(got[1].decode().splitlines()) == 2
+
+    def test_minus_zero_node_plus_zero_u(self, grid4, steel, tmp_path):
+        nodes = grid4.nodes.copy()
+        nodes[0] = (-0.0, -0.0)
+        mesh = mb.Mesh(nodes=nodes, triangles=grid4.triangles)
+        state = _held_state(mesh)
+        got = _write_all(tmp_path, _text(mesh), steel, state)
+        assert got == _oracle_all(mesh, steel, state)
+        assert got[0].decode().splitlines()[1].startswith("0.33333333333333331,0,-0,-0,")
+        # -0.0 + 0.0 is +0.0: the deformed point is not the cached "-0 -0"
+        points = got[2].decode().splitlines()[5:5 + mesh.n_nodes]
+        assert points[0].startswith("0 0 ")
+        assert points[1].startswith("0.25 0 ")
+
+    def test_one_mesh_text_across_states(self, grid4, steel, tmp_path):
+        shared = _text(grid4)
+        for state in (_held_state(grid4), _edge_state(grid4), _held_state(grid4, seed=9),
+                      _state(grid4, seed=4)):
+            got = _write_all(tmp_path, shared, steel, state)
+            assert got == _write_all(tmp_path, _text(grid4), steel, state)
+            assert got == _oracle_all(grid4, steel, state)
 
 class TestStudyCsv:
     def test_structure(self, tmp_path):

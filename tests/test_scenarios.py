@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 import membrane as mb
-from membrane.assembly import Constraint
+from membrane.assembly import CompiledLoad, Constraint
 from membrane.errors import ConfigError
 from membrane.mesh import central_element_pair, nearest_node
 from membrane.scenarios import (
@@ -237,6 +237,43 @@ class TestRun:
         res = run(cfg, on_snapshot=lambda s: seen.append(s.step), keep_snapshots=False)
         assert res.snapshots == []
         assert seen == [0, 7, 14, 20]
+
+    def test_load_rebuilt_only_when_a_window_opens_or_closes(self, polymer, monkeypatch):
+        tau = 4e-6
+        compile_one = mb.scenarios.compile_case
+        loads, seen, rebuilt = [], [], []
+
+        def two_windows(mesh, material, case, t_final):
+            (ld,), constraints = compile_one(mesh, material, case, t_final)
+            loads[:] = [CompiledLoad(ld.vector, 0.0, 5 * tau),
+                        CompiledLoad(0.5 * ld.vector, 3 * tau, 8 * tau)]
+            return list(loads), constraints
+
+        def recording_step(state, system, params, factor, step=mb.scenarios.step):
+            seen.append(system.f.copy())
+            return step(state, system, params, factor)
+
+        def counting_update(system, t, lds, update=mb.scenarios.update_load):
+            rebuilt.append(t)
+            return update(system, t, lds)
+
+        monkeypatch.setattr("membrane.scenarios.compile_case", two_windows)
+        monkeypatch.setattr("membrane.scenarios.step", recording_step)
+        monkeypatch.setattr("membrane.scenarios.update_load", counting_update)
+        cfg = _scenario(
+            mb.StructuredSpec(1.0, 1.0, 4, 4), polymer, CaseSpec(case_id=1, b0=1e6),
+            t_final=12 * tau, tau=tau,
+        )
+        run(cfg, keep_snapshots=False)
+        # the second window opens at step 3, the first closes at 6, the second at 9
+        assert rebuilt == [0.0, 3 * tau, 6 * tau, 9 * tau]
+        assert len(seen) == 12
+        for k, f in enumerate(seen):
+            want = np.zeros_like(f)
+            for ld in loads:
+                if ld.active((k + 1) * tau):
+                    want = want + ld.vector
+            np.testing.assert_array_equal(f.view(np.int64), want.view(np.int64))
 
     def test_border_validation(self, polymer):
         cfg = _scenario(mb.StructuredSpec(1, 1, 4, 4), polymer, CaseSpec(1), border="clamped", t_final=1e-5)
