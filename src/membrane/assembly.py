@@ -88,7 +88,6 @@ class GlobalSystem:
     M: csr_matrix
     f: np.ndarray
     mesh: Mesh
-    material: MaterialParams
     constraints: list[Constraint] = field(default_factory=list)
     constrained_dofs: np.ndarray | None = None
     held_dofs: np.ndarray | None = None
@@ -182,7 +181,7 @@ def assemble(mesh: Mesh, material: MaterialParams) -> GlobalSystem:
     rows, cols = np.broadcast_to(tri[:, :, None], pairs), np.broadcast_to(tri[:, None, :], pairs)
     m_s = coo_matrix((me.ravel(), (rows.ravel(), cols.ravel())), shape=(mesh.n_nodes,) * 2)
     m = kron(m_s.tocsr(), identity(3), format="csr")
-    return GlobalSystem(K=k, M=m, f=np.zeros(3 * mesh.n_nodes), mesh=mesh, material=material)
+    return GlobalSystem(K=k, M=m, f=np.zeros(3 * mesh.n_nodes), mesh=mesh)
 
 
 def couples_normal(matrix: csr_matrix, dofs: np.ndarray) -> bool:

@@ -9,8 +9,6 @@ Three subcommands:
 Exit codes: 0 on success, 2 for configuration problems (bad JSON,
 missing keys, invalid mesh or material), 3 for numerical failures
 (singular matrices, non-finite states) and for running out of memory.
-The environment variable MEMBRANE_THREADS caps the worker threads used
-by convergence studies.
 """
 from __future__ import annotations
 

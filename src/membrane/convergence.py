@@ -23,9 +23,7 @@ would pick up an O(tau) artifact.
 from __future__ import annotations
 
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -196,28 +194,10 @@ def _snap_steps(n0: int, t_final: float, breakpoints) -> int:
     return n0
 
 
-def _worker_count(requested, n_jobs: int) -> int:
-    if requested is None:
-        env = os.environ.get("MEMBRANE_THREADS")
-        if env is not None:
-            try:
-                requested = int(env)
-            except ValueError:
-                raise ConfigError(f"MEMBRANE_THREADS must be an integer, got {env!r}")
-        else:
-            requested = 1
-    if requested < 1:
-        raise ConfigError(f"worker count must be >= 1, got {requested}")
-    return min(requested, n_jobs)
-
-
-def run_study(spec: StudySpec, max_workers: int | None = None) -> StudyResult:
+def run_study(spec: StudySpec) -> StudyResult:
     """Solve all refinement levels and fit convergence rates.
 
-    Levels are independent and may run on a small thread pool
-    (`max_workers`, default from MEMBRANE_THREADS, else 1); results are
-    identical for any worker count because each level is solved in
-    isolation and combined in level order.
+    Levels run one after another in the calling thread, coarsest first.
     """
     if spec.k_max < 2:
         raise ConfigError(f"k_max must be >= 2 to fit a rate, got {spec.k_max}")
@@ -248,12 +228,8 @@ def run_study(spec: StudySpec, max_workers: int | None = None) -> StudyResult:
         level_mesh = result.mesh
         return extract_at_positions(level_mesh, result.final_state, base_mesh.nodes)
 
-    workers = _worker_count(max_workers, spec.k_max + 1)
-    if workers == 1:
-        sols = [solve_level(k) for k in range(spec.k_max + 1)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            sols = list(pool.map(solve_level, range(spec.k_max + 1)))
+    # a level's result is released when solve_level returns, before the next level runs
+    sols = [solve_level(k) for k in range(spec.k_max + 1)]
 
     half = 3 * base_mesh.n_nodes
     diffs = []

@@ -238,24 +238,24 @@ def default_timestep(mesh: Mesh, material: MaterialParams) -> float:
     return mesh.min_edge_length() / (10.0 * max_wave_speed(material))
 
 
-def init_state(system: GlobalSystem, a0=None, v0=None) -> State:
+def init_state(system: GlobalSystem, a0=None) -> State:
     """Initial state with accelerations solved from the balance at t=0.
 
     a''_0 solves M a''_0 = -(K a_0 + f) on the free dofs by Jacobi-
     preconditioned conjugate gradients to a relative residual of 1e-14;
     no factorization is built (see the module docstring).  Constrained
-    and held accelerations are exact zeros, and constrained velocity
-    entries are overwritten with their v_fix regardless of v0.  `a0`
-    and `v0` span every dof, and must be zero on held ones; the state
-    returned spans `system.state_dofs`.
+    and held accelerations are exact zeros.  Velocities start at zero,
+    constrained entries at their v_fix.  `a0` spans every dof; it and
+    every v_fix must be zero on held dofs.  The state returned spans
+    `system.state_dofs`.
     """
     if not system.constrained:
         raise SolverError("init_state needs a system with constraints applied")
     n = system.ndof
     a = np.zeros(n) if a0 is None else np.asarray(a0, dtype=float).copy()
-    v = np.zeros(n) if v0 is None else np.asarray(v0, dtype=float).copy()
-    if a.shape != (n,) or v.shape != (n,):
-        raise SolverError(f"initial vectors must have shape ({n},)")
+    if a.shape != (n,):
+        raise SolverError(f"a0 must have shape ({n},)")
+    v = np.zeros(n)
     for c in system.constraints:
         v[3 * c.node: 3 * c.node + 3] = c.v_fix
     if system.held_dofs is not None and (a[system.held_dofs].any() or v[system.held_dofs].any()):

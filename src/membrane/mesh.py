@@ -13,7 +13,6 @@ Rectangle (i, j) owns triangles 2*(j*nx + i) (below the diagonal) and
 """
 from __future__ import annotations
 
-import io
 import os
 from dataclasses import dataclass
 
@@ -109,10 +108,9 @@ class Mesh:
     def n_triangles(self) -> int:
         return self.triangles.shape[0]
 
-    def triangle_coords(self, ids=None) -> np.ndarray:
-        """Vertex coordinates, shape (n, 3, 2), for `ids` (default all)."""
-        tri = self.triangles if ids is None else self.triangles[ids]
-        return self.nodes[tri]
+    def triangle_coords(self) -> np.ndarray:
+        """Vertex coordinates of every triangle, shape (m, 3, 2)."""
+        return self.nodes[self.triangles]
 
     def signed_doubled_areas(self) -> np.ndarray:
         """Per-triangle doubled signed area (positive for CCW).
@@ -303,8 +301,6 @@ def read_msh(source) -> Mesh:
     if isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="utf-8") as f:
             return read_msh(f)
-    if isinstance(source, bytes):
-        return read_msh(io.StringIO(source.decode("utf-8")))
 
     lines = source.read().splitlines()
     pos = 0

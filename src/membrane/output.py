@@ -66,27 +66,17 @@ def _constant(col: np.ndarray) -> bool:
     return bool((bits == bits[0]).all())
 
 
-class _Lines:
-    """Lines of text held as one string; ``lines[a:b]`` is the text of
-    lines a to b, each ending in a newline."""
-
-    def __init__(self, parts):
-        self.text = "".join(parts)
-        self.starts = np.cumsum([0] + [len(line) + 1 for line in self.text.splitlines()])
-
-    def __getitem__(self, rows: slice) -> str:
-        return self.text[self.starts[rows.start]:self.starts[rows.stop]]
-
-
-def _rows(prefix: str, cols, fmts, lines: _Lines | None = None):
+def _rows(prefix: str, cols, fmts, lines: list[str] | None = None):
     """One line per row of the equal-length columns `cols`: `prefix`,
     the row's line of `lines` (if given), then each column's value
     through its spec in `fmts`.
 
     A constant column is formatted once, into the row template; the
     others are formatted per chunk of `_CHUNK_ROWS` rows, one ``%`` call
-    each.  Yields one string per chunk.  `prefix` and `lines` go into
-    the template as they are, so they must hold no ``%``.
+    each.  Yields one string per chunk.  `lines` holds the chunks of an
+    earlier `_rows` over the same number of rows, so ``lines[k]`` is the
+    text of chunk k.  `prefix` and `lines` go into the template as they
+    are, so they must hold no ``%``.
     """
     n = len(cols[0])
     rest, varying = "", []
@@ -96,9 +86,9 @@ def _rows(prefix: str, cols, fmts, lines: _Lines | None = None):
         else:
             rest += fmt
             varying.append(col)
-    for start in range(0, n, _CHUNK_ROWS):
+    for k, start in enumerate(range(0, n, _CHUNK_ROWS)):
         stop = min(start + _CHUNK_ROWS, n)
-        lead = "\n" * (stop - start) if lines is None else lines[start:stop]
+        lead = "\n" * (stop - start) if lines is None else lines[k]
         template = prefix + lead[:-1].replace("\n", f"{rest}\n{prefix}") + rest + "\n"
         values = chain.from_iterable(zip(*(c[start:stop].tolist() for c in varying)))
         yield template % tuple(values)
@@ -116,15 +106,15 @@ class MeshText:
         self.strain = strain
 
     @cached_property
-    def node_heads(self) -> _Lines:
-        """The "i,x0,y0" head of each node's CSV row."""
+    def node_heads(self) -> list[str]:
+        """The "i,x0,y0" head of each node's CSV row, in `_rows` chunks."""
         x, y = self.mesh.nodes.T
-        return _Lines(_rows("", (np.arange(len(x)), x, y), ("%d", ",%.17g", ",%.17g")))
+        return list(_rows("", (np.arange(len(x)), x, y), ("%d", ",%.17g", ",%.17g")))
 
     @cached_property
-    def element_ids(self) -> _Lines:
-        """The id of each element's CSV row."""
-        return _Lines(_rows("", (np.arange(self.mesh.n_triangles),), ("%d",)))
+    def element_ids(self) -> list[str]:
+        """The id of each element's CSV row, in `_rows` chunks."""
+        return list(_rows("", (np.arange(self.mesh.n_triangles),), ("%d",)))
 
     @cached_property
     def cells(self) -> str:
@@ -134,10 +124,10 @@ class MeshText:
         return f"CELLS {m} {4 * m}\n" + "".join(body)
 
     @cached_property
-    def points(self) -> _Lines:
-        """The "x0 y0" of each node's VTK point."""
+    def points(self) -> list[str]:
+        """The "x0 y0" of each node's VTK point, in `_rows` chunks."""
         x, y = self.mesh.nodes.T
-        return _Lines(_rows("", (x, y), ("%.17g", " %.17g")))
+        return list(_rows("", (x, y), ("%.17g", " %.17g")))
 
 
 def _speed(state: State) -> np.ndarray:
@@ -192,7 +182,7 @@ def write_element_csv(path, text: MeshText, material: MaterialParams, state: Sta
     _write(path, chain([ELEMENT_CSV_HEADER + "\n"], body))
 
 
-def write_snapshot_vtk(path, text: MeshText, state: State, title: str = "membrane snapshot") -> None:
+def write_snapshot_vtk(path, text: MeshText, state: State) -> None:
     """Legacy ASCII VTK unstructured grid of the deformed membrane.
 
     Points are the deformed positions (x0 + u, y0 + v, w); cells are the
@@ -208,7 +198,7 @@ def write_snapshot_vtk(path, text: MeshText, state: State, title: str = "membran
     else:
         points = _rows("", (*xy.T, a[:, 2]), ("%.17g", " %.17g", " %.17g"))
     _write(path, chain(
-        [f"# vtk DataFile Version 3.0\n{title}\nASCII\nDATASET UNSTRUCTURED_GRID\n",
+        ["# vtk DataFile Version 3.0\nmembrane snapshot\nASCII\nDATASET UNSTRUCTURED_GRID\n",
          f"POINTS {n} double\n"],
         points,
         [text.cells, f"CELL_TYPES {m}\n", "5\n" * m,

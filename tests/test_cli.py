@@ -388,16 +388,6 @@ class TestConvergenceCommand:
         a, b = ((o / "study.csv").read_bytes() for o in outs)
         assert a == b
 
-    def test_bytes_identical_across_thread_counts(self, tmp_path, monkeypatch):
-        study_path = _write(tmp_path, "study.json", _study_config())
-        blobs = []
-        for i, threads in enumerate(("1", "4")):
-            monkeypatch.setenv("MEMBRANE_THREADS", threads)
-            out = tmp_path / f"threads{i}"
-            assert main(["convergence", study_path, "--out", str(out)]) == 0
-            blobs.append((out / "study.csv").read_bytes())
-        assert blobs[0] == blobs[1]
-
 
 class TestMeshInfoCommand:
     def test_summary(self, tmp_path, capsys):

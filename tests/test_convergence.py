@@ -1,12 +1,14 @@
 """Convergence harness tests: norms, rate fits, extraction, studies."""
 import json
 import math
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
 import membrane as mb
+from membrane import convergence
 from membrane.convergence import (
     NORMS,
     StudySpec,
@@ -196,9 +198,9 @@ class TestRunStudy:
         base = mb.generate_structured(mb.StructuredSpec(1.0, 1.0, 4, 4))
         t_final = 10.0 * default_timestep(base, polymer)
         spec = _study(polymer, CaseSpec(case_id=1, b0=1e6), k_max=2, t_final=t_final)
-        a = run_study(spec, max_workers=1)
-        b = run_study(spec, max_workers=1)
-        c = run_study(spec, max_workers=4)
+        a = run_study(spec)
+        b = run_study(spec)
+        c = run_study(spec)
         for other in (b, c):
             assert a.rates == other.rates
             for la, lo in zip(a.diffs, other.diffs):
@@ -216,16 +218,22 @@ class TestRunStudy:
         with pytest.raises(ConfigError, match="exceeds the limit"):
             run_study(spec)
 
-    def test_bad_worker_count(self, polymer):
-        spec = _study(polymer, CaseSpec(case_id=1), k_max=2, t_final=1e-4)
-        with pytest.raises(ConfigError, match="worker count"):
-            run_study(spec, max_workers=0)
+    def test_levels_run_in_calling_thread_coarsest_first(self, polymer, monkeypatch):
+        # a set variable must not move levels off the calling thread
+        monkeypatch.setenv("MEMBRANE_THREADS", "4")
+        ran = []
 
-    def test_threads_env_not_integer(self, polymer, monkeypatch):
-        monkeypatch.setenv("MEMBRANE_THREADS", "zebra")
-        spec = _study(polymer, CaseSpec(case_id=1), k_max=2, t_final=1e-4)
-        with pytest.raises(ConfigError, match="MEMBRANE_THREADS"):
-            run_study(spec)
+        def recording_run(cfg, **kwargs):
+            ran.append((threading.get_ident(), cfg.mesh))
+            return real_run(cfg, **kwargs)
+
+        real_run = convergence.run
+        monkeypatch.setattr(convergence, "run", recording_run)
+        base = mb.generate_structured(mb.StructuredSpec(1.0, 1.0, 4, 4))
+        t_final = 10.0 * default_timestep(base, polymer)
+        res = run_study(_study(polymer, CaseSpec(case_id=1, b0=1e6), k_max=2, t_final=t_final))
+        assert ran == [(threading.get_ident(), level) for level in res.levels]
+        assert [level.nx for _, level in ran] == [4, 8, 16]
 
 
 class TestStudyFromJson:

@@ -46,7 +46,6 @@ def _oscillator(omega):
         M=sparse.identity(3, format="csr"),
         f=np.zeros(3),
         mesh=mesh1,
-        material=None,
         constraints=[],
         constrained_dofs=np.zeros(0, dtype=np.int64),
     )
@@ -139,9 +138,9 @@ class TestInitState:
         sys0 = assemble(grid4, steel)
         sys0.constraints = [Constraint(2, (0.25, -1.0, 3.0))]
         sysc = apply_constraints(sys0)
-        state = init_state(sysc, v0=np.ones(sysc.ndof))
+        state = init_state(sysc)  # v0 is zero but for the constrained node's v_fix
         np.testing.assert_array_equal(state.adot[6:9], [0.25, -1.0, 3.0])
-        assert state.adot[0] == 1.0
+        assert not np.delete(state.adot, [6, 7, 8]).any()
 
     def test_constrained_acceleration_zero(self, grid4, steel):
         sys0 = assemble(grid4, steel)
@@ -629,6 +628,10 @@ class TestSteppedDofs:
         with pytest.raises(SolverError, match="held dofs must start at rest"):
             init_state(sysc, a0=a0)
         assert init_state(sysc).a.size == grid4.n_nodes
+        struck = _fixed_border_system(grid4, polymer, strike=12)  # in-plane v_fix
+        struck.held_dofs = sysc.held_dofs
+        with pytest.raises(SolverError, match="held dofs must start at rest"):
+            init_state(struck)
 
     def test_state_must_span_state_dofs(self, grid4, polymer):
         sysc = _fixed_border_system(grid4, polymer)

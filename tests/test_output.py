@@ -183,11 +183,6 @@ class TestVtk:
         for i, row in enumerate(vm):
             assert float(row) == vmag[i]
 
-    def test_custom_title(self, grid4, tmp_path):
-        p = tmp_path / "t.vtk"
-        write_snapshot_vtk(p, _text(grid4), _state(grid4), title="step 42")
-        assert p.read_text().splitlines()[1] == "step 42"
-
 
 def _fabricated_result():
     def diff(level, n_nodes, tau, base):
@@ -245,10 +240,10 @@ def _oracle_element_csv(mesh, material, state):
     return ("\n".join(lines) + "\n").encode()
 
 
-def _oracle_vtk(mesh, state, title="membrane snapshot"):
+def _oracle_vtk(mesh, state):
     a = state.a.reshape(-1, 3)
     n, m = mesh.n_nodes, mesh.n_triangles
-    out = ["# vtk DataFile Version 3.0", title, "ASCII", "DATASET UNSTRUCTURED_GRID",
+    out = ["# vtk DataFile Version 3.0", "membrane snapshot", "ASCII", "DATASET UNSTRUCTURED_GRID",
            f"POINTS {n} double"]
     for i in range(n):
         out.append(f"{_g17(mesh.nodes[i, 0] + a[i, 0])} "
@@ -340,9 +335,9 @@ class TestWritersMatchOracle:
     def test_vtk_bytes(self, grid4, tmp_path):
         state = _edge_state(grid4)
         p = tmp_path / "snap.vtk"
-        write_snapshot_vtk(p, _text(grid4), state, title="edge values")
+        write_snapshot_vtk(p, _text(grid4), state)
         text = p.read_bytes()
-        assert text == _oracle_vtk(grid4, state, title="edge values")
+        assert text == _oracle_vtk(grid4, state)
         assert b" -0\n" in text and b"\ninf\n" in text
 
 
