@@ -8,18 +8,17 @@ The consistent mass is M = M_s (x) I_3 for the scalar node mass M_s.
 
 Constraints fix the velocity of whole nodes (all three components).
 They change no matrix entry: `apply_constraints` records the
-constrained dof ids, and the integrator solves only the block of free
+constrained dofs, and the integrator solves only the block of free
 rows and columns, which is symmetric positive definite.  The
 constrained accelerations are exact zeros, so the velocity stays at
 its initial value exactly and the displacement integrates it.  The
 free rows keep their coupling to the constrained dofs through K and
 M, which stay the physical matrices.
 
-`held_dofs` are held at rest, with no constraint (an in-plane field
-that nothing drives, see `scenarios.run`).  The integrator solves only
-for `free_dofs`, neither constrained nor held, and carries its state
-over `state_dofs`, every dof not held: a held dof stays exactly zero,
-while a constrained one moves at its fixed velocity.
+A system spans `dofs`, the global dof ids it carries: every dof, or
+only the w dofs (`assemble(..., w_only=True)`) of a run whose in-plane
+field nothing drives (see `scenarios.run`).  Its K, M, f and dof
+positions all count over those ids.
 """
 from __future__ import annotations
 
@@ -77,45 +76,39 @@ class CompiledLoad:
 class GlobalSystem:
     """Assembled matrices and load of one discretized membrane.
 
-    K and M are CSR of order 3*n_nodes; f is the current load vector.
-    `constraints` lists the velocity constraints; `apply_constraints`
-    sets `constrained_dofs` to the dof ids they hold.  `held_dofs` are
-    held at rest without a constraint; a time-stepping state spans
-    `state_dofs`, the rest.
+    K and M are CSR over `dofs`, the global dof ids the system carries,
+    ascending; f is the current load vector over the same ids.
+    `coupled` records whether K couples w with u or v: the material
+    does (`couples_normal`) and the system carries both.  `constraints`
+    lists the velocity constraints; `apply_constraints` sets
+    `constrained_dofs` to the positions, within `dofs`, of the dofs
+    they hold.
     """
 
     K: csr_matrix
     M: csr_matrix
     f: np.ndarray
     mesh: Mesh
+    dofs: np.ndarray
     constraints: list[Constraint] = field(default_factory=list)
     constrained_dofs: np.ndarray | None = None
-    held_dofs: np.ndarray | None = None
+    coupled: bool = False
 
     @property
     def constrained(self) -> bool:
         return self.constrained_dofs is not None
 
-    def _dofs_except(self, *groups) -> np.ndarray:
-        keep = np.ones(self.ndof, dtype=bool)
-        for dofs in groups:
-            if dofs is not None:
-                keep[dofs] = False
-        return np.flatnonzero(keep)
-
     @property
     def free_dofs(self) -> np.ndarray:
-        """The dofs that can move, ascending: neither constrained nor held."""
-        return self._dofs_except(self.constrained_dofs, self.held_dofs)
-
-    @property
-    def state_dofs(self) -> np.ndarray:
-        """The dofs a time-stepping state carries, ascending: every dof not held."""
-        return self._dofs_except(self.held_dofs)
+        """The positions no constraint holds, ascending."""
+        free = np.ones(self.ndof, dtype=bool)
+        if self.constrained:
+            free[self.constrained_dofs] = False
+        return np.flatnonzero(free)
 
     @property
     def ndof(self) -> int:
-        return 3 * self.mesh.n_nodes
+        return self.dofs.size
 
 
 def element_dof_ids(triangles: np.ndarray) -> np.ndarray:
@@ -167,31 +160,39 @@ def strain_operator(mesh: Mesh):
     return area, s
 
 
-def assemble(mesh: Mesh, material: MaterialParams) -> GlobalSystem:
+def couples_normal(material: MaterialParams) -> bool:
+    """Whether the material's stiffness couples w with u or v.
+
+    B maps u and v only to the strains (xx, yy, xy) and w only to
+    (yz, xz), so K couples them exactly where D does: in D's rows 0, 1
+    and 3 against its columns 4 and 5.
+    """
+    return bool(material.d[np.ix_([0, 1, 3], [4, 5])].any())
+
+
+def assemble(mesh: Mesh, material: MaterialParams, w_only: bool = False) -> GlobalSystem:
     """Assemble the global stiffness and mass of a mesh; f starts at zero.
 
-    Both matrices are CSR and store no zero; K is symmetric positive
+    With `w_only` the system carries only the w dofs: K = S_w^T W S_w
+    from S's w columns and M = M_s, bitwise the w blocks of the full
+    matrices when the material does not couple w with u or v.  Both
+    matrices are CSR and store no zero; K is symmetric positive
     semidefinite, M symmetric positive definite.
     """
     area, s = strain_operator(mesh)
+    dofs = np.arange(2, 3 * mesh.n_nodes, 3) if w_only else np.arange(3 * mesh.n_nodes)
+    if w_only:
+        s = s[:, dofs]
     k = (s.T @ (kron(diags(material.h * area), material.d, format="bsr") @ s)).tocsr()
     # scalar consistent mass: rho*h*A/12 * [[2, 1, 1], [1, 2, 1], [1, 1, 2]] per triangle
     tri, pairs = mesh.triangles, (mesh.n_triangles, 3, 3)
     me = (1.0 + np.eye(3)) * (material.rho * material.h * area / 12.0)[:, None, None]
     rows, cols = np.broadcast_to(tri[:, :, None], pairs), np.broadcast_to(tri[:, None, :], pairs)
-    m_s = coo_matrix((me.ravel(), (rows.ravel(), cols.ravel())), shape=(mesh.n_nodes,) * 2)
-    m = kron(m_s.tocsr(), identity(3), format="csr")
-    return GlobalSystem(K=k, M=m, f=np.zeros(3 * mesh.n_nodes), mesh=mesh)
-
-
-def couples_normal(matrix: csr_matrix, dofs: np.ndarray) -> bool:
-    """Whether `matrix`, CSR over `dofs`, stores an entry coupling a w dof with a u or v dof.
-
-    K couples them only through the material's coupled moduli; M =
-    M_s (x) I3 never does, so K, M + cK and their blocks all answer alike.
-    """
-    w = dofs % 3 == 2
-    return not np.array_equal(np.repeat(w, np.diff(matrix.indptr)), w[matrix.indices])
+    m = coo_matrix((me.ravel(), (rows.ravel(), cols.ravel())), shape=(mesh.n_nodes,) * 2).tocsr()
+    if not w_only:
+        m = kron(m, identity(3), format="csr")
+    return GlobalSystem(K=k, M=m, f=np.zeros(dofs.size), mesh=mesh, dofs=dofs,
+                        coupled=not w_only and couples_normal(material))
 
 
 def build_load_vector(mesh: Mesh, material: MaterialParams, element_ids, b_vectors) -> np.ndarray:
@@ -227,9 +228,9 @@ def apply_constraints(system: GlobalSystem) -> GlobalSystem:
     """Record the constrained dofs, returning a new system.
 
     The result shares K, M and f with `system`; only `constraints` and
-    `constrained_dofs` (three ids per node, in constraint order) are
-    its own.  Applying twice or constraining a node twice is a
-    configuration error.
+    `constrained_dofs` (the positions of the nodes' carried dofs, in
+    constraint order) are its own.  Applying twice or constraining a
+    node twice is a configuration error.
     """
     if system.constrained:
         raise AssemblyError("constraints already applied to this system")
@@ -241,9 +242,9 @@ def apply_constraints(system: GlobalSystem) -> GlobalSystem:
         if not 0 <= c.node < system.mesh.n_nodes:
             raise ConfigError(f"constraint node {c.node} out of range")
 
-    cdofs = np.asarray(
-        [3 * c.node + k for c in system.constraints for k in range(3)], dtype=np.int64
-    )
+    ids = np.asarray([3 * c.node + k for c in system.constraints for k in range(3)],
+                     dtype=np.int64)
+    cdofs = np.searchsorted(system.dofs, ids[np.isin(ids, system.dofs)])
     return replace(system, constraints=list(system.constraints), constrained_dofs=cdofs)
 
 

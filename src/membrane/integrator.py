@@ -14,26 +14,20 @@ is unconditionally stable for beta2 >= beta1 >= 1/2 and second-order
 accurate for beta1 = 1/2; both defaults are 1/2.  A is constant while
 M, K, and tau are, so it is factorized once and reused every step.
 
-Constrained dofs are eliminated from every solve: only the block of
-free rows and columns is solved, and the constrained entries of the
-solution are exact zeros, so the constrained rows of K, M and f are
-never read.  Held dofs (`GlobalSystem.held_dofs`) are eliminated the
-same way: `scenarios.run` holds the in-plane field (u, v) when nothing
-drives it, as under a load or strike along the normal on an isotropic
-or orthotropic layer (acceptance criterion 05), so only the free w
-dofs are solved for.  The free block of A is the only factorization.
-It is symmetric positive definite, so it takes a symmetric-mode LU:
-diagonal pivots and a minimum degree ordering of A + A^T.  When the
-block couples w with u or v (`assembly.couples_normal`), a node's three
-dofs share one adjacency, so the ordering is taken on the graph of the
-nodes and each node expands to its dofs (Ashcraft 1995): about a fifth
-less fill on a coupled anisotropic layer.  Any other block, where
-(u, v) and w are separate components of the graph, is ordered dof by
-dof.
+Every vector spans the system's dofs (`GlobalSystem.dofs`): only w
+when `scenarios.run` holds the in-plane field at rest.  Constrained
+dofs are eliminated from every solve: only the block of free rows and
+columns is solved, and the constrained entries of the solution are
+exact zeros, so the constrained rows of K, M and f are never read.
+The free block of A is the only factorization.  It is symmetric
+positive definite, so it takes a symmetric-mode LU: diagonal pivots
+and a minimum degree ordering of A + A^T.  When the material couples w
+with u or v (`GlobalSystem.coupled`), a node's three dofs share one
+adjacency, so the ordering is taken on the graph of the nodes and each
+node expands to its dofs (Ashcraft 1995): about a fifth less fill on a
+coupled anisotropic layer.  Any other block is ordered dof by dof.
 
-A state carries only the dofs that are not held (`GlobalSystem.state_dofs`):
-a held dof is exactly zero for the whole run.  Each step multiplies
-only the rows of K it solves for, over the carried columns, so a
+Each step multiplies only the rows of K it solves for, so a
 constrained dof that moves (a strike node) still enters the free rows
 through K_fc a_c, and each row sums the same terms in the same order as
 the full product K a_bar: the results are bitwise those of a full step.
@@ -54,7 +48,7 @@ from scipy.sparse import csr_matrix, diags
 from scipy.sparse.linalg import spilu, splu
 
 from .errors import SolverError
-from .assembly import GlobalSystem, couples_normal
+from .assembly import GlobalSystem
 from .material import MaterialParams, max_wave_speed
 from .mesh import Mesh
 
@@ -85,11 +79,7 @@ class NewmarkParams:
 
 @dataclass
 class State:
-    """Displacement, velocity, and acceleration at one instant.
-
-    The vectors span the system's `state_dofs`: every dof when nothing
-    is held.
-    """
+    """Displacement, velocity, and acceleration at one instant, over the system's dofs."""
 
     a: np.ndarray
     adot: np.ndarray
@@ -113,10 +103,10 @@ def _dot(x: np.ndarray, y: np.ndarray) -> float:
 def _mass_solve(system: GlobalSystem, rhs: np.ndarray) -> np.ndarray:
     """Solve M x = rhs on the free dofs by Jacobi-preconditioned CG.
 
-    Takes and returns full-length vectors; the entries of the result
-    outside `system.free_dofs` are exact zeros.  A zero right-hand side
-    returns zeros without iterating.  The right-hand side is scaled to
-    unit max-norm first, so the inner products cannot overflow.
+    The entries of the result outside `system.free_dofs` are exact
+    zeros.  A zero right-hand side returns zeros without iterating.
+    The right-hand side is scaled to unit max-norm first, so the inner
+    products cannot overflow.
     """
     x = np.zeros(rhs.shape[0])
     free = system.free_dofs
@@ -159,11 +149,12 @@ def _mass_solve(system: GlobalSystem, rhs: np.ndarray) -> np.ndarray:
 def _node_order(block, dofs: np.ndarray) -> np.ndarray:
     """Positions of `dofs` in the minimum degree order of their nodes.
 
-    `block` is A's CSR block over `dofs`.  Its pattern, collapsed onto
-    the nodes `dofs // 3`, is ordered by SuperLU's MMD on A + A^T, read
-    as `perm_c` from an ILU that drops every entry (scipy exposes no
-    ordering alone) of a diagonally dominant proxy of the node graph;
-    each node's dofs then follow in their own order.
+    `block` is A's CSR block over `dofs`, positions in a system over
+    every dof.  Its pattern, collapsed onto the nodes `dofs // 3`, is
+    ordered by SuperLU's MMD on A + A^T, read as `perm_c` from an ILU
+    that drops every entry (scipy exposes no ordering alone) of a
+    diagonally dominant proxy of the node graph; each node's dofs then
+    follow in their own order.
     """
     nodes, local = np.unique(dofs // 3, return_inverse=True)
     to_node = csr_matrix((np.ones(dofs.size, dtype=bool), local, np.arange(dofs.size + 1)),
@@ -180,20 +171,23 @@ def _node_order(block, dofs: np.ndarray) -> np.ndarray:
 
 
 class _FreeBlockLU:
-    """Sparse LU of the block of A over `dofs`, the dofs that can move.
+    """Sparse LU of the block of A = M + shift*K over the system's free dofs.
 
-    When the block couples w with u or v, `dofs` is reordered by node
-    (`_node_order`) and factored in that order; otherwise SuperLU orders
-    the dofs itself.  `ordering` names which.  `solve` takes and returns
-    full-length vectors; the entries outside `dofs` are exact zeros.
-    `nnz` counts the entries SuperLU stores for L and U, read without
-    building either; `factored_entries` counts those of the block.
+    A coupled system (`GlobalSystem.coupled`) has its free dofs reordered
+    by node (`_node_order`) and factored in that order; otherwise
+    SuperLU orders the dofs itself.  `ordering` names which.  A itself
+    is released before SuperLU factors the block.  `solve` takes and
+    returns vectors over the system's dofs; the entries outside `dofs`
+    are exact zeros.  `nnz` counts the entries SuperLU stores for L and
+    U, read without building either; `factored_entries` counts those of
+    the block.
     """
 
-    def __init__(self, matrix, dofs: np.ndarray):
-        block = matrix.tocsr()[dofs][:, dofs]
+    def __init__(self, system: GlobalSystem, shift: float):
+        dofs = system.free_dofs
+        block = (system.M + shift * system.K)[dofs][:, dofs]
         self.ordering, spec = "MMD_AT_PLUS_A", "MMD_AT_PLUS_A"
-        if couples_normal(block, dofs):
+        if system.coupled:
             order = _node_order(block, dofs)
             dofs, block = dofs[order], block[order][:, order]
             self.ordering, spec = "MMD_AT_PLUS_A (node graph)", "NATURAL"
@@ -220,9 +214,7 @@ class _FreeBlockLU:
 class NewmarkFactor:
     """LU factorization of A, pinned to the system and timestep it used.
 
-    `rows` holds K's rows over `lu.dofs`, in factor order, with its
-    columns over `system.state_dofs`; `pos` holds the positions of
-    `lu.dofs` within `system.state_dofs`.
+    `rows` holds K's rows over `lu.dofs`, in factor order.
     """
 
     lu: object
@@ -230,7 +222,6 @@ class NewmarkFactor:
     beta2: float
     system: GlobalSystem
     rows: csr_matrix
-    pos: np.ndarray
 
 
 def default_timestep(mesh: Mesh, material: MaterialParams) -> float:
@@ -244,10 +235,9 @@ def init_state(system: GlobalSystem, a0=None) -> State:
     a''_0 solves M a''_0 = -(K a_0 + f) on the free dofs by Jacobi-
     preconditioned conjugate gradients to a relative residual of 1e-14;
     no factorization is built (see the module docstring).  Constrained
-    and held accelerations are exact zeros.  Velocities start at zero,
-    constrained entries at their v_fix.  `a0` spans every dof; it and
-    every v_fix must be zero on held dofs.  The state returned spans
-    `system.state_dofs`.
+    accelerations are exact zeros.  Velocities start at zero, constrained
+    entries at the carried components of their v_fix.  `a0` and the
+    state returned span the system's dofs.
     """
     if not system.constrained:
         raise SolverError("init_state needs a system with constraints applied")
@@ -255,14 +245,11 @@ def init_state(system: GlobalSystem, a0=None) -> State:
     a = np.zeros(n) if a0 is None else np.asarray(a0, dtype=float).copy()
     if a.shape != (n,):
         raise SolverError(f"a0 must have shape ({n},)")
-    v = np.zeros(n)
+    v = np.zeros((system.mesh.n_nodes, 3))
     for c in system.constraints:
-        v[3 * c.node: 3 * c.node + 3] = c.v_fix
-    if system.held_dofs is not None and (a[system.held_dofs].any() or v[system.held_dofs].any()):
-        raise SolverError("held dofs must start at rest")
+        v[c.node] = c.v_fix
     addot = _mass_solve(system, -(system.K @ a + system.f))
-    dofs = system.state_dofs
-    return State(a=a[dofs], adot=v[dofs], addot=addot[dofs], t=0.0, step=0)
+    return State(a=a, adot=v.ravel()[system.dofs], addot=addot, t=0.0, step=0)
 
 
 def factor_once(system: GlobalSystem, params: NewmarkParams) -> NewmarkFactor:
@@ -274,27 +261,24 @@ def factor_once(system: GlobalSystem, params: NewmarkParams) -> NewmarkFactor:
     for the step are sliced only once A is released, so they add
     nothing to the peak memory of the factorization.
     """
-    lu = _FreeBlockLU(system.M + (0.5 * params.tau**2 * params.beta2) * system.K,
-                      system.free_dofs)
-    carried = system.state_dofs
+    lu = _FreeBlockLU(system, 0.5 * params.tau**2 * params.beta2)
     return NewmarkFactor(lu=lu, tau=params.tau, beta2=params.beta2, system=system,
-                         rows=system.K[lu.dofs][:, carried],
-                         pos=np.searchsorted(carried, lu.dofs))
+                         rows=system.K[lu.dofs])
 
 
 def step(state: State, system: GlobalSystem, params: NewmarkParams, factor: NewmarkFactor) -> State:
     """Advance one Newmark step; system.f must hold the load at t_n+1.
 
-    `state` spans `system.state_dofs`, as `init_state` returns it, and
-    so does the result.  The solve leaves constrained accelerations at
-    exact zero, which keeps constrained velocities bitwise constant.
-    Time is computed as step*tau rather than accumulated, so snapshot
-    times of a halved timestep line up bitwise with the coarser run.
+    `state` and the result span the system's dofs.  The solve leaves
+    constrained accelerations at exact zero, which keeps constrained
+    velocities bitwise constant.  Time is computed as step*tau rather
+    than accumulated, so snapshot times of a halved timestep line up
+    bitwise with the coarser run.
     """
     if factor.system is not system or factor.tau != params.tau or factor.beta2 != params.beta2:
         raise SolverError("stale factorization: system or timestep changed")
-    if state.a.shape != (factor.rows.shape[1],):
-        raise SolverError(f"state must span system.state_dofs ({factor.rows.shape[1]} dofs)")
+    if state.a.shape != (system.ndof,):
+        raise SolverError(f"state must span the system's {system.ndof} dofs")
     tau = params.tau
     v_bar = state.adot + tau * (1.0 - params.beta1) * state.addot
     a_bar = state.a + tau * state.adot + 0.5 * tau**2 * (1.0 - params.beta2) * state.addot
@@ -302,7 +286,7 @@ def step(state: State, system: GlobalSystem, params: NewmarkParams, factor: Newm
     if not np.all(np.isfinite(x)):
         raise SolverError(f"non-finite acceleration at step {state.step + 1}")
     addot = np.zeros(a_bar.size)
-    addot[factor.pos] = x
+    addot[factor.lu.dofs] = x
     adot = v_bar + params.beta1 * tau * addot
     a = a_bar + 0.5 * tau**2 * params.beta2 * addot
     n = state.step + 1
@@ -312,9 +296,7 @@ def step(state: State, system: GlobalSystem, params: NewmarkParams, factor: Newm
 def energy(state: State, k, m) -> tuple[float, float]:
     """Kinetic and strain energy: (0.5*a'^T M a', 0.5*a^T K a).
 
-    `k` and `m` are the assembled matrices, `system.K` and `system.M`,
-    constrained or not; a state with held dofs needs their blocks over
-    `system.state_dofs`.
+    `k` and `m` are the system's K and M, constrained or not.
     """
     kinetic = 0.5 * float(state.adot @ (m @ state.adot))
     strain = 0.5 * float(state.a @ (k @ state.a))

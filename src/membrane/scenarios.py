@@ -21,14 +21,13 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .assembly import (
     CompiledLoad,
     Constraint,
-    GlobalSystem,
     apply_constraints,
     assemble,
     build_load_vector,
@@ -338,19 +337,21 @@ def step_count(t_final: float, tau: float) -> int:
     return max(1, int(math.ceil(q - 1e-9)))
 
 
-def _in_plane_undriven(system: GlobalSystem, loads, a0) -> bool:
-    """Whether nothing drives the in-plane field (u, v) of `system`.
+def _in_plane_undriven(material: MaterialParams, loads, constraints, a0) -> bool:
+    """Whether nothing drives the in-plane field (u, v).
 
-    True when K does not couple w with u or v (`couples_normal`) and
-    no load window, constraint or initial displacement `a0` has an
-    in-plane entry: every in-plane right-hand side is then exactly
-    zero at every step.
+    True when the material does not couple w with u or v
+    (`couples_normal`) and no load window, constraint or initial
+    displacement `a0` (over every dof) has an in-plane entry: every
+    in-plane right-hand side is then exactly zero at every step.
     """
-    w = np.arange(system.ndof) % 3 == 2
-    return (not couples_normal(system.K, np.arange(system.ndof))
-            and not any(ld.vector[~w].any() for ld in loads)
-            and not any(c.v_fix[0] or c.v_fix[1] for c in system.constraints)
-            and (a0 is None or not a0[~w].any()))
+    def in_plane(x) -> bool:
+        return bool(np.reshape(x, (-1, 3))[:, :2].any())
+
+    return (not couples_normal(material)
+            and not any(in_plane(ld.vector) for ld in loads)
+            and not any(in_plane(c.v_fix) for c in constraints)
+            and (a0 is None or not in_plane(a0)))
 
 
 def run(config: ScenarioConfig, on_snapshot=None, keep_snapshots: bool = True) -> SimulationResult:
@@ -361,9 +362,9 @@ def run(config: ScenarioConfig, on_snapshot=None, keep_snapshots: bool = True) -
     and they are retained when `keep_snapshots` is true.  The number
     of steps is ceil(t_final/tau), so the run never stops short; above
     MAX_STEPS it is a ConfigError.  When nothing drives the in-plane
-    field (`_in_plane_undriven`), its dofs are held at rest, and the
-    steps carry only the others (`GlobalSystem.state_dofs`); snapshots
-    and `final_state` span every dof, held ones exact zeros.
+    field (`_in_plane_undriven`), it is held at rest: the system is
+    assembled over the w dofs only, and the steps carry those.
+    Snapshots and `final_state` span every dof, held ones exact zeros.
     """
     if config.border not in ("free", "fixed"):
         raise ConfigError(f"border must be 'free' or 'fixed', got {config.border!r}")
@@ -382,26 +383,24 @@ def run(config: ScenarioConfig, on_snapshot=None, keep_snapshots: bool = True) -
         for node in boundary_nodes(mesh):
             constraints.append(Constraint(node=int(node), v_fix=(0.0, 0.0, 0.0)))
 
-    system = assemble(mesh, material)
+    a0 = None
+    if config.initial_translation is not None:
+        a0 = np.tile(np.asarray(config.initial_translation, dtype=float), mesh.n_nodes)
+
+    held = _in_plane_undriven(material, loads, constraints, a0)
+    system = assemble(mesh, material, w_only=held)
     system.constraints = constraints
     system = apply_constraints(system)
+    carried = system.dofs
+    loads = [replace(ld, vector=ld.vector[carried]) for ld in loads]
 
     tau = config.tau if config.tau is not None else default_timestep(mesh, material)
     params = NewmarkParams(tau=tau)
     n_steps = step_count(config.t_final, tau)
 
-    a0 = None
-    if config.initial_translation is not None:
-        a0 = np.tile(np.asarray(config.initial_translation, dtype=float), mesh.n_nodes)
-
-    held = _in_plane_undriven(system, loads, a0)
-    if held:
-        system.held_dofs = np.flatnonzero(np.arange(system.ndof) % 3 != 2)
-
     update_load(system, 0.0, loads)
-    state = init_state(system, a0=a0)
+    state = init_state(system, a0=None if a0 is None else a0[carried])
     factor = factor_once(system, params)
-    carried = system.state_dofs
 
     result = SimulationResult(
         mesh=mesh,
@@ -409,15 +408,15 @@ def run(config: ScenarioConfig, on_snapshot=None, keep_snapshots: bool = True) -
         system=system,
         params=params,
         n_steps=n_steps,
-        solver={"ndof": system.ndof, "factored_dofs": int(factor.lu.dofs.size),
-                "stepped_dofs": int(carried.size), "held_in_plane": held,
+        solver={"ndof": 3 * mesh.n_nodes, "factored_dofs": int(factor.lu.dofs.size),
+                "stepped_dofs": system.ndof, "held_in_plane": held,
                 "factored_entries": factor.lu.factored_entries,
                 "lu_stored_entries": factor.lu.nnz, "ordering": factor.lu.ordering},
     )
 
     def full(s: State) -> State:
         """`s` over every dof; held dofs are exact zeros."""
-        vectors = np.zeros((3, system.ndof))
+        vectors = np.zeros((3, 3 * mesh.n_nodes))
         vectors[:, carried] = (s.a, s.adot, s.addot)
         return State(*vectors, t=s.t, step=s.step)
 

@@ -11,6 +11,7 @@ from membrane.assembly import (
     apply_constraints,
     assemble,
     build_load_vector,
+    couples_normal,
     element_dof_ids,
     strain_operator,
     update_load,
@@ -124,6 +125,45 @@ class TestStrainOperator:
         assert np.all(coo.row % 3 == coo.col % 3)
         scalar = m[0::3, 0::3]
         np.testing.assert_array_equal(m.toarray(), kron(scalar, identity(3)).toarray())
+
+
+def _same_csr(a, b):
+    """Same indices, indptr and data bits."""
+    return (np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
+            and a.data.tobytes() == b.data.tobytes())
+
+
+class TestCarriedField:
+    """One test on D decides coupling; a held run assembles only w."""
+
+    # (xx, yy, zz, xy, yz, xz): B maps (u, v) to rows 0, 1, 3 and w to 4, 5
+    @pytest.mark.parametrize("i, j, coupled", [
+        *[(i, j, True) for i in (0, 1, 3) for j in (4, 5)],
+        (0, 3, False),  # in-plane only: xx-xy
+        (4, 5, False),  # transverse only: yz-xz
+    ])
+    def test_couples_normal_reads_one_off_block_modulus(self, i, j, coupled):
+        d = 10.0 * np.eye(6)
+        d[i, j] = d[j, i] = 1.0
+        assert couples_normal(mb.MaterialParams(d=d, rho=1.0, h=1.0)) is coupled
+
+    def test_held_run_assembles_the_w_blocks_bitwise(self, polymer):
+        tau = 4e-6
+        res = mb.run(mb.ScenarioConfig(
+            mesh=mb.StructuredSpec(1.0, 1.0, 8, 8), material=polymer,
+            case=mb.CaseSpec(case_id=1, b0=1e6), border="fixed", t_final=5 * tau, tau=tau,
+        ))
+        system, n = res.system, res.mesh.n_nodes
+        assert res.solver["held_in_plane"] is True and not system.coupled
+        assert system.K.shape == system.M.shape == (n, n)
+        np.testing.assert_array_equal(system.dofs, np.arange(2, 3 * n, 3))
+        np.testing.assert_array_equal(system.constrained_dofs, mb.boundary_nodes(res.mesh))
+        full = assemble(res.mesh, polymer)
+        c = 0.5 * tau**2 * 0.5
+        w = system.dofs
+        for got, want in ((system.K, full.K), (system.M, full.M),
+                          (system.M + c * system.K, full.M + c * full.K)):
+            assert _same_csr(got.tocsr(), want.tocsr()[w][:, w])
 
 
 class TestGlobalProperties:

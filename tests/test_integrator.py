@@ -46,6 +46,7 @@ def _oscillator(omega):
         M=sparse.identity(3, format="csr"),
         f=np.zeros(3),
         mesh=mesh1,
+        dofs=np.arange(3),
         constraints=[],
         constrained_dofs=np.zeros(0, dtype=np.int64),
     )
@@ -436,8 +437,8 @@ def _count_factorizations(monkeypatch):
 def _free_count(result, w_only):
     """How many dofs of `result`'s system no constraint holds (w only, or all)."""
     system = result.system
-    dofs = np.setdiff1d(np.arange(system.ndof), system.constrained_dofs)
-    return int(np.count_nonzero(dofs % 3 == 2)) if w_only else dofs.size
+    ids = system.dofs[system.free_dofs]
+    return int(np.count_nonzero(ids % 3 == 2)) if w_only else ids.size
 
 
 def _aniso_160():
@@ -564,8 +565,8 @@ class TestHeldField:
 
 
 def _full_step(state, system, params, factor, f):
-    """One Newmark step over every dof: the full product K a_bar, a
-    solve of full length, and updates of full length."""
+    """One Newmark step over every dof of the system: the full product
+    K a_bar, a solve of full length, and updates of full length."""
     tau = params.tau
     v_bar = state.adot + tau * (1.0 - params.beta1) * state.addot
     a_bar = state.a + tau * state.adot + 0.5 * tau**2 * (1.0 - params.beta2) * state.addot
@@ -576,8 +577,9 @@ def _full_step(state, system, params, factor, f):
 
 
 class TestSteppedDofs:
-    """`run` carries its state over `state_dofs` only, and each step
-    multiplies only the factored rows of K: bitwise the full-length step."""
+    """`run` carries its state over the system's dofs, only w when the
+    in-plane field is held, and each step multiplies only the factored
+    rows of K: bitwise the full-length step over the system."""
 
     TAU = 4e-6
     N_STEPS = 30
@@ -608,39 +610,33 @@ class TestSteppedDofs:
         result = mb.run(config)
         system, params, factor = calls[0][2:]
         assert result.solver["held_in_plane"] is held
-        assert system.state_dofs.size == (result.mesh.n_nodes if held else system.ndof)
+        carried = system.dofs
+        assert system.ndof == (1 if held else 3) * result.mesh.n_nodes
         assert len(calls) == result.n_steps == self.N_STEPS
-        assert {size for size, *_ in calls} == {system.state_dofs.size}
+        assert {size for size, *_ in calls} == {system.ndof}
 
-        state = result.snapshots[0]
+        first = result.snapshots[0]
+        state = State(a=first.a[carried], adot=first.adot[carried], addot=first.addot[carried],
+                      t=first.t, step=first.step)
         for _, f, *_ in calls:
             state = _full_step(state, system, params, factor, f)
         got = result.final_state
         assert np.abs(got.a).max() > 0.0
         for name in ("a", "adot", "addot"):
-            assert np.array_equal(getattr(got, name), getattr(state, name))
+            vec = getattr(got, name)
+            assert np.array_equal(vec[carried], getattr(state, name))
+            assert np.all(np.delete(vec, carried) == 0.0)
 
-    def test_held_dofs_must_start_at_rest(self, grid4, polymer):
-        sysc = _fixed_border_system(grid4, polymer)
-        sysc.held_dofs = np.flatnonzero(np.arange(sysc.ndof) % 3 != 2)
-        a0 = np.zeros(sysc.ndof)
-        a0[3 * 12] = 1e-6  # u of an interior node
-        with pytest.raises(SolverError, match="held dofs must start at rest"):
-            init_state(sysc, a0=a0)
-        assert init_state(sysc).a.size == grid4.n_nodes
-        struck = _fixed_border_system(grid4, polymer, strike=12)  # in-plane v_fix
-        struck.held_dofs = sysc.held_dofs
-        with pytest.raises(SolverError, match="held dofs must start at rest"):
-            init_state(struck)
-
-    def test_state_must_span_state_dofs(self, grid4, polymer):
-        sysc = _fixed_border_system(grid4, polymer)
-        sysc.held_dofs = np.flatnonzero(np.arange(sysc.ndof) % 3 != 2)
+    def test_state_must_span_system_dofs(self, grid4, polymer):
+        sysw = assemble(grid4, polymer, w_only=True)
+        sysw.constraints = [Constraint(int(n), (0.0, 0.0, 0.0)) for n in boundary_nodes(grid4)]
+        sysw = apply_constraints(sysw)
+        assert init_state(sysw).a.size == grid4.n_nodes
         params = NewmarkParams(tau=1e-6)
-        factor = factor_once(sysc, params)
-        z = np.zeros(sysc.ndof)
-        with pytest.raises(SolverError, match="state_dofs"):
-            step(State(a=z, adot=z, addot=z, t=0.0, step=0), sysc, params, factor)
+        factor = factor_once(sysw, params)
+        z = np.zeros(3 * grid4.n_nodes)
+        with pytest.raises(SolverError, match="state must span the system's 25 dofs"):
+            step(State(a=z, adot=z, addot=z, t=0.0, step=0), sysw, params, factor)
 
 
 class TestStandingMode:
@@ -792,9 +788,9 @@ class TestMassSolve:
         [factor] = factors
         [block] = blocks
         system = factor.system
-        free = np.setdiff1d(np.arange(system.ndof), system.constrained_dofs)
+        interior = np.setdiff1d(np.arange(system.mesh.n_nodes), boundary_nodes(system.mesh))
         dofs = factor.lu.dofs
-        np.testing.assert_array_equal(dofs, free[free % 3 == 2])
+        np.testing.assert_array_equal(system.dofs[dofs], 3 * interior + 2)
         a = (system.M + 0.5 * tau**2 * 0.5 * system.K).tocsr()
         assert (block != a[dofs][:, dofs]).nnz == 0
         assert (block != system.M.tocsr()[dofs][:, dofs]).nnz > 0
