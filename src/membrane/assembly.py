@@ -174,16 +174,22 @@ def assemble(mesh: Mesh, material: MaterialParams, w_only: bool = False) -> Glob
     """Assemble the global stiffness and mass of a mesh; f starts at zero.
 
     With `w_only` the system carries only the w dofs: K = S_w^T W S_w
-    from S's w columns and M = M_s, bitwise the w blocks of the full
+    from S's (yz, xz) rows and w columns, with W built from D's (yz, xz)
+    block, and M = M_s, bitwise the w blocks of the full
     matrices when the material does not couple w with u or v.  Both
     matrices are CSR and store no zero; K is symmetric positive
     semidefinite, M symmetric positive definite.
     """
     area, s = strain_operator(mesh)
-    dofs = np.arange(2, 3 * mesh.n_nodes, 3) if w_only else np.arange(3 * mesh.n_nodes)
+    d = material.d
     if w_only:
-        s = s[:, dofs]
-    k = (s.T @ (kron(diags(material.h * area), material.d, format="bsr") @ s)).tocsr()
+        # B maps w only to the strains (yz, xz), rows 4 and 5 of each element
+        dofs = np.arange(2, 3 * mesh.n_nodes, 3)
+        rows = (6 * np.arange(mesh.n_triangles)[:, None] + [4, 5]).ravel()
+        s, d = s[rows][:, dofs], d[4:6, 4:6]
+    else:
+        dofs = np.arange(3 * mesh.n_nodes)
+    k = (s.T @ (kron(diags(material.h * area), d, format="bsr") @ s)).tocsr()
     # scalar consistent mass: rho*h*A/12 * [[2, 1, 1], [1, 2, 1], [1, 1, 2]] per triangle
     tri, pairs = mesh.triangles, (mesh.n_triangles, 3, 3)
     me = (1.0 + np.eye(3)) * (material.rho * material.h * area / 12.0)[:, None, None]

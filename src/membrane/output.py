@@ -1,22 +1,22 @@
 """File writers: snapshot CSV, per-element CSV, legacy VTK, study CSV.
 
-All floats are written with 17 significant digits so files are
-bitwise-reproducible and round-trip through float64 exactly.  Writers
-never mutate the state they are given.
+Every float is written as ``%.17g``: 17 significant digits, so files
+are bitwise-reproducible and round-trip through float64 exactly, with
+-0, inf and nan kept.  Writers never mutate the state they are given.
+
+The snapshot writers format float columns with one numpy kernel,
+`membrane._format.records`, a block of `_BLOCK_ROWS` rows at a time;
+it gives the bytes of ``format(x, ".17g")`` for every value, in fixed
+records with zero bytes among the text, and one boolean mask per block
+drops those bytes.
 
 Each value is formatted once.  Text a run repeats at every snapshot is
 held by one `MeshText` and formatted at its first use: the "i,x0,y0"
 head of each node CSV row, the element ids, the VTK ``CELLS`` block and
 the "x0 y0" of each VTK point (used while the in-plane displacement
-leaves every point where it was).  Within a block, a column whose
-values all have the same bits (a held in-plane field's zeros, flags
-without a threshold) is formatted once into the row template.  The
-other columns are formatted chunk by chunk: one ``%`` of the template
-repeated once per row turns a few hundred rows into text, which is
-written before the next chunk is formatted, so the text of a whole
-block is never held at once.  ``"%.17g" % x`` and ``format(x, ".17g")``
-share CPython's float-to-string routine, so the bytes are those of
-formatting each value on its own.
+leaves every point where it was).  Within a file, a column whose values
+all have the same bits (a held in-plane field's zeros, flags without a
+threshold) is formatted once, as a literal.
 """
 from __future__ import annotations
 
@@ -54,44 +54,62 @@ def _g17(x: float) -> str:
     return format(float(x), ".17g")
 
 
-# rows per string from `_rows`: large enough that the per-chunk overhead
-# is negligible, small enough that a chunk's Python objects stay small
-_CHUNK_ROWS = 256
+# rows per kernel call: large enough that numpy's per-call cost is small,
+# small enough that a block's temporaries (about 300 bytes per formatted
+# value) stay small
+_BLOCK_ROWS = 1024
 
 
-def _constant(col: np.ndarray) -> bool:
-    """Whether every value of `col` has the same bits (so -0.0 differs
-    from 0.0, and inf and nan are kept as they are)."""
-    bits = col.view(f"u{col.itemsize}")
-    return bool((bits == bits[0]).all())
+def _blocks(parts, n: int):
+    """The text of `n` rows, each the concatenation of `parts`, as one
+    uint8 array per block of `_BLOCK_ROWS` rows, zero bytes to be dropped.
 
-
-def _rows(prefix: str, cols, fmts, lines: list[str] | None = None):
-    """One line per row of the equal-length columns `cols`: `prefix`,
-    the row's line of `lines` (if given), then each column's value
-    through its spec in `fmts`.
-
-    A constant column is formatted once, into the row template; the
-    others are formatted per chunk of `_CHUNK_ROWS` rows, one ``%`` call
-    each.  Yields one string per chunk.  `lines` holds the chunks of an
-    earlier `_rows` over the same number of rows, so ``lines[k]`` is the
-    text of chunk k.  `prefix` and `lines` go into the template as they
-    are, so they must hold no ``%``.
+    A part is a `bytes` literal, an (n, w) uint8 array of per-row text,
+    or a float column, written as ``%.17g``.  A column whose values all
+    have the same bits (so -0.0 differs from 0.0) is formatted once, as
+    a literal.
     """
-    n = len(cols[0])
-    rest, varying = "", []
-    for col, fmt in zip(cols, fmts):
-        if _constant(col):
-            rest += fmt % col[0].item()
+    # imported here, at the first write: where no bytecode is cached,
+    # compiling the kernel at import would add about 0.2 MB to the peak
+    # memory of runs that write no snapshot
+    from ._format import records
+
+    spec = []
+    for part in parts:
+        if isinstance(part, np.ndarray) and part.ndim == 1:
+            bits = part.view(np.uint64)
+            if (bits == bits[0]).all():
+                part = _g17(part[0]).encode()
+        if isinstance(part, bytes) and spec and isinstance(spec[-1], bytes):
+            spec[-1] += part
         else:
-            rest += fmt
-            varying.append(col)
-    for k, start in enumerate(range(0, n, _CHUNK_ROWS)):
-        stop = min(start + _CHUNK_ROWS, n)
-        lead = "\n" * (stop - start) if lines is None else lines[k]
-        template = prefix + lead[:-1].replace("\n", f"{rest}\n{prefix}") + rest + "\n"
-        values = chain.from_iterable(zip(*(c[start:stop].tolist() for c in varying)))
-        yield template % tuple(values)
+            spec.append(part)
+    columns = [p for p in spec if isinstance(p, np.ndarray) and p.ndim == 1]
+    widths = [len(p) if isinstance(p, bytes) else p.shape[1] if p.ndim == 2 else 32 for p in spec]
+    edges = np.cumsum([0, *widths])
+    for start in range(0, n, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, n)
+        if columns:
+            values = np.concatenate([c[start:stop] for c in columns])
+            formatted = iter(records(values).reshape(len(columns), stop - start, 32))
+        block = np.empty((stop - start, edges[-1]), np.uint8)
+        for p, left, right in zip(spec, edges[:-1], edges[1:]):
+            if isinstance(p, bytes):
+                block[:, left:right] = np.frombuffer(p, np.uint8)
+            else:
+                block[:, left:right] = p[start:stop] if p.ndim == 2 else next(formatted)
+        yield block
+
+
+def _packed(parts, n: int) -> np.ndarray:
+    """The rows of `_blocks(parts, n)` without their zero bytes, each at
+    the start of its row of an array as wide as the longest."""
+    rows = np.concatenate(list(_blocks(parts, n)))
+    keep = rows != 0
+    length = keep.sum(axis=1)
+    out = np.zeros((n, length.max()), np.uint8)
+    out[np.arange(out.shape[1]) < length[:, None]] = rows[keep]
+    return out
 
 
 class MeshText:
@@ -106,28 +124,30 @@ class MeshText:
         self.strain = strain
 
     @cached_property
-    def node_heads(self) -> list[str]:
-        """The "i,x0,y0" head of each node's CSV row, in `_rows` chunks."""
+    def node_heads(self) -> np.ndarray:
+        """The "i,x0,y0" head of each node's CSV row, one per row."""
         x, y = self.mesh.nodes.T
-        return list(_rows("", (np.arange(len(x)), x, y), ("%d", ",%.17g", ",%.17g")))
+        return _packed((np.arange(len(x), dtype=float), b",", x, b",", y), len(x))
 
     @cached_property
-    def element_ids(self) -> list[str]:
-        """The id of each element's CSV row, in `_rows` chunks."""
-        return list(_rows("", (np.arange(self.mesh.n_triangles),), ("%d",)))
+    def element_ids(self) -> np.ndarray:
+        """The id of each element's CSV row, one per row."""
+        m = self.mesh.n_triangles
+        return _packed((np.arange(m, dtype=float),), m)
 
     @cached_property
-    def cells(self) -> str:
+    def cells(self) -> bytes:
         """The VTK ``CELLS`` block, its header line first."""
         m = self.mesh.n_triangles
-        body = _rows("3 ", tuple(self.mesh.triangles.T), ("%d", " %d", " %d"))
-        return f"CELLS {m} {4 * m}\n" + "".join(body)
+        a, b, c = self.mesh.triangles.T.astype(float)
+        body = _blocks((b"3 ", a, b" ", b, b" ", c, b"\n"), m)
+        return f"CELLS {m} {4 * m}\n".encode() + b"".join(t[t != 0].tobytes() for t in body)
 
     @cached_property
-    def points(self) -> list[str]:
-        """The "x0 y0" of each node's VTK point, in `_rows` chunks."""
+    def points(self) -> np.ndarray:
+        """The "x0 y0" of each node's VTK point, one per row."""
         x, y = self.mesh.nodes.T
-        return list(_rows("", (x, y), ("%.17g", " %.17g")))
+        return _packed((x, b" ", y), len(x))
 
 
 def _speed(state: State) -> np.ndarray:
@@ -140,9 +160,15 @@ def _speed(state: State) -> np.ndarray:
 
 
 def _write(path, parts) -> None:
-    """Write the strings of the iterable `parts` in order."""
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.writelines(parts)
+    """Write `parts` in order: `bytes`, or blocks from `_blocks`."""
+    with open(path, "wb") as f:
+        for part in parts:
+            f.write(part if isinstance(part, bytes) else part[part != 0])
+
+
+def _row(lead: bytes, head: np.ndarray, columns) -> list:
+    """The parts of a CSV row: `lead`, `head`, then each column after a comma."""
+    return [lead, head, *chain.from_iterable((b",", c) for c in columns), b"\n"]
 
 
 def write_snapshot_csv(path, text: MeshText, state: State) -> None:
@@ -151,8 +177,8 @@ def write_snapshot_csv(path, text: MeshText, state: State) -> None:
     vmag is the Euclidean norm of (vx, vy, vz).
     """
     cols = (*state.a.reshape(-1, 3).T, *state.adot.reshape(-1, 3).T, _speed(state))
-    body = _rows(_g17(state.t) + ",", cols, (",%.17g",) * 7, text.node_heads)
-    _write(path, chain([CSV_HEADER + "\n"], body))
+    parts = _row(_g17(state.t).encode() + b",", text.node_heads, cols)
+    _write(path, chain([CSV_HEADER.encode() + b"\n"], _blocks(parts, text.mesh.n_nodes)))
 
 
 def _batch_strain_stress(strain: csr_matrix, material: MaterialParams, state: State):
@@ -166,7 +192,7 @@ def _batch_strain_stress(strain: csr_matrix, material: MaterialParams, state: St
 def _flags(values: np.ndarray, threshold) -> np.ndarray:
     if threshold is None:
         return np.zeros(len(values))
-    return (np.abs(values) > threshold).any(axis=1)
+    return (np.abs(values) > threshold).any(axis=1).astype(float)
 
 
 def write_element_csv(path, text: MeshText, material: MaterialParams, state: State) -> None:
@@ -178,8 +204,9 @@ def write_element_csv(path, text: MeshText, material: MaterialParams, state: Sta
     eps, sig = _batch_strain_stress(text.strain, material, state)
     cols = (*eps.T, *sig.T,
             _flags(eps, material.strain_threshold), _flags(sig, material.stress_threshold))
-    body = _rows(_g17(state.t) + ",", cols, (",%.17g",) * 12 + (",%d", ",%d"), text.element_ids)
-    _write(path, chain([ELEMENT_CSV_HEADER + "\n"], body))
+    parts = _row(_g17(state.t).encode() + b",", text.element_ids, cols)
+    _write(path, chain([ELEMENT_CSV_HEADER.encode() + b"\n"],
+                       _blocks(parts, text.mesh.n_triangles)))
 
 
 def write_snapshot_vtk(path, text: MeshText, state: State) -> None:
@@ -194,16 +221,16 @@ def write_snapshot_vtk(path, text: MeshText, state: State) -> None:
     xy = mesh.nodes + a[:, :2]
     # compare the sums, not u and v: x0 = -0.0 plus u = +0.0 is +0.0
     if np.array_equal(xy.view(np.int64), mesh.nodes.view(np.int64)):
-        points = _rows("", (a[:, 2],), (" %.17g",), text.points)
+        points = (text.points, b" ", a[:, 2], b"\n")
     else:
-        points = _rows("", (*xy.T, a[:, 2]), ("%.17g", " %.17g", " %.17g"))
+        points = (xy[:, 0], b" ", xy[:, 1], b" ", a[:, 2], b"\n")
     _write(path, chain(
-        ["# vtk DataFile Version 3.0\nmembrane snapshot\nASCII\nDATASET UNSTRUCTURED_GRID\n",
-         f"POINTS {n} double\n"],
-        points,
-        [text.cells, f"CELL_TYPES {m}\n", "5\n" * m,
-         f"POINT_DATA {n}\nSCALARS velocity_magnitude double 1\nLOOKUP_TABLE default\n"],
-        _rows("", (_speed(state),), ("%.17g",)),
+        [b"# vtk DataFile Version 3.0\nmembrane snapshot\nASCII\nDATASET UNSTRUCTURED_GRID\n",
+         f"POINTS {n} double\n".encode()],
+        _blocks(points, n),
+        [text.cells, f"CELL_TYPES {m}\n".encode(), b"5\n" * m,
+         f"POINT_DATA {n}\nSCALARS velocity_magnitude double 1\nLOOKUP_TABLE default\n".encode()],
+        _blocks((_speed(state), b"\n"), n),
     ))
 
 
@@ -234,7 +261,7 @@ def write_study_csv(path, result: StudyResult) -> None:
     lines.append("norm,rate")
     for w in NORMS:
         lines.append(f"{w},{_g17(result.rates[w])}")
-    _write(path, ["\n".join(lines) + "\n"])
+    _write(path, [("\n".join(lines) + "\n").encode()])
 
 
 def write_run_manifest(path, manifest: dict) -> None:

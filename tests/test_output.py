@@ -1,10 +1,12 @@
-"""Writer tests: snapshot CSV, element CSV, VTK grammar, study CSV, manifest."""
+"""Writer tests: %.17g kernel, snapshot CSV, element CSV, VTK grammar, study CSV, manifest."""
 import json
 
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
 import membrane as mb
 from membrane.assembly import strain_operator
+from membrane._format import records
 from membrane.convergence import LevelDiff, StudyResult
 from membrane.integrator import State
 from membrane.output import (
@@ -36,6 +38,89 @@ def _state(mesh, seed=0, scale=1e-3):
         t=1.0 / 3.0,
         step=7,
     )
+
+
+def _kernel(values):
+    """The kernel's text of each value, as a list of str."""
+    rows = records(np.array(values, dtype=np.float64))
+    return [row[row != 0].tobytes().decode() for row in rows]
+
+
+def _reference(values):
+    return [format(float(v), ".17g") for v in values]
+
+
+class TestKernel:
+    """The kernel against ``format(x, ".17g")``, value by value."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                    min_size=1, max_size=40))
+    def test_floats(self, values):
+        assert _kernel(values) == _reference(values)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+    def test_bit_patterns(self, patterns):
+        values = np.array(patterns, dtype=np.uint64).view(np.float64)
+        assert _kernel(values) == _reference(values)
+
+    def test_random_bits_and_magnitudes(self):
+        rng = np.random.default_rng(17)
+        bits = rng.integers(0, 2**64, 20000, dtype=np.uint64).view(np.float64)
+        scaled = rng.standard_normal(20000) * 10.0 ** rng.integers(-30, 30, 20000)
+        for values in (bits, scaled):
+            assert _kernel(values) == _reference(values)
+
+    def test_powers_of_ten_and_neighbours(self):
+        p = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        values = np.concatenate([p, np.nextafter(p, np.inf), np.nextafter(p, 0.0), -p])
+        assert _kernel(values) == _reference(values)
+
+    def test_just_below_a_power_of_ten(self):
+        # 17 nines: the exponent is judged before rounding, not from it
+        values = [9.9999999999999997e-29, 99999999999999984.0, 0.99999999999999989,
+                  9.9999999999999995e-08, 999999999999999.88]
+        assert _kernel(values) == _reference(values)
+        assert _kernel([9.9999999999999997e-29]) == ["9.9999999999999997e-29"]
+
+    def test_rounding_up_to_ten_to_the_seventeen(self):
+        # each double lies below 10^k, and its 17 digits round up to 10^17
+        values = [1e-14, 1e-79, 1e98, 1e129, 99999999999999999.0]
+        assert _kernel(values) == _reference(values) == ["1e-14", "1e-79", "1e+98", "1e+129", "1e+17"]
+
+    def test_dyadic_ties(self):
+        # an odd q / 2^j with 17 - j integer digits has 18 digits, the
+        # last a 5: a tie, rounded half to even
+        for j in range(2, 6):
+            q = np.floor(1.2 * 10.0 ** (17 - j) * 2**j) + np.arange(4000)
+            values = q / 2.0**j
+            assert _kernel(values) == _reference(values)
+        assert _kernel([1000000000000000.25, 1000000000000000.75]) == [
+            "1000000000000000.2", "1000000000000000.8"]
+        # a tie past the exact part of the table goes through format()
+        assert _kernel([3 * 2.0**-24]) == ["1.7881393432617188e-07"]
+
+    def test_near_ties_past_the_exact_table(self):
+        # x = m / 2^(53 + s) with m * 5^s = 2^52 + t (mod 2^53) puts
+        # x * 10^s within t * 2^-53 of a half-integer, closer than the
+        # inexact table can judge; such values go through format()
+        values = []
+        for s in range(23, 40):
+            inverse = pow(5**s, -1, 2**53)
+            for t in (*range(-60, 0), *range(1, 61)):
+                m = (2**52 + t) * inverse % 2**53
+                if 2**52 <= m and 10**16 * 2**53 <= m * 5**s < 10**17 * 2**53:
+                    values.append(m / 2.0 ** (53 + s))
+        assert len(values) > 50 and 4.9102966142601843e-08 in values
+        assert _kernel(values) == _reference(values)
+
+    def test_table_and_form_edges(self):
+        edges = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+                 1.7976931348623157e308, -1.7976931348623157e308, np.inf, -np.inf, np.nan,
+                 1e-4, 9.9999999999999991e-05, 1e-5, 1e16, 1e17, 1e-6, 1e-7, 1e22, 1e23,
+                 0.5, 1.0, 123456789.0, 0.1]
+        assert _kernel(edges) == _reference(edges)
 
 
 class TestSnapshotCsv:
@@ -203,8 +288,8 @@ def _fabricated_result():
 
 
 # ---------------------------------------------------------------- byte oracle
-# The writers format whole blocks with one %-template each; these are the
-# per-value loops they replaced, kept as the reference for every byte.
+# The writers format whole blocks with one numpy kernel each; these
+# per-value loops of format(x, ".17g") are the reference for every byte.
 
 
 def _g17(x):
@@ -342,10 +427,10 @@ class TestWritersMatchOracle:
 
 
     def test_bytes_across_chunks(self, grid4, steel, tmp_path, monkeypatch):
-        # 25 nodes and 32 triangles in chunks of 7 rows: several full
-        # chunks and a short last one in every block and every cached
-        # line block of one shared MeshText
-        monkeypatch.setattr("membrane.output._CHUNK_ROWS", 7)
+        # 25 nodes and 32 triangles in blocks of 7 rows: several full
+        # blocks and a short last one in every file and every cached
+        # text of one shared MeshText
+        monkeypatch.setattr("membrane.output._BLOCK_ROWS", 7)
         shared = _text(grid4)
         for state in (_edge_state(grid4), _held_state(grid4)):
             got = _write_all(tmp_path, shared, steel, state)
