@@ -18,7 +18,8 @@ M, which stay the physical matrices.
 A system spans `dofs`, the global dof ids it carries: every dof, or
 only the w dofs (`assemble(..., w_only=True)`) of a run whose in-plane
 field nothing drives (see `scenarios.run`).  Its K, M, f and dof
-positions all count over those ids.
+positions all count over those ids.  A w-only system takes its K from
+S's w part alone, laid out straight from the element gradients.
 """
 from __future__ import annotations
 
@@ -118,14 +119,15 @@ def element_dof_ids(triangles: np.ndarray) -> np.ndarray:
     return 3 * reps + np.tile(np.arange(3), 3)[None, :]
 
 
-def _triangle_geometry(mesh: Mesh):
-    """(area, B) per triangle, shapes (m,) and (m, 6, 9).
+def _triangle_gradients(mesh: Mesh):
+    """(area, beta, gamma) per triangle, shapes (m,), (m, 3) and (m, 3).
 
-    B is the strain-displacement matrix of the reference
-    `strain_displacement` (tests/reference_element.py) for every
-    triangle at once: shape function i has the constant
-    gradient (beta_i, gamma_i), and its vertex block occupies columns
-    3i..3i+2.  This is the only place the solver builds either.
+    Shape function i of a linear triangle has the constant gradient
+    (beta_i, gamma_i), the same arithmetic as the scalar
+    `shape_coefficients` of the tests' reference kernels
+    (tests/reference_element.py).  This is the only place the solver
+    computes them; a degenerate or clockwise triangle raises
+    AssemblyError.
     """
     p = mesh.triangle_coords()
     x, y = p[:, :, 0], p[:, :, 1]
@@ -137,6 +139,18 @@ def _triangle_geometry(mesh: Mesh):
         raise AssemblyError(f"triangle {bad} degenerate or clockwise during assembly")
     beta = (y[:, jj] - y[:, kk]) / se[:, None]
     gamma = (x[:, kk] - x[:, jj]) / se[:, None]
+    return 0.5 * se, beta, gamma
+
+
+def _triangle_geometry(mesh: Mesh):
+    """(area, B) per triangle, shapes (m,) and (m, 6, 9).
+
+    B is the strain-displacement matrix of the reference
+    `strain_displacement` (tests/reference_element.py) for every
+    triangle at once, laid out from `_triangle_gradients`: vertex i's
+    block occupies columns 3i..3i+2.
+    """
+    area, beta, gamma = _triangle_gradients(mesh)
     b = np.zeros((mesh.n_triangles, 6, 9))
     b[:, 0, 0::3] = beta
     b[:, 1, 1::3] = gamma
@@ -144,13 +158,16 @@ def _triangle_geometry(mesh: Mesh):
     b[:, 3, 1::3] = beta
     b[:, 4, 2::3] = gamma
     b[:, 5, 2::3] = beta
-    return 0.5 * se, b
+    return area, b
 
 
 def strain_operator(mesh: Mesh):
     """(area, S): triangle areas (m,) and the CSR strain operator (6m, 3n).
 
-    (S @ a).reshape(-1, 6) is every element's strain; B's zeros are not stored.
+    S lays out every element's B (`_triangle_geometry`) at its dofs;
+    (S @ a).reshape(-1, 6) is every element's strain.  B's zeros are
+    not stored.  The full system and the element writer use it; a held
+    run's `assemble` builds only its w part.
     """
     area, b = _triangle_geometry(mesh)
     m = mesh.n_triangles
@@ -173,21 +190,28 @@ def couples_normal(material: MaterialParams) -> bool:
 def assemble(mesh: Mesh, material: MaterialParams, w_only: bool = False) -> GlobalSystem:
     """Assemble the global stiffness and mass of a mesh; f starts at zero.
 
-    With `w_only` the system carries only the w dofs: K = S_w^T W S_w
-    from S's (yz, xz) rows and w columns, with W built from D's (yz, xz)
-    block, and M = M_s, bitwise the w blocks of the full
-    matrices when the material does not couple w with u or v.  Both
-    matrices are CSR and store no zero; K is symmetric positive
-    semidefinite, M symmetric positive definite.
+    The full system takes K = S^T W S from `strain_operator`.  With
+    `w_only` the system carries only the w dofs, and K = S_w^T W S_w
+    with W built from D's (yz, xz) block.  S_w (2m, n) is laid out
+    straight from `_triangle_gradients`: element e's rows (yz, xz) hold
+    (gamma, beta) at its nodes, S's rows 6e+4 and 6e+5 at the w
+    columns, stored in the same order, so no B and no full S are
+    built.  M = M_s.  Both are bitwise the w blocks of the full
+    matrices when the material does not couple w with u or v.  K and M
+    are CSR and store no zero; K is symmetric positive semidefinite,
+    M symmetric positive definite.
     """
-    area, s = strain_operator(mesh)
     d = material.d
     if w_only:
-        # B maps w only to the strains (yz, xz), rows 4 and 5 of each element
-        dofs = np.arange(2, 3 * mesh.n_nodes, 3)
-        rows = (6 * np.arange(mesh.n_triangles)[:, None] + [4, 5]).ravel()
-        s, d = s[rows][:, dofs], d[4:6, 4:6]
+        area, beta, gamma = _triangle_gradients(mesh)
+        rows = 2 * mesh.n_triangles
+        s = csr_matrix((np.stack([gamma, beta], axis=1).ravel(),
+                        np.repeat(mesh.triangles, 2, axis=0).ravel(),
+                        np.arange(0, 3 * rows + 1, 3)), shape=(rows, mesh.n_nodes))
+        s.eliminate_zeros()  # a structured grid's gradients have exact zeros
+        dofs, d = np.arange(2, 3 * mesh.n_nodes, 3), d[4:6, 4:6]
     else:
+        area, s = strain_operator(mesh)
         dofs = np.arange(3 * mesh.n_nodes)
     k = (s.T @ (kron(diags(material.h * area), d, format="bsr") @ s)).tocsr()
     # scalar consistent mass: rho*h*A/12 * [[2, 1, 1], [1, 2, 1], [1, 1, 2]] per triangle

@@ -27,7 +27,6 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import REQUIRED, ConfigError, MeshError, config_section
 from .integrator import State, default_timestep
@@ -132,14 +131,29 @@ def fit_rate(values, ks=None) -> float:
 def extract_at_positions(mesh: Mesh, state: State, positions: np.ndarray) -> np.ndarray:
     """Stack (u, v, w) then (u', v', w') at the given node positions.
 
-    Positions must coincide with mesh nodes within 1e-12 of the local
-    cell size; a miss means the refinement subset property is broken
-    and raises MeshError.
+    The mesh must be structured (`mesh.structure`, as `run_study`'s
+    levels are).  Each position is looked up by grid index:
+    i = rint(x*nx/Lx) and j = rint(y*ny/Ly), clipped to the grid, give
+    node j*(nx+1) + i, `generate_structured`'s numbering.  That node
+    must lie within 1e-12 of the local cell size of the position; a
+    miss (a position off the grid's nodes, outside the rectangle, or
+    not finite) means the refinement subset property is broken and
+    raises MeshError.
     """
-    tree = cKDTree(mesh.nodes)
+    spec = mesh.structure
+    if spec is None:
+        raise MeshError("study node lookup needs a structured mesh")
+    p = np.asarray(positions, dtype=float).reshape(-1, 2)
+
+    def index(x, cells: int, length: float) -> np.ndarray:
+        # fmax/fmin take NaN to index 0, and the distance check then rejects it
+        with np.errstate(over="ignore"):
+            return np.fmin(np.fmax(np.rint(x * cells / length), 0), cells).astype(np.int64)
+
+    idx = index(p[:, 1], spec.ny, spec.Ly) * (spec.nx + 1) + index(p[:, 0], spec.nx, spec.Lx)
+    dist = np.hypot(*(mesh.nodes[idx] - p).T)
     tol = 1e-12 * mesh.min_edge_length()
-    dist, idx = tree.query(positions)
-    if float(np.max(dist)) > tol:
+    if not float(np.max(dist)) <= tol:
         raise MeshError(
             f"baseline node missing on refined grid (offset {np.max(dist):.3e})"
         )

@@ -246,8 +246,8 @@ def init_state(system: GlobalSystem, a0=None) -> State:
     if a.shape != (n,):
         raise SolverError(f"a0 must have shape ({n},)")
     v = np.zeros((system.mesh.n_nodes, 3))
-    for c in system.constraints:
-        v[c.node] = c.v_fix
+    nodes = np.array([c.node for c in system.constraints], dtype=np.int64)
+    v[nodes] = np.reshape([c.v_fix for c in system.constraints], (-1, 3))
     addot = _mass_solve(system, -(system.K @ a + system.f))
     return State(a=a, adot=v.ravel()[system.dofs], addot=addot, t=0.0, step=0)
 

@@ -141,13 +141,23 @@ class Mesh:
     def edges(self) -> np.ndarray:
         """All triangle edges as sorted node-id pairs, shape (3*n_tri, 2)."""
         t = self.triangles
-        e = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-        return np.sort(e, axis=1)
+        a, b = t.T.ravel(), t[:, [1, 2, 0]].T.ravel()
+        return np.column_stack([np.minimum(a, b), np.maximum(a, b)])
+
+    def _squared_edge_lengths(self) -> np.ndarray:
+        """Squared length of every triangle edge, shape (m, 3).
+
+        Edge k of a triangle runs from its vertex k to vertex k+1 (mod 3).
+        Coordinates too large for the float range give inf or nan
+        silently; `validate` rejects those meshes.
+        """
+        p = self.triangle_coords()
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = p[:, [1, 2, 0]] - p
+            return (d * d).sum(axis=2)
 
     def min_edge_length(self) -> float:
-        e = self.edges()
-        d = self.nodes[e[:, 0]] - self.nodes[e[:, 1]]
-        return float(np.sqrt((d * d).sum(axis=1).min()))
+        return float(np.sqrt(self._squared_edge_lengths().min()))
 
     def extent(self) -> tuple[float, float, float, float]:
         """Bounding box (xmin, xmax, ymin, ymax)."""
@@ -181,10 +191,7 @@ class Mesh:
         s2 = self.signed_doubled_areas()
         # scale-aware degeneracy cutoff: doubled area of a healthy triangle
         # is O(edge^2); anything at roundoff level counts as degenerate
-        e = self.edges()
-        with np.errstate(over="ignore", invalid="ignore"):
-            d = self.nodes[e[:, 0]] - self.nodes[e[:, 1]]
-            max_edge_sq = float((d * d).sum(axis=1).max())
+        max_edge_sq = float(self._squared_edge_lengths().max())
         if not (np.isfinite(s2).all() and np.isfinite(max_edge_sq)):
             raise MeshError(
                 "node coordinates out of range: triangle areas or edge lengths "
@@ -202,7 +209,7 @@ class Mesh:
             raise MeshError("duplicate triangles")
         # edge-connectivity over the node graph; also catches orphan nodes
         # (repeated edges only sum into the same adjacency entry)
-        n = self.n_nodes
+        n, e = self.n_nodes, self.edges()
         adj = coo_matrix((np.ones(e.shape[0]), (e[:, 0], e[:, 1])), shape=(n, n))
         ncomp, _ = connected_components(adj, directed=False)
         if ncomp != 1:

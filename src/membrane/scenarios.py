@@ -350,7 +350,7 @@ def _in_plane_undriven(material: MaterialParams, loads, constraints, a0) -> bool
 
     return (not couples_normal(material)
             and not any(in_plane(ld.vector) for ld in loads)
-            and not any(in_plane(c.v_fix) for c in constraints)
+            and not in_plane([c.v_fix for c in constraints])
             and (a0 is None or not in_plane(a0)))
 
 

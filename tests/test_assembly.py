@@ -1,9 +1,13 @@
 """Assembly tests: sparse vs dense oracle, constraints, load windows."""
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.sparse import identity, kron
 
 import membrane as mb
+from membrane import assembly
 from membrane.assembly import (
     _triangle_geometry,
     CompiledLoad,
@@ -164,6 +168,45 @@ class TestCarriedField:
         for got, want in ((system.K, full.K), (system.M, full.M),
                           (system.M + c * system.K, full.M + c * full.K)):
             assert _same_csr(got.tocsr(), want.tocsr()[w][:, w])
+
+    @pytest.mark.parametrize("mesh", [
+        _perturbed_grid(8, 8, seed=5),
+        mb.generate_structured(mb.StructuredSpec(2.0, 0.7, 12, 5)),
+    ], ids=["perturbed", "non-square"])
+    def test_held_assembly_is_the_w_blocks_bitwise(self, mesh, polymer, orthotropic):
+        w = np.arange(2, 3 * mesh.n_nodes, 3)
+        for material in (polymer, orthotropic):
+            held, full = assemble(mesh, material, w_only=True), assemble(mesh, material)
+            np.testing.assert_array_equal(held.dofs, w)
+            for got, want in ((held.K, full.K), (held.M, full.M)):
+                assert _same_csr(got, want[w][:, w])
+
+    def test_held_run_builds_no_strain_operator(self, polymer, monkeypatch):
+        def refused(mesh):
+            raise AssertionError("strain_operator called")
+
+        monkeypatch.setattr(assembly, "strain_operator", refused)
+        tau = 4e-6
+        cfg = mb.ScenarioConfig(
+            mesh=mb.StructuredSpec(1.0, 1.0, 8, 8), material=polymer,
+            case=mb.CaseSpec(case_id=1, b0=1e6), border="fixed", t_final=5 * tau, tau=tau,
+        )
+        assert mb.run(cfg).solver["held_in_plane"] is True
+        # the tilted load drives (u, v): that run needs the full operator
+        with pytest.raises(AssertionError, match="strain_operator called"):
+            mb.run(replace(cfg, case=mb.CaseSpec(case_id=2, b0=1e6)))
+
+    def test_held_assembly_peak_memory(self, polymer):
+        # at 64^2 a full (m, 6, 9) B alone takes 3.4 MiB, and a (6m, 3n) S as much again
+        mesh = mb.generate_structured(mb.StructuredSpec(1.0, 1.0, 64, 64))
+        assemble(mesh, polymer, w_only=True)
+        tracemalloc.start()
+        try:
+            assemble(mesh, polymer, w_only=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20, f"held assemble peaked at {peak / 2**20:.2f} MiB"
 
 
 class TestGlobalProperties:

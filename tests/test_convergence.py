@@ -1,8 +1,12 @@
 """Convergence harness tests: norms, rate fits, extraction, studies."""
 import json
 import math
+import os
+import subprocess
+import sys
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -102,6 +106,45 @@ class TestExtractAtPositions:
         )
         with pytest.raises(MeshError, match="baseline node missing"):
             extract_at_positions(grid4, state, np.array([[0.1234, 0.4321]]))
+
+    @staticmethod
+    def _numbered(mesh):
+        """A state whose every entry is its own dof id (velocities + 0.5)."""
+        a = np.arange(3 * mesh.n_nodes, dtype=float)
+        return State(a=a, adot=a + 0.5, addot=np.zeros_like(a), t=0.0, step=0)
+
+    @pytest.mark.parametrize("point", [
+        (math.nan, 0.5), (0.5, math.nan), (1.25, 0.5), (0.5, -0.25), (math.inf, 0.0),
+    ])
+    def test_nan_or_outside_position_raises(self, grid4, point):
+        # (1.25, 0.5) and (0.5, -0.25) are nodes of the grid extended past the rectangle
+        with pytest.raises(MeshError, match="baseline node missing"):
+            extract_at_positions(grid4, self._numbered(grid4), np.array([point]))
+
+    def test_unstructured_mesh_raises(self, grid4):
+        mesh = mb.Mesh(nodes=grid4.nodes, triangles=grid4.triangles)
+        with pytest.raises(MeshError, match="structured mesh"):
+            extract_at_positions(mesh, self._numbered(mesh), grid4.nodes[:1])
+
+    def test_grid_index_matches_brute_force_nearest_node(self):
+        specs = [mb.StructuredSpec(2.0, 0.7, 3, 5)]
+        for _ in range(2):
+            specs.append(mb.refine(specs[-1]))
+        base = mb.generate_structured(specs[0]).nodes
+        for spec in specs:
+            mesh = mb.generate_structured(spec)
+            d = mesh.nodes[None, :, :] - base[:, None, :]
+            nearest = np.argmin((d * d).sum(axis=2), axis=1)
+            dofs = (3 * nearest[:, None] + np.arange(3)).ravel()
+            got = extract_at_positions(mesh, self._numbered(mesh), base)
+            np.testing.assert_array_equal(got, np.concatenate([dofs, dofs + 0.5]))
+
+    def test_import_leaves_scipy_spatial_out(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        code = "import sys, membrane, membrane.cli; sys.exit('scipy.spatial' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path})
+        assert done.returncode == 0, "importing membrane loads scipy.spatial"
 
 
 class TestSnapSteps:
