@@ -2,8 +2,8 @@
 
 Node i owns degrees of freedom (3i, 3i+1, 3i+2) = (u_i, v_i, w_i).
 Linear triangles have constant strain, so one sparse strain operator S
-(rows 6e..6e+5 hold element e's B at its dofs) gives both the stiffness
-K = S^T W S, with W = diag(h*A_e) (x) D, and the element strains S a.
+(`strain_operator`) gives both the stiffness K = S^T W S, with
+W = diag(h*A_e) (x) D, and the element strains S a.
 The consistent mass is M = M_s (x) I_3 for the scalar node mass M_s.
 
 Constraints fix the velocity of whole nodes (all three components).
@@ -19,7 +19,7 @@ A system spans `dofs`, the global dof ids it carries: every dof, or
 only the w dofs (`assemble(..., w_only=True)`) of a run whose in-plane
 field nothing drives (see `scenarios.run`).  Its K, M, f and dof
 positions all count over those ids.  A w-only system takes its K from
-S's w part alone, laid out straight from the element gradients.
+S's w part alone (`strain_operator(mesh, w_only=True)`).
 """
 from __future__ import annotations
 
@@ -142,39 +142,41 @@ def _triangle_gradients(mesh: Mesh):
     return 0.5 * se, beta, gamma
 
 
-def _triangle_geometry(mesh: Mesh):
-    """(area, B) per triangle, shapes (m,) and (m, 6, 9).
+# element e's 18 entries of S in stored order, rows xx, yy, xy, yz, xz (zz
+# stores none): the gradient in (beta_0..2, gamma_0..2), the vertex and
+# the component (u, v, w) of the dof
+_GRADIENT = [0, 1, 2, 3, 4, 5, 3, 0, 4, 1, 5, 2, 3, 4, 5, 0, 1, 2]
+_NODE = [0, 1, 2, 0, 1, 2, 0, 0, 1, 1, 2, 2, 0, 1, 2, 0, 1, 2]
+_COMPONENT = [0, 0, 0, 1, 1, 1, 0, 1, 0, 1, 0, 1, 2, 2, 2, 2, 2, 2]
 
-    B is the strain-displacement matrix of the reference
-    `strain_displacement` (tests/reference_element.py) for every
-    triangle at once, laid out from `_triangle_gradients`: vertex i's
-    block occupies columns 3i..3i+2.
+
+def strain_operator(mesh: Mesh, w_only: bool = False):
+    """(area, S): triangle areas (m,) and the CSR strain operator.
+
+    S (6m, 3n) maps the dofs to every element's strain (xx, yy, zz, xy,
+    yz, xz), so (S @ a).reshape(-1, 6) is each element's strain and
+    rows 6e..6e+5 hold its B (`strain_displacement` of
+    tests/reference_element.py) at its dofs.  Element e's rows store,
+    in this order: xx = beta_i at u_i; yy = gamma_i at v_i; zz nothing;
+    xy = (gamma_i at u_i, beta_i at v_i) for i = 0, 1, 2; yz = gamma_i
+    at w_i; xz = beta_i at w_i.  With `w_only`, S_w (2m, n) holds only
+    the (yz, xz) rows with the node ids as columns: S's rows 6e+4 and
+    6e+5 at the w dofs.  Exact zeros (a structured grid's right
+    triangles) are not stored, and the arrays hold only the entries.
     """
     area, beta, gamma = _triangle_gradients(mesh)
-    b = np.zeros((mesh.n_triangles, 6, 9))
-    b[:, 0, 0::3] = beta
-    b[:, 1, 1::3] = gamma
-    b[:, 3, 0::3] = gamma
-    b[:, 3, 1::3] = beta
-    b[:, 4, 2::3] = gamma
-    b[:, 5, 2::3] = beta
-    return area, b
-
-
-def strain_operator(mesh: Mesh):
-    """(area, S): triangle areas (m,) and the CSR strain operator (6m, 3n).
-
-    S lays out every element's B (`_triangle_geometry`) at its dofs;
-    (S @ a).reshape(-1, 6) is every element's strain.  B's zeros are
-    not stored.  The full system and the element writer use it; a held
-    run's `assemble` builds only its w part.
-    """
-    area, b = _triangle_geometry(mesh)
-    m = mesh.n_triangles
-    dofs = np.repeat(element_dof_ids(mesh.triangles), 6, axis=0).ravel()
-    s = csr_matrix((b.ravel(), dofs, np.arange(0, 54 * m + 1, 9)), shape=(6 * m, 3 * mesh.n_nodes))
-    s.eliminate_zeros()
-    return area, s
+    m, first = mesh.n_triangles, 12 if w_only else 0  # S_w: the last 6 entries, 2 rows
+    data = np.hstack([beta, gamma])[:, _GRADIENT[first:]]
+    cols = mesh.triangles[:, _NODE[first:]]
+    if not w_only:
+        cols *= 3
+        cols += _COMPONENT
+    nb, ng = np.count_nonzero(beta, axis=1), np.count_nonzero(gamma, axis=1)
+    counts = np.column_stack([nb, ng, np.zeros_like(nb), nb + ng, ng, nb])[:, first // 3:]
+    keep = data != 0.0
+    data, cols = data[keep], cols[keep]  # compact: no view of the 18m-entry layout
+    shape = (2 * m, mesh.n_nodes) if w_only else (6 * m, 3 * mesh.n_nodes)
+    return area, csr_matrix((data, cols, np.concatenate([[0], counts.cumsum()])), shape=shape)
 
 
 def couples_normal(material: MaterialParams) -> bool:
@@ -190,29 +192,16 @@ def couples_normal(material: MaterialParams) -> bool:
 def assemble(mesh: Mesh, material: MaterialParams, w_only: bool = False) -> GlobalSystem:
     """Assemble the global stiffness and mass of a mesh; f starts at zero.
 
-    The full system takes K = S^T W S from `strain_operator`.  With
-    `w_only` the system carries only the w dofs, and K = S_w^T W S_w
-    with W built from D's (yz, xz) block.  S_w (2m, n) is laid out
-    straight from `_triangle_gradients`: element e's rows (yz, xz) hold
-    (gamma, beta) at its nodes, S's rows 6e+4 and 6e+5 at the w
-    columns, stored in the same order, so no B and no full S are
-    built.  M = M_s.  Both are bitwise the w blocks of the full
-    matrices when the material does not couple w with u or v.  K and M
-    are CSR and store no zero; K is symmetric positive semidefinite,
-    M symmetric positive definite.
+    K = S^T W S with S from `strain_operator` and W = diag(h*A_e) (x) D.
+    With `w_only` the system carries only the w dofs: S is S_w and D
+    its (yz, xz) block, and M = M_s.  Both are bitwise the w blocks of
+    the full matrices when the material does not couple w with u or v.
+    K and M are CSR and store no zero; K is symmetric positive
+    semidefinite, M symmetric positive definite.
     """
-    d = material.d
-    if w_only:
-        area, beta, gamma = _triangle_gradients(mesh)
-        rows = 2 * mesh.n_triangles
-        s = csr_matrix((np.stack([gamma, beta], axis=1).ravel(),
-                        np.repeat(mesh.triangles, 2, axis=0).ravel(),
-                        np.arange(0, 3 * rows + 1, 3)), shape=(rows, mesh.n_nodes))
-        s.eliminate_zeros()  # a structured grid's gradients have exact zeros
-        dofs, d = np.arange(2, 3 * mesh.n_nodes, 3), d[4:6, 4:6]
-    else:
-        area, s = strain_operator(mesh)
-        dofs = np.arange(3 * mesh.n_nodes)
+    area, s = strain_operator(mesh, w_only)
+    d = material.d[4:6, 4:6] if w_only else material.d
+    dofs = np.arange(2, 3 * mesh.n_nodes, 3) if w_only else np.arange(3 * mesh.n_nodes)
     k = (s.T @ (kron(diags(material.h * area), d, format="bsr") @ s)).tocsr()
     # scalar consistent mass: rho*h*A/12 * [[2, 1, 1], [1, 2, 1], [1, 1, 2]] per triangle
     tri, pairs = mesh.triangles, (mesh.n_triangles, 3, 3)

@@ -19,7 +19,6 @@ import warnings
 from pathlib import Path
 
 from . import __version__
-from .assembly import strain_operator
 from .convergence import run_study, study_from_json
 from .errors import ConfigError, MembraneError, SolverError
 from .mesh import boundary_nodes, read_msh
@@ -84,10 +83,9 @@ def _cmd_run(args) -> int:
         config.tau = args.tau
     out_dir = Path(args.out or config.out_dir or DEFAULT_OUT)
 
-    # build the mesh and its strain operator up front, once, for the writers
+    # build the mesh and the writers' text and strain operator up front, once
     mesh = build_mesh(config.mesh)
-    _, strain = strain_operator(mesh)
-    text = MeshText(mesh, strain)
+    text = MeshText(mesh)
     config.mesh = mesh
     written = []
     output = {"files": 0, "bytes": 0, "write_s": 0.0}

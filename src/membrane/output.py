@@ -27,6 +27,7 @@ from itertools import chain
 import numpy as np
 from scipy.sparse import csr_matrix
 
+from .assembly import strain_operator
 from .convergence import NORMS, StudyResult
 from .integrator import State
 from .material import MaterialParams
@@ -115,13 +116,14 @@ def _packed(parts, n: int) -> np.ndarray:
 class MeshText:
     """The text every snapshot of a run repeats, formatted on first use.
 
-    `strain` is the mesh's `assembly.strain_operator`; build one
-    `MeshText` per run and hand it to every writer call.
+    `strain` is the mesh's `assembly.strain_operator`, built here so
+    that it is in place before a run starts; build one `MeshText` per
+    run and hand it to every writer call.
     """
 
-    def __init__(self, mesh: Mesh, strain: csr_matrix):
+    def __init__(self, mesh: Mesh):
         self.mesh = mesh
-        self.strain = strain
+        self.strain = strain_operator(mesh)[1]
 
     @cached_property
     def node_heads(self) -> np.ndarray:

@@ -289,13 +289,14 @@ def compile_case(mesh: Mesh, material: MaterialParams, case, t_final: float):
     t0, t1 = case.window
     if not (0.0 <= t0 <= t1):
         raise ConfigError(f"bad load window {case.window}")
-    direction = np.asarray(case.direction, dtype=float)
     if case.kind == "element-uniform":
         if case.elements is None or len(case.elements) == 0:
             raise ConfigError("element-uniform load needs target elements")
-        vec = build_load_vector(
-            mesh, material, np.asarray(case.elements), case.b0 * direction
-        )
+        # checked as written, before numpy could overflow or wrap an id
+        bad = next((e for e in case.elements if not 0 <= e < mesh.n_triangles), None)
+        if bad is not None:
+            raise ConfigError(f"load element id {bad} out of range 0..{mesh.n_triangles - 1}")
+        ids, mags = np.asarray(case.elements), case.b0
     elif case.kind == "distributed-cos2":
         xmin, xmax, ymin, ymax = mesh.extent()
         size = xmax - xmin
@@ -309,9 +310,14 @@ def compile_case(mesh: Mesh, material: MaterialParams, case, t_final: float):
         ids = np.nonzero(mags)[0]
         if ids.size == 0:
             raise ConfigError("distributed load vanishes on every element")
-        vec = build_load_vector(mesh, material, ids, mags[ids, None] * direction[None, :])
+        mags = mags[ids, None]
     else:
         raise ConfigError(f"unknown load kind {case.kind!r}")
+    # a load that overflows is a configuration error, not a numerical failure
+    with np.errstate(over="ignore", invalid="ignore"):
+        vec = build_load_vector(mesh, material, ids, mags * np.asarray(case.direction, dtype=float))
+    if not np.isfinite(vec).all():
+        raise ConfigError(f"load is not finite: b0={case.b0!r}, direction={case.direction!r}")
     return [CompiledLoad(vector=vec, t_start=t0, t_end=t1)], []
 
 

@@ -2,10 +2,10 @@
 
 These scalar, one-triangle-at-a-time functions are the reference the
 tests compare the solver against; they live with the tests because the
-package never calls them.  The solver builds every B at once in
-`assembly._triangle_geometry`, which must agree with
-`strain_displacement` bitwise, and places them in one strain operator
-S (`assembly.strain_operator`): K = S^T W S sums h*A*B^T D B, and S a
+package never calls them.  The solver lays out every element's B at
+once, straight from the batched gradients, in one strain operator S
+(`assembly.strain_operator`), whose row blocks must agree with
+`strain_displacement` bitwise: K = S^T W S sums h*A*B^T D B, and S a
 stacks the element strains B a_e.
 
 Each node carries three displacement components (u, v, w): two in the

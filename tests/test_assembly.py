@@ -9,7 +9,6 @@ from scipy.sparse import identity, kron
 import membrane as mb
 from membrane import assembly
 from membrane.assembly import (
-    _triangle_geometry,
     CompiledLoad,
     Constraint,
     apply_constraints,
@@ -85,6 +84,12 @@ class TestSparseVsDense:
         assert_elementwise_close(sys0.M.toarray(), md, 1e-13)
 
 
+def _same_csr(a, b):
+    """Same indices, indptr and data bits."""
+    return (np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
+            and a.data.tobytes() == b.data.tobytes())
+
+
 class TestTriangleGeometry:
     """The batched kernel is the scalar reference, bit for bit."""
 
@@ -93,21 +98,13 @@ class TestTriangleGeometry:
         ref = [shape_coefficients(c).doubled_area for c in mesh.triangle_coords()]
         np.testing.assert_array_equal(mesh.signed_doubled_areas(), ref)
 
-    def test_b_matches_reference_bitwise(self):
-        mesh = _perturbed_grid(8, 8, seed=5)
-        area, b = _triangle_geometry(mesh)
-        for e, c in enumerate(mesh.triangle_coords()):
-            sc = shape_coefficients(c)
-            np.testing.assert_array_equal(b[e], strain_displacement(sc))
-            assert area[e] == sc.area
-
 
 class TestStrainOperator:
     """S holds each element's B at its dofs; K and M follow from it."""
 
     def test_row_blocks_match_reference_bitwise(self):
         mesh = _perturbed_grid(8, 8, seed=5)
-        _, s = strain_operator(mesh)
+        area, s = strain_operator(mesh)
         assert s.shape == (6 * mesh.n_triangles, 3 * mesh.n_nodes)
         dense = s.toarray()
         dofs = element_dof_ids(mesh.triangles)
@@ -116,6 +113,7 @@ class TestStrainOperator:
             block = dense[6 * e : 6 * e + 6]
             np.testing.assert_array_equal(block[:, dofs[e]], strain_displacement(sc))
             assert not np.delete(block, dofs[e], axis=1).any()
+            assert area[e] == sc.area
 
     def test_no_stored_zeros(self, grid4, steel, orthotropic):
         for mesh, material in ((grid4, steel), (_perturbed_grid(8, 8, seed=5), orthotropic)):
@@ -123,18 +121,51 @@ class TestStrainOperator:
             for a in (strain_operator(mesh)[1], sys0.K, sys0.M):
                 assert a.nnz == np.count_nonzero(a.data)
 
+    @pytest.mark.parametrize("mesh", [
+        _perturbed_grid(8, 8, seed=5),
+        mb.generate_structured(mb.StructuredSpec(2.0, 0.7, 12, 5)),
+    ], ids=["perturbed", "non-square"])
+    def test_w_only_is_the_transverse_rows_bitwise(self, mesh):
+        area, full = strain_operator(mesh)
+        area_w, held = strain_operator(mesh, w_only=True)
+        transverse = np.arange(full.shape[0]) % 6 >= 4  # rows (yz, xz)
+        assert held.shape == (2 * mesh.n_triangles, mesh.n_nodes)
+        assert area_w.tobytes() == area.tobytes()
+        assert _same_csr(held, full[transverse][:, 2::3])
+
+    def test_peak_memory(self):
+        # at most 18 entries per element are laid out: about 5 MiB at 64^2
+        mesh = mb.generate_structured(mb.StructuredSpec(1.0, 1.0, 64, 64))
+        strain_operator(mesh)
+        tracemalloc.start()
+        try:
+            strain_operator(mesh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20, f"strain_operator peaked at {peak / 2**20:.2f} MiB"
+
+    @pytest.mark.parametrize("w_only", [False, True])
+    def test_holds_only_its_entries(self, w_only):
+        # a structured grid's right triangles drop a third of the entries as
+        # zeros, which can leave S's arrays views of the whole layout; what
+        # stays allocated must be S's own bytes
+        mesh = mb.generate_structured(mb.StructuredSpec(1.0, 1.0, 64, 64))
+        tracemalloc.start()
+        try:
+            area, s = strain_operator(mesh, w_only)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        own = s.data.nbytes + s.indices.nbytes + s.indptr.nbytes + area.nbytes
+        assert kept <= 1.05 * own, f"{kept} bytes kept for {own} bytes of arrays"
+
     def test_mass_is_scalar_mass_times_identity(self, orthotropic):
         m = assemble(_perturbed_grid(8, 8, seed=5), orthotropic).M
         coo = m.tocoo()
         assert np.all(coo.row % 3 == coo.col % 3)
         scalar = m[0::3, 0::3]
         np.testing.assert_array_equal(m.toarray(), kron(scalar, identity(3)).toarray())
-
-
-def _same_csr(a, b):
-    """Same indices, indptr and data bits."""
-    return (np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
-            and a.data.tobytes() == b.data.tobytes())
 
 
 class TestCarriedField:
@@ -182,8 +213,12 @@ class TestCarriedField:
                 assert _same_csr(got, want[w][:, w])
 
     def test_held_run_builds_no_strain_operator(self, polymer, monkeypatch):
-        def refused(mesh):
-            raise AssertionError("strain_operator called")
+        built = assembly.strain_operator
+
+        def refused(mesh, w_only=False):
+            if not w_only:
+                raise AssertionError("strain_operator called")
+            return built(mesh, w_only)
 
         monkeypatch.setattr(assembly, "strain_operator", refused)
         tau = 4e-6

@@ -216,6 +216,12 @@ def _set(section, **values):
     return edit
 
 
+def _load(**values):
+    """An element-uniform `case.load` section on element 0, with `values`."""
+    return {"kind": "element-uniform", "direction": [0.0, 0.0, 1.0], "b0": 1e6,
+            "window": [0.0, 1e-4], "elements": [0], **values}
+
+
 class TestExitCodeTable:
     """Values that parse but fail later still exit 2 or 3 with one line."""
 
@@ -237,10 +243,14 @@ class TestExitCodeTable:
             # above the node ceiling, rejected before the mesh is allocated
             (_set("mesh", nx=10**19), 2),
             (_set("mesh", nx=200000, ny=200000), 2),
+            # load element ids numpy would overflow (1e20) or wrap (2**63)
+            (_set(None, case={"load": _load(elements=[1e20])}), 2),
+            (_set(None, case={"load": _load(elements=[2**63])}), 2),
+            (_set(None, case={"load": _load(b0=1e308, direction=[1e308, 0.0, 1e308])}), 2),
         ],
         ids=["case_id", "nu", "rho", "Lx", "directory", "moduli_gpa", "speed",
              "huge_coordinates", "window_reversed", "step_count", "nx_1e19",
-             "node_ceiling"],
+             "node_ceiling", "element_1e20", "element_2_63", "load_overflow"],
     )
     def test_exit_code_and_one_line(self, tmp_path, capsys, monkeypatch, edit, code):
         monkeypatch.chdir(tmp_path)  # a relative output directory stays in tmp_path

@@ -24,10 +24,6 @@ from membrane.output import (
 from reference_element import recover_stress_strain, shape_coefficients
 
 
-def _text(mesh):
-    return MeshText(mesh, strain_operator(mesh)[1])
-
-
 def _state(mesh, seed=0, scale=1e-3):
     rng = np.random.default_rng(seed)
     n = 3 * mesh.n_nodes
@@ -126,7 +122,7 @@ class TestKernel:
 class TestSnapshotCsv:
     def test_header_and_row_count(self, grid4, tmp_path):
         p = tmp_path / "snap.csv"
-        write_snapshot_csv(p, _text(grid4), _state(grid4))
+        write_snapshot_csv(p, MeshText(grid4), _state(grid4))
         lines = p.read_text().splitlines()
         assert lines[0] == CSV_HEADER
         assert len(lines) == 1 + grid4.n_nodes
@@ -135,7 +131,7 @@ class TestSnapshotCsv:
     def test_floats_round_trip_bitwise(self, grid4, tmp_path):
         state = _state(grid4)
         p = tmp_path / "snap.csv"
-        write_snapshot_csv(p, _text(grid4), state)
+        write_snapshot_csv(p, MeshText(grid4), state)
         rows = [r.split(",") for r in p.read_text().splitlines()[1:]]
         for n, row in enumerate(rows):
             assert float(row[0]) == state.t
@@ -152,7 +148,7 @@ class TestSnapshotCsv:
         n = 3 * grid4.n_nodes
         state = State(a=np.zeros(n), adot=np.zeros(n), addot=np.zeros(n), t=0.0, step=0)
         p = tmp_path / "zero.csv"
-        write_snapshot_csv(p, _text(grid4), state)
+        write_snapshot_csv(p, MeshText(grid4), state)
         row = p.read_text().splitlines()[1].split(",")
         assert row[4:] == ["0"] * 7
 
@@ -160,8 +156,8 @@ class TestSnapshotCsv:
         state = _state(grid4)
         a0, v0 = state.a.copy(), state.adot.copy()
         nodes0 = grid4.nodes.copy()
-        write_snapshot_csv(tmp_path / "a.csv", _text(grid4), state)
-        write_snapshot_vtk(tmp_path / "a.vtk", _text(grid4), state)
+        write_snapshot_csv(tmp_path / "a.csv", MeshText(grid4), state)
+        write_snapshot_vtk(tmp_path / "a.vtk", MeshText(grid4), state)
         np.testing.assert_array_equal(state.a, a0)
         np.testing.assert_array_equal(state.adot, v0)
         np.testing.assert_array_equal(grid4.nodes, nodes0)
@@ -171,7 +167,7 @@ class TestElementCsv:
     def test_header_and_values(self, grid4, steel, tmp_path):
         state = _state(grid4)
         p = tmp_path / "elem.csv"
-        write_element_csv(p, _text(grid4), steel, state)
+        write_element_csv(p, MeshText(grid4), steel, state)
         lines = p.read_text().splitlines()
         assert lines[0] == ELEMENT_CSV_HEADER
         assert len(lines) == 1 + grid4.n_triangles
@@ -191,13 +187,13 @@ class TestElementCsv:
         st = _state(grid4)
         st.a = -np.abs(st.a) - 1e-6  # every product in the zz row is -0.0
         p = tmp_path / "elem.csv"
-        write_element_csv(p, _text(grid4), steel, st)
+        write_element_csv(p, MeshText(grid4), steel, st)
         rows = [l.split(",") for l in p.read_text().splitlines()[1:]]
         assert {r[4] for r in rows} == {"0"}
 
     def test_flags_without_thresholds(self, grid4, steel, tmp_path):
         p = tmp_path / "elem.csv"
-        write_element_csv(p, _text(grid4), steel, _state(grid4))
+        write_element_csv(p, MeshText(grid4), steel, _state(grid4))
         for line in p.read_text().splitlines()[1:]:
             assert line.split(",")[14:] == ["0", "0"]
 
@@ -220,7 +216,7 @@ class TestElementCsv:
             strain_threshold=eps_cut, stress_threshold=sig_cut,
         )
         p = tmp_path / "elem.csv"
-        write_element_csv(p, _text(grid4), flagged, state)
+        write_element_csv(p, MeshText(grid4), flagged, state)
         for e, line in enumerate(p.read_text().splitlines()[1:]):
             sflag, tflag = line.split(",")[14:]
             assert int(sflag) == int(eps_max[e] > eps_cut)
@@ -232,7 +228,7 @@ class TestVtk:
     def test_grammar(self, grid4, tmp_path):
         state = _state(grid4)
         p = tmp_path / "snap.vtk"
-        write_snapshot_vtk(p, _text(grid4), state)
+        write_snapshot_vtk(p, MeshText(grid4), state)
         lines = p.read_text().splitlines()
         n, m = grid4.n_nodes, grid4.n_triangles
         assert lines[0] == "# vtk DataFile Version 3.0"
@@ -385,7 +381,7 @@ class TestWritersMatchOracle:
     def test_snapshot_csv_bytes(self, grid4, tmp_path):
         state = _edge_state(grid4)
         p = tmp_path / "snap.csv"
-        write_snapshot_csv(p, _text(grid4), state)
+        write_snapshot_csv(p, MeshText(grid4), state)
         text = p.read_bytes()
         assert text == _oracle_snapshot_csv(grid4, state)
         for token in (b",-0,", b",4.9406564584124654e-324,", b",inf\n",
@@ -402,7 +398,7 @@ class TestWritersMatchOracle:
             strain_threshold=np.median(emax), stress_threshold=np.quantile(smax, 0.25),
         )
         p = tmp_path / "elem.csv"
-        write_element_csv(p, _text(grid4), flagged, state)
+        write_element_csv(p, MeshText(grid4), flagged, state)
         assert p.read_bytes() == _oracle_element_csv(grid4, flagged, state)
         rows = [l.split(",") for l in p.read_text().splitlines()[1:]]
         assert {r[14] for r in rows} == {r[15] for r in rows} == {"0", "1"}
@@ -414,13 +410,13 @@ class TestWritersMatchOracle:
             strain_threshold=np.inf, stress_threshold=np.inf,
         )
         p = tmp_path / "elem.csv"
-        write_element_csv(p, _text(grid4), steel, state)
+        write_element_csv(p, MeshText(grid4), steel, state)
         assert p.read_bytes() == _oracle_element_csv(grid4, unflagged, state)
 
     def test_vtk_bytes(self, grid4, tmp_path):
         state = _edge_state(grid4)
         p = tmp_path / "snap.vtk"
-        write_snapshot_vtk(p, _text(grid4), state)
+        write_snapshot_vtk(p, MeshText(grid4), state)
         text = p.read_bytes()
         assert text == _oracle_vtk(grid4, state)
         assert b" -0\n" in text and b"\ninf\n" in text
@@ -431,7 +427,7 @@ class TestWritersMatchOracle:
         # blocks and a short last one in every file and every cached
         # text of one shared MeshText
         monkeypatch.setattr("membrane.output._BLOCK_ROWS", 7)
-        shared = _text(grid4)
+        shared = MeshText(grid4)
         for state in (_edge_state(grid4), _held_state(grid4)):
             got = _write_all(tmp_path, shared, steel, state)
             assert got == _oracle_all(grid4, steel, state)
@@ -444,12 +440,12 @@ class TestFormattedOnce:
     def test_minus_zero_column(self, grid4, steel, tmp_path):
         state = _held_state(grid4)
         state.a[0::3] = -0.0
-        got = _write_all(tmp_path, _text(grid4), steel, state)
+        got = _write_all(tmp_path, MeshText(grid4), steel, state)
         assert got == _oracle_all(grid4, steel, state)
         assert {r.split(",")[4] for r in got[0].decode().splitlines()[1:]} == {"-0"}
         # one +0.0 among the -0.0: the column is not constant
         state.a[3] = 0.0
-        got = _write_all(tmp_path, _text(grid4), steel, state)
+        got = _write_all(tmp_path, MeshText(grid4), steel, state)
         assert got == _oracle_all(grid4, steel, state)
         assert [r.split(",")[4] for r in got[0].decode().splitlines()[1:4]] == ["-0", "0", "-0"]
 
@@ -457,7 +453,7 @@ class TestFormattedOnce:
         state = _held_state(grid4)
         state.a[2::3] = 1.25e-3
         state.adot[2::3] = -0.1
-        got = _write_all(tmp_path, _text(grid4), steel, state)
+        got = _write_all(tmp_path, MeshText(grid4), steel, state)
         assert got == _oracle_all(grid4, steel, state)
         rows = [r.split(",") for r in got[0].decode().splitlines()[1:]]
         assert {(r[6], r[9], r[10]) for r in rows} == {("0.00125", "-0.10000000000000001",
@@ -467,7 +463,7 @@ class TestFormattedOnce:
         mesh = mb.Mesh(nodes=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
                        triangles=np.array([[0, 1, 2]]))
         for state in (_state(mesh), _held_state(mesh), _edge_state(mesh)):
-            got = _write_all(tmp_path, _text(mesh), steel, state)
+            got = _write_all(tmp_path, MeshText(mesh), steel, state)
             assert got == _oracle_all(mesh, steel, state)
             assert len(got[1].decode().splitlines()) == 2
 
@@ -476,7 +472,7 @@ class TestFormattedOnce:
         nodes[0] = (-0.0, -0.0)
         mesh = mb.Mesh(nodes=nodes, triangles=grid4.triangles)
         state = _held_state(mesh)
-        got = _write_all(tmp_path, _text(mesh), steel, state)
+        got = _write_all(tmp_path, MeshText(mesh), steel, state)
         assert got == _oracle_all(mesh, steel, state)
         assert got[0].decode().splitlines()[1].startswith("0.33333333333333331,0,-0,-0,")
         # -0.0 + 0.0 is +0.0: the deformed point is not the cached "-0 -0"
@@ -485,11 +481,11 @@ class TestFormattedOnce:
         assert points[1].startswith("0.25 0 ")
 
     def test_one_mesh_text_across_states(self, grid4, steel, tmp_path):
-        shared = _text(grid4)
+        shared = MeshText(grid4)
         for state in (_held_state(grid4), _edge_state(grid4), _held_state(grid4, seed=9),
                       _state(grid4, seed=4)):
             got = _write_all(tmp_path, shared, steel, state)
-            assert got == _write_all(tmp_path, _text(grid4), steel, state)
+            assert got == _write_all(tmp_path, MeshText(grid4), steel, state)
             assert got == _oracle_all(grid4, steel, state)
 
 class TestStudyCsv:

@@ -156,6 +156,13 @@ class TestCompileCase:
         with pytest.raises(ConfigError, match="target elements"):
             compile_case(grid8, polymer, bad, 1.0)
 
+    @pytest.mark.parametrize("bad", [-1, 128, 2**63, 10**20])
+    def test_uniform_element_named_as_written(self, grid8, polymer, bad):
+        # numpy would wrap 2**63 to -2**63 and overflow on 10**20
+        spec = LoadSpec("element-uniform", (0, 0, 1), 1.0, (0.0, 1.0), elements=(0, bad))
+        with pytest.raises(ConfigError, match=rf"^load element id {bad} out of range 0\.\.127$"):
+            compile_case(grid8, polymer, spec, 1.0)
+
     def test_unknown_kind(self, grid8, polymer):
         bad = LoadSpec("nodal", (0, 0, 1), 1.0, (0.0, 1.0))
         with pytest.raises(ConfigError, match="unknown load kind"):
