@@ -83,7 +83,7 @@ def _cmd_run(args) -> int:
         config.tau = args.tau
     out_dir = Path(args.out or config.out_dir or DEFAULT_OUT)
 
-    # build the mesh and the writers' text and strain operator up front, once
+    # build the mesh up front, once; the writers' text is made at the first snapshot
     mesh = build_mesh(config.mesh)
     text = MeshText(mesh)
     config.mesh = mesh
@@ -98,8 +98,10 @@ def _cmd_run(args) -> int:
                  out_dir / f"snapshot_{tag}.vtk")
         start = time.perf_counter()
         write_snapshot_csv(paths[0], text, state)
-        write_element_csv(paths[1], text, config.material, state)
+        # the VTK releases the w and vmag text it shares with the node CSV
+        # before the element CSV is formatted
         write_snapshot_vtk(paths[2], text, state)
+        write_element_csv(paths[1], text, config.material, state)
         output["write_s"] += time.perf_counter() - start
         output["files"] += len(paths)
         output["bytes"] += sum(p.stat().st_size for p in paths)

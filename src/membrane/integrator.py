@@ -27,10 +27,11 @@ adjacency, so the ordering is taken on the graph of the nodes and each
 node expands to its dofs (Ashcraft 1995): about a fifth less fill on a
 coupled anisotropic layer.  Any other block is ordered dof by dof.
 
-Each step multiplies only the rows of K it solves for, so a
-constrained dof that moves (a strike node) still enters the free rows
-through K_fc a_c, and each row sums the same terms in the same order as
-the full product K a_bar: the results are bitwise those of a full step.
+Each step forms the full product K a_bar and keeps the rows it solves
+for, so a constrained dof that moves (a strike node) still enters the
+free rows through K_fc a_c.  No copy of K's rows is kept: the rows not
+solved for (the constrained ones) are a few percent of the product, and
+a copy would keep a second K alive through every step.
 
 The one solve with M, for a''_0 at t=0, needs no factorization.
 Scaled by its diagonal, every linear-triangle element mass has the
@@ -212,16 +213,12 @@ class _FreeBlockLU:
 
 @dataclass(frozen=True)
 class NewmarkFactor:
-    """LU factorization of A, pinned to the system and timestep it used.
-
-    `rows` holds K's rows over `lu.dofs`, in factor order.
-    """
+    """LU factorization of A, pinned to the system and timestep it used."""
 
     lu: object
     tau: float
     beta2: float
     system: GlobalSystem
-    rows: csr_matrix
 
 
 def default_timestep(mesh: Mesh, material: MaterialParams) -> float:
@@ -257,13 +254,12 @@ def factor_once(system: GlobalSystem, params: NewmarkParams) -> NewmarkFactor:
 
     The block is symmetric positive definite, so it takes a
     symmetric-mode LU (see the module docstring).  The handle records
-    the system and timestep; `step` refuses a stale handle.  K's rows
-    for the step are sliced only once A is released, so they add
-    nothing to the peak memory of the factorization.
+    the system and timestep; `step` refuses a stale handle.  It holds
+    no matrix of its own beside the factors: each step reads K from the
+    system.
     """
     lu = _FreeBlockLU(system, 0.5 * params.tau**2 * params.beta2)
-    return NewmarkFactor(lu=lu, tau=params.tau, beta2=params.beta2, system=system,
-                         rows=system.K[lu.dofs])
+    return NewmarkFactor(lu=lu, tau=params.tau, beta2=params.beta2, system=system)
 
 
 def step(state: State, system: GlobalSystem, params: NewmarkParams, factor: NewmarkFactor) -> State:
@@ -282,11 +278,13 @@ def step(state: State, system: GlobalSystem, params: NewmarkParams, factor: Newm
     tau = params.tau
     v_bar = state.adot + tau * (1.0 - params.beta1) * state.addot
     a_bar = state.a + tau * state.adot + 0.5 * tau**2 * (1.0 - params.beta2) * state.addot
-    x = factor.lu.superlu.solve(-(system.f[factor.lu.dofs] + factor.rows @ a_bar))
+    dofs = factor.lu.dofs
+    # bitwise K[dofs] @ a_bar: each CSR row sums the same entries in the same order
+    x = factor.lu.superlu.solve(-(system.f[dofs] + (system.K @ a_bar)[dofs]))
     if not np.all(np.isfinite(x)):
         raise SolverError(f"non-finite acceleration at step {state.step + 1}")
     addot = np.zeros(a_bar.size)
-    addot[factor.lu.dofs] = x
+    addot[dofs] = x
     adot = v_bar + params.beta1 * tau * addot
     a = a_bar + 0.5 * tau**2 * params.beta2 * addot
     n = state.step + 1

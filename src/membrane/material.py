@@ -200,5 +200,16 @@ def params_from_config(cfg: dict) -> MaterialParams:
 
 
 def max_wave_speed(material: MaterialParams) -> float:
-    """Upper estimate sqrt(max diagonal modulus / rho) used for timesteps."""
-    return float(np.sqrt(np.max(np.diag(material.d)) / material.rho))
+    """Upper estimate sqrt(max diagonal modulus / rho) used for timesteps.
+
+    A speed that overflows to inf or underflows to zero (a density of
+    1e-320, say) gives no timestep: it is a ConfigError.
+    """
+    modulus = np.max(np.diag(material.d))
+    with np.errstate(over="ignore", under="ignore"):
+        speed = float(np.sqrt(modulus / material.rho))
+    if not 0.0 < speed < np.inf:
+        raise ConfigError(f"material.rho = {material.rho!r} with largest modulus "
+                          f"{float(modulus)!r} gives the wave speed {speed!r}; "
+                          "a timestep needs a finite, nonzero one")
+    return speed

@@ -14,9 +14,16 @@ Each value is formatted once.  Text a run repeats at every snapshot is
 held by one `MeshText` and formatted at its first use: the "i,x0,y0"
 head of each node CSV row, the element ids, the VTK ``CELLS`` block and
 the "x0 y0" of each VTK point (used while the in-plane displacement
-leaves every point where it was).  Within a file, a column whose values
-all have the same bits (a held in-plane field's zeros, flags without a
-threshold) is formatted once, as a literal.
+leaves every point where it was).  The w and vmag columns a snapshot's
+node CSV and VTK share are formatted once per state, and released once
+the VTK is written.  Within a file, a column whose values all have the
+same bits (a held in-plane field's zeros, flags without a threshold) is
+formatted once, as a literal.
+
+The element strains come from `assembly.strain_operator`, built by the
+`MeshText` at the first snapshot that needs it: S_w, its (yz, xz) rows
+over the w dofs, while every u and v is zero, and the full S otherwise.
+A run that writes nothing builds neither.
 """
 from __future__ import annotations
 
@@ -78,9 +85,7 @@ def _blocks(parts, n: int):
     spec = []
     for part in parts:
         if isinstance(part, np.ndarray) and part.ndim == 1:
-            bits = part.view(np.uint64)
-            if (bits == bits[0]).all():
-                part = _g17(part[0]).encode()
+            part = _literal(part)
         if isinstance(part, bytes) and spec and isinstance(spec[-1], bytes):
             spec[-1] += part
         else:
@@ -102,6 +107,20 @@ def _blocks(parts, n: int):
         yield block
 
 
+def _literal(x: np.ndarray):
+    """The text of float column `x` as one literal when all its values
+    have the same bits (so -0.0 differs from 0.0), else `x` itself."""
+    bits = x.view(np.uint64)
+    return _g17(x[0]).encode() if (bits == bits[0]).all() else x
+
+
+def _column(x: np.ndarray):
+    """The text of float column `x` as a `_blocks` part: a literal, or
+    (n, 32) uint8 rows with zero bytes to be dropped."""
+    x = _literal(x)
+    return x if isinstance(x, bytes) else np.concatenate(list(_blocks((x,), len(x))))
+
+
 def _packed(parts, n: int) -> np.ndarray:
     """The rows of `_blocks(parts, n)` without their zero bytes, each at
     the start of its row of an array as wide as the longest."""
@@ -116,14 +135,39 @@ def _packed(parts, n: int) -> np.ndarray:
 class MeshText:
     """The text every snapshot of a run repeats, formatted on first use.
 
-    `strain` is the mesh's `assembly.strain_operator`, built here so
-    that it is in place before a run starts; build one `MeshText` per
-    run and hand it to every writer call.
+    Build one `MeshText` per run and hand it to every writer call.  It
+    builds nothing up front: each text and strain operator is made at
+    the first snapshot that needs it, and kept for the rest of the run.
+    It also holds the w and vmag text of one state (`columns`) from its
+    node CSV to its VTK.
     """
 
     def __init__(self, mesh: Mesh):
         self.mesh = mesh
-        self.strain = strain_operator(mesh)[1]
+        self._held = None  # (state, its (w, vmag) text)
+
+    @cached_property
+    def strain(self):
+        """S, the mesh's full strain operator (`assembly.strain_operator`)."""
+        return strain_operator(self.mesh)[1]
+
+    @cached_property
+    def strain_w(self):
+        """S_w, the (yz, xz) rows of S over the w dofs."""
+        return strain_operator(self.mesh, w_only=True)[1]
+
+    def columns(self, state: State, keep: bool):
+        """The text of `state`'s w and vmag columns, as `_column` parts.
+
+        They are formatted once per state, held by reference (never by
+        `id`, which a later state can reuse): the node CSV keeps them
+        for the VTK, which releases them.
+        """
+        held = self._held
+        if held is None or held[0] is not state:
+            held = (state, (_column(state.a[2::3]), _column(_speed(state))))
+        self._held = held if keep else None
+        return held[1]
 
     @cached_property
     def node_heads(self) -> np.ndarray:
@@ -178,7 +222,9 @@ def write_snapshot_csv(path, text: MeshText, state: State) -> None:
 
     vmag is the Euclidean norm of (vx, vy, vz).
     """
-    cols = (*state.a.reshape(-1, 3).T, *state.adot.reshape(-1, 3).T, _speed(state))
+    u, v, _ = state.a.reshape(-1, 3).T
+    w, vmag = text.columns(state, keep=True)
+    cols = (u, v, w, *state.adot.reshape(-1, 3).T, vmag)
     parts = _row(_g17(state.t).encode() + b",", text.node_heads, cols)
     _write(path, chain([CSV_HEADER.encode() + b"\n"], _blocks(parts, text.mesh.n_nodes)))
 
@@ -189,6 +235,22 @@ def _batch_strain_stress(strain: csr_matrix, material: MaterialParams, state: St
     eps = (strain @ state.a).reshape(-1, 6)
     sig = eps @ material.d.T
     return eps, sig
+
+
+def _strain_stress(text: MeshText, material: MaterialParams, state: State):
+    """`_batch_strain_stress` of the full S, bitwise, from S_w alone
+    while every u and v is zero.
+
+    Then S's rows xx, yy and xy sum to +0.0 (each row sum starts at
+    +0.0, so -0.0 terms add nothing), its zz row stores nothing, and its
+    rows yz and xz hold S_w's entries in S_w's stored order.
+    """
+    a = state.a.reshape(-1, 3)
+    if a[:, :2].any():
+        return _batch_strain_stress(text.strain, material, state)
+    eps = np.zeros((text.mesh.n_triangles, 6))
+    eps[:, 4:] = (text.strain_w @ a[:, 2]).reshape(-1, 2)
+    return eps, eps @ material.d.T
 
 
 def _flags(values: np.ndarray, threshold) -> np.ndarray:
@@ -203,7 +265,7 @@ def write_element_csv(path, text: MeshText, material: MaterialParams, state: Sta
     A flag is 1 when any component magnitude exceeds the configured
     threshold, 0 otherwise (and always 0 without a threshold).
     """
-    eps, sig = _batch_strain_stress(text.strain, material, state)
+    eps, sig = _strain_stress(text, material, state)
     cols = (*eps.T, *sig.T,
             _flags(eps, material.strain_threshold), _flags(sig, material.stress_threshold))
     parts = _row(_g17(state.t).encode() + b",", text.element_ids, cols)
@@ -218,21 +280,22 @@ def write_snapshot_vtk(path, text: MeshText, state: State) -> None:
     triangles; the velocity magnitude is attached as point data.
     """
     a = state.a.reshape(-1, 3)
+    w, vmag = text.columns(state, keep=False)
     mesh = text.mesh
     n, m = mesh.n_nodes, mesh.n_triangles
     xy = mesh.nodes + a[:, :2]
     # compare the sums, not u and v: x0 = -0.0 plus u = +0.0 is +0.0
     if np.array_equal(xy.view(np.int64), mesh.nodes.view(np.int64)):
-        points = (text.points, b" ", a[:, 2], b"\n")
+        points = (text.points, b" ", w, b"\n")
     else:
-        points = (xy[:, 0], b" ", xy[:, 1], b" ", a[:, 2], b"\n")
+        points = (xy[:, 0], b" ", xy[:, 1], b" ", w, b"\n")
     _write(path, chain(
         [b"# vtk DataFile Version 3.0\nmembrane snapshot\nASCII\nDATASET UNSTRUCTURED_GRID\n",
          f"POINTS {n} double\n".encode()],
         _blocks(points, n),
         [text.cells, f"CELL_TYPES {m}\n".encode(), b"5\n" * m,
          f"POINT_DATA {n}\nSCALARS velocity_magnitude double 1\nLOOKUP_TABLE default\n".encode()],
-        _blocks((_speed(state), b"\n"), n),
+        _blocks((vmag, b"\n"), n),
     ))
 
 

@@ -401,6 +401,11 @@ def run(config: ScenarioConfig, on_snapshot=None, keep_snapshots: bool = True) -
     loads = [replace(ld, vector=ld.vector[carried]) for ld in loads]
 
     tau = config.tau if config.tau is not None else default_timestep(mesh, material)
+    # factor_once and step square tau; a tau whose 0.5*tau^2*beta2
+    # overflows would fail there, with a traceback
+    if not (tau > 0.0 and math.isfinite(0.5 * (tau * tau) * NewmarkParams.beta2)):
+        given = "tau" if config.tau is not None else "the default tau"
+        raise ConfigError(f"{given} = {tau!r} must be positive with 0.5*tau^2*beta2 finite")
     params = NewmarkParams(tau=tau)
     n_steps = step_count(config.t_final, tau)
 

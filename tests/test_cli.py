@@ -216,6 +216,11 @@ def _set(section, **values):
     return edit
 
 
+def _flags(*flags):
+    """An edit that keeps the config and passes `flags` to `membrane run`."""
+    return lambda cfg: list(flags)
+
+
 def _load(**values):
     """An element-uniform `case.load` section on element 0, with `values`."""
     return {"kind": "element-uniform", "direction": [0.0, 0.0, 1.0], "b0": 1e6,
@@ -247,19 +252,25 @@ class TestExitCodeTable:
             (_set(None, case={"load": _load(elements=[1e20])}), 2),
             (_set(None, case={"load": _load(elements=[2**63])}), 2),
             (_set(None, case={"load": _load(b0=1e308, direction=[1e308, 0.0, 1e308])}), 2),
+            # one step, whose 0.5*tau^2*beta2 overflows: as a key and as a flag
+            (_set(None, tau=1e300), 2),
+            (_flags("--tau", "1e300"), 2),
+            (_set("material", E=1e-320), 2),  # a default tau of about 1e159
+            (_set("material", rho=1e-320), 2),  # the wave speed overflows to inf
         ],
         ids=["case_id", "nu", "rho", "Lx", "directory", "moduli_gpa", "speed",
              "huge_coordinates", "window_reversed", "step_count", "nx_1e19",
-             "node_ceiling", "element_1e20", "element_2_63", "load_overflow"],
+             "node_ceiling", "element_1e20", "element_2_63", "load_overflow",
+             "tau_overflow", "tau_flag_overflow", "default_tau_overflow", "wave_speed_overflow"],
     )
     def test_exit_code_and_one_line(self, tmp_path, capsys, monkeypatch, edit, code):
         monkeypatch.chdir(tmp_path)  # a relative output directory stays in tmp_path
         cfg = _shipped_4x4(tmp_path)
-        edit(cfg)
+        flags = edit(cfg) or []
         cfg_path = _write(tmp_path, "run.json", cfg)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert main(["run", cfg_path]) == code
+            assert main(["run", cfg_path, *flags]) == code
         err = capsys.readouterr().err
         assert [str(w.message) for w in caught] == []
         assert err.count("\n") == 1
@@ -301,6 +312,28 @@ def test_shipped_case1_factors_only_free_w_dofs(tmp_path):
         "ordering": "MMD_AT_PLUS_A",
     }
     assert solver["lu_stored_entries"] > 0
+
+
+def test_held_run_builds_no_full_strain_operator(tmp_path, monkeypatch):
+    # every u and v of a held run is zero, so its element strains need
+    # only S_w, the (yz, xz) rows of the strain operator
+    from membrane import output
+
+    build = output.strain_operator
+
+    def w_only(mesh, w_only=False):
+        assert w_only, "a held run built the full strain operator"
+        return build(mesh, w_only)
+
+    monkeypatch.setattr(output, "strain_operator", w_only)
+    with open(CONFIGS / "run_case1.json", encoding="utf-8") as f:
+        cfg = json.load(f)
+    cfg["T"] = 2e-4
+    out = tmp_path / "out"
+    assert main(["run", _write(tmp_path, "run.json", cfg), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["solver"]["held_in_plane"] is True
+    assert len(manifest["snapshot_steps"]) > 1
 
 
 def test_shipped_aniso_orders_the_node_graph(tmp_path):

@@ -2,6 +2,7 @@
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import membrane as mb
@@ -487,6 +488,80 @@ class TestFormattedOnce:
             got = _write_all(tmp_path, shared, steel, state)
             assert got == _write_all(tmp_path, MeshText(grid4), steel, state)
             assert got == _oracle_all(grid4, steel, state)
+
+
+def _jittered(n, seed):
+    """An n-by-n grid with its interior nodes moved off the lattice."""
+    mesh = mb.generate_structured(mb.StructuredSpec(1.0, 1.0, n, n))
+    nodes = mesh.nodes.copy()
+    interior = (nodes > 0.0).all(axis=1) & (nodes < 1.0).all(axis=1)
+    nodes[interior] += np.random.default_rng(seed).uniform(-0.2, 0.2, (interior.sum(), 2)) / n
+    return mb.Mesh(nodes=nodes, triangles=mesh.triangles)
+
+
+def _zz_coupled():
+    """A material whose D couples zz with yz and xz: sig_zz follows w."""
+    entries = [[1, 1, 140.0], [1, 2, 3.0], [1, 3, 3.0], [2, 2, 10.0], [2, 3, 3.0], [3, 3, 10.0],
+               [3, 5, 1.0], [3, 6, 0.5], [4, 4, 5.0], [5, 5, 5.0], [5, 6, 1.0], [6, 6, 5.0]]
+    d = mb.anisotropic(mb.packed_from_entries(entries) * 1e9)
+    return mb.MaterialParams(d=d, rho=1600.0, h=1e-3)
+
+
+class TestHeldStrains:
+    """A state whose u and v are all zero, of either sign, has its
+    element strains from S_w alone, with the full operator's bytes."""
+
+    @pytest.mark.parametrize("zeros", [[0.0], [-0.0], [0.0, -0.0]], ids=["plus", "minus", "mixed"])
+    def test_bytes_of_full_operator(self, tmp_path, zeros):
+        mesh, material = _jittered(6, seed=1), _zz_coupled()
+        state = _held_state(mesh)
+        rng = np.random.default_rng(2)
+        for k in (0, 1):
+            state.a[k::3] = rng.choice(zeros, mesh.n_nodes)
+        assert state.a[2::3].all()
+        text = MeshText(mesh)
+        p = tmp_path / "elem.csv"
+        write_element_csv(p, text, material, state)
+        assert "strain_w" in vars(text) and "strain" not in vars(text)
+        unflagged = mb.MaterialParams(d=material.d, rho=material.rho, h=material.h,
+                                      strain_threshold=np.inf, stress_threshold=np.inf)
+        assert p.read_bytes() == _oracle_element_csv(mesh, unflagged, state)
+        sig_zz = [float(r.split(",")[10]) for r in p.read_text().splitlines()[1:]]
+        assert all(sig_zz)
+
+    def test_in_plane_field_takes_full_operator(self, tmp_path):
+        mesh, material = _jittered(6, seed=3), _zz_coupled()
+        state = _held_state(mesh)
+        state.a[0] = 1e-9
+        text = MeshText(mesh)
+        write_element_csv(tmp_path / "elem.csv", text, material, state)
+        assert "strain" in vars(text) and "strain_w" not in vars(text)
+
+
+class TestSharedColumns:
+    """The node CSV and the VTK of one state share its w and vmag text."""
+
+    def test_each_state_its_own_bytes(self, grid4, tmp_path):
+        text = MeshText(grid4)
+        a, b = _edge_state(grid4), _held_state(grid4, seed=9)
+        write_snapshot_csv(tmp_path / "a.csv", text, a)
+        write_snapshot_csv(tmp_path / "b.csv", text, b)
+        write_snapshot_vtk(tmp_path / "a.vtk", text, a)
+        write_snapshot_vtk(tmp_path / "b.vtk", text, b)
+        for name, state in (("a", a), ("b", b)):
+            assert (tmp_path / f"{name}.csv").read_bytes() == _oracle_snapshot_csv(grid4, state)
+            assert (tmp_path / f"{name}.vtk").read_bytes() == _oracle_vtk(grid4, state)
+
+    def test_a_later_state_in_a_freed_states_place(self, grid4, tmp_path):
+        # the first state is dropped after its node CSV; a new one may
+        # take its id, and must still get its own text
+        text = MeshText(grid4)
+        for seed in range(4):
+            write_snapshot_csv(tmp_path / "s.csv", text, _state(grid4, seed=seed))
+            state = _state(grid4, seed=seed + 10)
+            write_snapshot_vtk(tmp_path / "s.vtk", text, state)
+            assert (tmp_path / "s.vtk").read_bytes() == _oracle_vtk(grid4, state)
+
 
 class TestStudyCsv:
     def test_structure(self, tmp_path):
