@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import MeshError
 
@@ -69,10 +68,6 @@ class StructuredSpec:
     @property
     def n_nodes(self) -> int:
         return (self.nx + 1) * (self.ny + 1)
-
-    @property
-    def n_triangles(self) -> int:
-        return 2 * self.nx * self.ny
 
     def rect_triangles(self, i: int, j: int) -> tuple[int, int]:
         """Triangle ids (below-diagonal, above-diagonal) of cell (i, j)."""
@@ -166,13 +161,16 @@ class Mesh:
         return float(lo[0]), float(hi[0]), float(lo[1]), float(hi[1])
 
     def validate(self) -> None:
-        """Check structural invariants, raising MeshError on violation.
+        """Check every invariant of a mesh, raising MeshError on the first.
 
-        Verified: finite node coordinates whose triangle areas and edge
-        lengths stay inside the float range, vertex ids in range and
-        distinct per triangle, strictly positive triangle areas (CCW,
-        non-degenerate), no duplicate triangles, and edge-connectivity
-        of the whole node set.
+        Structure: nodes (n, 2) and triangles (m, 3), at least one
+        triangle, vertex ids in range and distinct per triangle, no
+        duplicate triangles, and edge-connectivity of the whole node set.
+        Geometry: finite node coordinates whose triangle areas and edge
+        lengths stay inside the float range, and strictly positive
+        triangle areas (CCW, non-degenerate).  `read_msh` runs all of
+        them; `generate_structured`, whose structure holds by
+        construction, runs the geometry checks only.
         """
         if self.nodes.ndim != 2 or self.nodes.shape[1] != 2:
             raise MeshError(f"nodes must be (n, 2), got {self.nodes.shape}")
@@ -188,6 +186,24 @@ class Mesh:
             (t[:, 0] == t[:, 1]) | (t[:, 1] == t[:, 2]) | (t[:, 0] == t[:, 2])
         ).any():
             raise MeshError("triangle with repeated vertex ids")
+        self._check_geometry()
+        key = np.sort(t, axis=1)
+        key = key[np.lexsort(key.T[::-1])]
+        if (key[1:] == key[:-1]).all(axis=1).any():
+            raise MeshError("duplicate triangles")
+        # imported here: only a mesh from outside the program needs the
+        # check, and the module adds about 1 MB to every run's memory
+        from scipy.sparse.csgraph import connected_components
+        # edge-connectivity over the node graph; also catches orphan nodes
+        # (repeated edges only sum into the same adjacency entry)
+        n, e = self.n_nodes, self.edges()
+        adj = coo_matrix((np.ones(e.shape[0]), (e[:, 0], e[:, 1])), shape=(n, n))
+        ncomp, _ = connected_components(adj, directed=False)
+        if ncomp != 1:
+            raise MeshError(f"mesh is not edge-connected ({ncomp} components)")
+
+    def _check_geometry(self) -> None:
+        """The geometry checks of `validate`; nodes finite, vertex ids in range."""
         s2 = self.signed_doubled_areas()
         # scale-aware degeneracy cutoff: doubled area of a healthy triangle
         # is O(edge^2); anything at roundoff level counts as degenerate
@@ -203,17 +219,6 @@ class Mesh:
                 f"triangle {int(bad[0])} degenerate or clockwise "
                 f"(doubled signed area {s2[bad[0]]:.3e})"
             )
-        key = np.sort(t, axis=1)
-        key = key[np.lexsort(key.T[::-1])]
-        if (key[1:] == key[:-1]).all(axis=1).any():
-            raise MeshError("duplicate triangles")
-        # edge-connectivity over the node graph; also catches orphan nodes
-        # (repeated edges only sum into the same adjacency entry)
-        n, e = self.n_nodes, self.edges()
-        adj = coo_matrix((np.ones(e.shape[0]), (e[:, 0], e[:, 1])), shape=(n, n))
-        ncomp, _ = connected_components(adj, directed=False)
-        if ncomp != 1:
-            raise MeshError(f"mesh is not edge-connected ({ncomp} components)")
 
 
 def _require_finite(nodes: np.ndarray) -> None:
@@ -228,9 +233,13 @@ def generate_structured(spec: StructuredSpec) -> Mesh:
     Every cell is split along its lower-left to upper-right diagonal.
     Node coordinates are computed as (i*Lx)/nx so that a doubled grid
     reproduces the coarse nodes bitwise (refinement subset property).
+
+    The grid's structure holds by construction, so it gets only the
+    checks its side lengths can fail: finite coordinates, then the
+    geometry checks of `Mesh.validate`.
     """
     nx, ny = spec.nx, spec.ny
-    with np.errstate(over="ignore"):  # i*Lx past the float range is inf, which validate rejects
+    with np.errstate(over="ignore"):  # i*Lx past the float range is inf, rejected below
         xs = np.arange(nx + 1, dtype=float) * spec.Lx / nx
         ys = np.arange(ny + 1, dtype=float) * spec.Ly / ny
     gx, gy = np.meshgrid(xs, ys)  # row-major: node id = j*(nx+1) + i
@@ -249,8 +258,9 @@ def generate_structured(spec: StructuredSpec) -> Mesh:
     triangles[0::2] = lower
     triangles[1::2] = upper
 
+    _require_finite(nodes)
     mesh = Mesh(nodes=nodes, triangles=triangles, structure=spec)
-    mesh.validate()
+    mesh._check_geometry()
     return mesh
 
 
@@ -295,130 +305,113 @@ def read_msh(source) -> Mesh:
     Parameters
     ----------
     source : str, os.PathLike, or text file object
-        Path to a .msh file, or an open text stream.
+        Path to a .msh file (read as UTF-8), or an open text stream.
 
-    Only the $MeshFormat, $Nodes and $Elements sections are consumed.
-    Triangles (element type 2) are imported; line (1) and point (15)
-    elements are skipped; any other type is rejected.  Node ids are
-    remapped to dense 0-based ids in file order.  Nodes must be planar:
-    |z| < 1e-9 times the larger in-plane extent.  Triangles arriving
-    clockwise are reordered counter-clockwise.  A node count above
-    MAX_NODES is rejected before any node line is read.
+    The text is read whole, then parsed in one pass over its sections.
+    Only the $MeshFormat, $Nodes and $Elements sections are consumed;
+    any other section is skipped up to its $End line.  Triangles
+    (element type 2) are imported; line (1) and point (15) elements are
+    skipped; any other type is rejected.  Node ids are remapped to dense
+    0-based ids in file order.  Nodes must be planar: |z| < 1e-9 times
+    the larger in-plane extent.  Triangles arriving clockwise are
+    reordered counter-clockwise, and the mesh then gets every check of
+    `Mesh.validate`.  A node count above MAX_NODES is rejected before
+    any node line is parsed, and a block's lines are parsed one at a
+    time, so a count larger than the file fails at its first bad line.
     """
     if isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="utf-8") as f:
             return read_msh(f)
-
-    lines = source.read().splitlines()
-    pos = 0
+    try:
+        text = source.read()
+    except UnicodeDecodeError as exc:
+        raise MeshError(f"MSH file is not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+    # the non-blank lines, stripped, with their 1-based line numbers
+    numbered = ((k, ln) for k, raw in enumerate(text.splitlines(), 1) if (ln := raw.strip()))
 
     def fail(msg, lineno):
-        raise MeshError(f"MSH parse error at line {lineno + 1}: {msg}")
+        raise MeshError(f"MSH parse error at line {lineno}: {msg}")
 
-    def next_line():
-        nonlocal pos
-        while pos < len(lines) and not lines[pos].strip():
-            pos += 1
-        if pos >= len(lines):
-            raise MeshError("MSH parse error: unexpected end of file")
-        ln = lines[pos]
-        pos += 1
-        return ln.strip(), pos - 1
+    def take():
+        try:
+            return next(numbered)
+        except StopIteration:
+            raise MeshError("MSH parse error: unexpected end of file") from None
+
+    def close(name):
+        lineno, ln = take()
+        if ln != "$End" + name:
+            fail(f"missing $End{name}", lineno)
+
+    def block(kind):
+        """The lines of a counted $Nodes or $Elements block, one at a time."""
+        lineno, ln = take()
+        try:
+            count = int(ln)
+        except ValueError:
+            fail(f"bad {kind} count {ln!r}", lineno)
+        if kind == "node" and count > MAX_NODES:
+            fail(f"{count} nodes exceed the node limit {MAX_NODES:.0e}", lineno)
+        for _ in range(count):
+            yield take()
 
     raw_ids: list[int] = []
     coords: list[tuple[float, float, float]] = []
-    tris_raw: list[tuple[int, int, int]] = []
-    seen_nodes = seen_elements = False
+    tris_raw: list[list[int]] = []
+    seen = set()
 
-    while pos < len(lines):
-        if not lines[pos].strip():
-            pos += 1
-            continue
-        header, hline = next_line()
+    for hline, header in numbered:
         if not header.startswith("$"):
             fail(f"expected section header, got {header!r}", hline)
         name = header[1:]
         if name == "MeshFormat":
-            fmt, fline = next_line()
-            parts = fmt.split()
+            lineno, ln = take()
+            parts = ln.split()
             if len(parts) != 3:
-                fail("malformed $MeshFormat line", fline)
+                fail("malformed $MeshFormat line", lineno)
             if parts[0] != "2.2":
-                fail(f"unsupported MSH version {parts[0]} (need 2.2)", fline)
+                fail(f"unsupported MSH version {parts[0]} (need 2.2)", lineno)
             if parts[1] != "0":
-                fail("binary MSH files are not supported", fline)
-            end, eline = next_line()
-            if end != "$EndMeshFormat":
-                fail("missing $EndMeshFormat", eline)
+                fail("binary MSH files are not supported", lineno)
         elif name == "Nodes":
-            cnt_line, cline = next_line()
-            try:
-                count = int(cnt_line)
-            except ValueError:
-                fail(f"bad node count {cnt_line!r}", cline)
-            if count > MAX_NODES:
-                fail(f"{count} nodes exceed the node limit {MAX_NODES:.0e}", cline)
-            for _ in range(count):
-                ln, lno = next_line()
-                parts = ln.split()
-                if len(parts) != 4:
-                    fail(f"bad node line {ln!r}", lno)
+            for lineno, ln in block("node"):
                 try:
-                    nid = int(parts[0])
-                    x, y, z = (float(v) for v in parts[1:])
+                    nid, x, y, z = ln.split()
+                    raw_ids.append(int(nid))
+                    coords.append((float(x), float(y), float(z)))
                 except ValueError:
-                    fail(f"bad node line {ln!r}", lno)
-                raw_ids.append(nid)
-                coords.append((x, y, z))
-            end, eline = next_line()
-            if end != "$EndNodes":
-                fail("missing $EndNodes", eline)
-            seen_nodes = True
+                    fail(f"bad node line {ln!r}", lineno)
         elif name == "Elements":
-            cnt_line, cline = next_line()
-            try:
-                count = int(cnt_line)
-            except ValueError:
-                fail(f"bad element count {cnt_line!r}", cline)
-            for _ in range(count):
-                ln, lno = next_line()
+            for lineno, ln in block("element"):
                 parts = ln.split()
-                if len(parts) < 3:
-                    fail(f"bad element line {ln!r}", lno)
-                try:
-                    etype = int(parts[1])
-                    ntags = int(parts[2])
+                try:  # the element id and tags are not read
+                    etype, ntags = int(parts[1]), int(parts[2])
                     rest = [int(v) for v in parts[3 + ntags:]]
-                except ValueError:
-                    fail(f"bad element line {ln!r}", lno)
+                except (IndexError, ValueError):
+                    fail(f"bad element line {ln!r}", lineno)
                 if etype == 2:
                     if len(rest) != 3:
-                        fail(f"triangle needs 3 vertex ids, got {rest}", lno)
-                    tris_raw.append(tuple(rest))
-                elif etype in (1, 15):
-                    continue  # boundary lines and points carry no area
-                else:
-                    fail(f"unsupported element type {etype}", lno)
-            end, eline = next_line()
-            if end != "$EndElements":
-                fail("missing $EndElements", eline)
-            seen_elements = True
+                        fail(f"triangle needs 3 vertex ids, got {rest}", lineno)
+                    tris_raw.append(rest)
+                elif etype not in (1, 15):  # boundary lines and points carry no area
+                    fail(f"unsupported element type {etype}", lineno)
         else:
             # unknown sections ($PhysicalNames etc.) are skipped verbatim
-            endtag = "$End" + name
-            while True:
-                ln, _ = next_line()
-                if ln == endtag:
-                    break
+            while take()[1] != "$End" + name:
+                pass
+            continue
+        close(name)
+        seen.add(name)
 
-    if not seen_nodes or not seen_elements:
+    if not {"Nodes", "Elements"} <= seen:
         raise MeshError("MSH parse error: missing $Nodes or $Elements section")
     if not coords:
         raise MeshError("MSH file has no nodes")
 
     arr = np.asarray(coords, dtype=float)
     _require_finite(arr)
-    ext = max(arr[:, 0].max() - arr[:, 0].min(), arr[:, 1].max() - arr[:, 1].min())
+    with np.errstate(over="ignore"):  # an extent past the float range is inf; validate rejects it
+        ext = np.ptp(arr[:, :2], axis=0).max()
     scale = ext if ext > 0 else 1.0
     zmax = float(np.abs(arr[:, 2]).max())
     if zmax >= 1e-9 * scale:
@@ -426,11 +419,10 @@ def read_msh(source) -> Mesh:
             f"mesh is not planar: |z| up to {zmax:.3e} (limit {1e-9 * scale:.3e})"
         )
 
-    idmap = {}
+    idmap: dict[int, int] = {}
     for k, nid in enumerate(raw_ids):
-        if nid in idmap:
+        if idmap.setdefault(nid, k) != k:
             raise MeshError(f"duplicate node id {nid}")
-        idmap[nid] = k
     try:
         tris = np.asarray(
             [[idmap[a], idmap[b], idmap[c]] for a, b, c in tris_raw], dtype=np.int64
@@ -442,9 +434,7 @@ def read_msh(source) -> Mesh:
 
     mesh = Mesh(nodes=arr[:, :2].copy(), triangles=tris, structure=None)
     # normalize orientation before validating: flip clockwise triangles
-    s2 = mesh.signed_doubled_areas()
-    flip = s2 < 0
-    if flip.any():
-        mesh.triangles[flip] = mesh.triangles[flip][:, [0, 2, 1]]
+    flip = mesh.signed_doubled_areas() < 0
+    tris[flip] = tris[flip][:, [0, 2, 1]]
     mesh.validate()
     return mesh

@@ -512,6 +512,9 @@ def _read_json_object(source, what: str) -> dict:
         raise ConfigError(f"cannot read {what} file {source}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON in {source}: {exc}") from exc
+    # not UTF-8, an integer past Python's 4300-digit limit, or nested too deep
+    except (ValueError, RecursionError) as exc:
+        raise ConfigError(f"cannot parse {what} file {source}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{what} root must be a JSON object, got {type(data).__name__}")
     return data

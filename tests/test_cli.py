@@ -1,6 +1,10 @@
 """CLI tests: run/convergence/mesh-info, exit codes, determinism."""
 import io
 import json
+import os
+import struct
+import subprocess
+import sys
 import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
@@ -363,6 +367,60 @@ def test_exit_2_leaves_no_output_directory(tmp_path, capsys, command):
     assert main([command, path, "--out", str(out)]) == 2
     assert capsys.readouterr().err.count("\n") == 1
     assert not out.exists()
+
+
+# the body of a binary MSH file: one node as an int id and three doubles
+BINARY_MSH = (b"$MeshFormat\n2.2 1 8\n" + struct.pack("<i", 1) + b"\n$EndMeshFormat\n$Nodes\n1\n"
+              + struct.pack("<i3d", 1, 1.0, 0.0, 0.0) + b"\n$EndNodes\n")
+
+
+def _raw_input(kind, command):
+    """Bytes of a file that cannot be parsed: an MSH file, or a config."""
+    if kind == "msh_not_utf8":
+        return BINARY_MSH
+    cfg = _run_config() if command == "run" else _study_config()
+    text = json.dumps(cfg)
+    if kind == "config_not_utf8":
+        return text.replace('"fixed"', '"fix\xe9d"').encode("latin-1")
+    if kind == "long_integer":  # past Python's 4300-digit limit on int() of a string
+        key = '"nx": 4' if command == "run" else '"k_max": 2'
+        return text.replace(key, key[:-1] + "9" * 5000).encode()
+    return text.replace('"border": "fixed"', '"border": ' + "[" * 100_000 + "]" * 100_000).encode()
+
+
+@pytest.mark.parametrize("kind,command", [
+    ("msh_not_utf8", "mesh-info"), ("msh_not_utf8", "run"),
+    ("config_not_utf8", "run"), ("config_not_utf8", "convergence"),
+    ("long_integer", "run"), ("long_integer", "convergence"),
+    ("deep_nesting", "run"), ("deep_nesting", "convergence"),
+])
+def test_unparsable_input_exits_2_with_one_line(tmp_path, capsys, kind, command):
+    raw = tmp_path / ("mesh.msh" if kind.startswith("msh") else "config.json")
+    raw.write_bytes(_raw_input(kind, command))
+    path = str(raw)
+    if kind.startswith("msh") and command == "run":
+        path = _write(tmp_path, "run.json", _run_config(mesh={"msh_path": str(raw)}))
+    argv = [command, path] + ([] if command == "mesh-info" else ["--out", str(tmp_path / "out")])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert [str(w.message) for w in caught] == []
+
+
+def test_structured_run_leaves_csgraph_unloaded(tmp_path):
+    # only a mesh read from a file needs the connectivity check, whose
+    # scipy.sparse.csgraph import would add to every run's memory
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    cfg = _write(tmp_path, "run.json", _run_config())
+    code = ("import sys; from membrane.cli import main; "
+            "code = main(['run', sys.argv[1], '--out', sys.argv[2]]); "
+            "print(code, 'scipy.sparse.csgraph' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code, cfg, str(tmp_path / "out")],
+                          env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "0 False"
 
 
 class TestConvergenceCommand:

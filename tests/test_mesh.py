@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.spatial import Delaunay
 
 import membrane as mb
@@ -67,6 +68,21 @@ class TestStructured:
 
     def test_validate_passes(self, grid4):
         grid4.validate()
+
+
+# side lengths log-uniform over the float range, plus its edges
+SIDE = st.floats(-320.0, 308.0).map(lambda e: 10.0**e) | st.sampled_from([5e-324, 1.3e154, 1e308, 1.7e308])
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(SIDE, SIDE, st.integers(1, 40), st.integers(1, 40))
+def test_generated_grid_is_rejected_or_fully_valid(lx, ly, nx, ny):
+    # the grid checks only its geometry; its structure must hold anyway
+    try:
+        mesh = mb.generate_structured(mb.StructuredSpec(lx, ly, nx, ny))
+    except MeshError:
+        return
+    mesh.validate()
 
 
 class TestRefinement:
@@ -246,6 +262,17 @@ class TestMshReader:
             with pytest.raises(MeshError, match="^node coordinates must be finite"):
                 mb.read_msh(io.StringIO(text))
 
+    def test_extent_past_float_range_rejected_without_warning(self):
+        text = (
+            "$MeshFormat\n2.2 0 8\n$EndMeshFormat\n"
+            "$Nodes\n3\n1 -1e308 0 0\n2 1e308 0 0\n3 0 1 0\n$EndNodes\n"
+            "$Elements\n1\n1 2 2 0 1 1 2 3\n$EndElements\n"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MeshError, match="^node coordinates out of range"):
+                mb.read_msh(io.StringIO(text))
+
     def test_node_count_over_ceiling_rejected_before_reading_nodes(self):
         # one node line follows a count above the ceiling: the count alone decides
         text = (
@@ -271,6 +298,87 @@ class TestMshReader:
         )
         back = mb.read_msh(io.StringIO(text))
         assert back.n_nodes == grid4.n_nodes
+
+
+HEADER = "$MeshFormat\n2.2 0 8\n$EndMeshFormat\n"  # lines 1-3
+NODES3 = "$Nodes\n3\n1 0 0 0\n2 1 0 0\n3 0 1 0\n$EndNodes\n"  # lines 4-9
+
+
+def _elements(*lines):
+    """An $Elements section after HEADER and NODES3; its first element is line 12."""
+    return HEADER + NODES3 + f"$Elements\n{len(lines)}\n" + "".join(f"{ln}\n" for ln in lines) + "$EndElements\n"
+
+
+# one minimal malformed file per message, with the full message it raises
+MALFORMED_MSH = {
+    "section_header": ("\n  Foo bar\n", "MSH parse error at line 2: expected section header, got 'Foo bar'"),
+    "mesh_format_fields": ("$MeshFormat\n2.2 0\n$EndMeshFormat\n",
+                           "MSH parse error at line 2: malformed $MeshFormat line"),
+    "version": ("$MeshFormat\n4.1 0 8\n$EndMeshFormat\n",
+                "MSH parse error at line 2: unsupported MSH version 4.1 (need 2.2)"),
+    "binary": ("$MeshFormat\n2.2 1 8\n$EndMeshFormat\n",
+               "MSH parse error at line 2: binary MSH files are not supported"),
+    "end_mesh_format": ("$MeshFormat\n2.2 0 8\n\n$Nodes\n", "MSH parse error at line 4: missing $EndMeshFormat"),
+    "end_nodes": (HEADER + "$Nodes\n1\n1 0 0 0\n1 1 0 0\n", "MSH parse error at line 7: missing $EndNodes"),
+    "end_elements": (HEADER + NODES3 + "$Elements\n1\n1 2 2 0 1 1 2 3\n$EndNodes\n",
+                     "MSH parse error at line 13: missing $EndElements"),
+    "node_count": (HEADER + "$Nodes\n3.0\n", "MSH parse error at line 5: bad node count '3.0'"),
+    "element_count": (HEADER + NODES3 + "$Elements\n-\n", "MSH parse error at line 11: bad element count '-'"),
+    "node_limit": (HEADER + f"$Nodes\n{MAX_NODES + 1}\n1 0 0 0\n$EndNodes\n",
+                   "MSH parse error at line 5: 10000001 nodes exceed the node limit 1e+07"),
+    "node_fields": (HEADER + "$Nodes\n1\n1 0 0\n$EndNodes\n", "MSH parse error at line 6: bad node line '1 0 0'"),
+    "node_value": (HEADER + "$Nodes\n1\n1 0 x 0\n$EndNodes\n", "MSH parse error at line 6: bad node line '1 0 x 0'"),
+    "element_fields": (_elements("1 2"), "MSH parse error at line 12: bad element line '1 2'"),
+    "element_value": (_elements("1 2 2 0 1 1 2 z"), "MSH parse error at line 12: bad element line '1 2 2 0 1 1 2 z'"),
+    "triangle_ids": (_elements("1 2 2 0 1 1 2"),
+                     "MSH parse error at line 12: triangle needs 3 vertex ids, got [1, 2]"),
+    "element_type": (_elements("1 3 2 0 1 1 2 3 4"), "MSH parse error at line 12: unsupported element type 3"),
+    "end_of_file": (HEADER + "$Nodes\n3\n1 0 0 0\n", "MSH parse error: unexpected end of file"),
+    "end_of_file_in_unknown_section": (HEADER + "$Foo\nbar\n", "MSH parse error: unexpected end of file"),
+    "missing_section": (HEADER + NODES3, "MSH parse error: missing $Nodes or $Elements section"),
+    "no_nodes": (HEADER + "$Nodes\n0\n$EndNodes\n$Elements\n0\n$EndElements\n", "MSH file has no nodes"),
+    "not_planar": (HEADER + "$Nodes\n3\n1 0 0 0\n2 1 0 0\n3 0 1 0.5\n$EndNodes\n"
+                   "$Elements\n1\n1 2 2 0 1 1 2 3\n$EndElements\n",
+                   "mesh is not planar: |z| up to 5.000e-01 (limit 1.000e-09)"),
+    "duplicate_node_id": (HEADER + "$Nodes\n3\n1 0 0 0\n1 1 0 0\n3 0 1 0\n$EndNodes\n"
+                          "$Elements\n1\n1 2 2 0 1 1 1 3\n$EndElements\n", "duplicate node id 1"),
+    "unknown_node_id": (_elements("1 2 2 0 1 1 2 9"), "triangle references unknown node id 9"),
+    "no_triangles": (_elements("1 15 2 0 1 1"), "MSH file has no triangles"),
+    # a count far past the file's end fails at its first bad line, not at EOF
+    "lazy_block": (HEADER + NODES3 + "$Elements\n10000000000\n1 2\n",
+                   "MSH parse error at line 12: bad element line '1 2'"),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_MSH)
+def test_malformed_msh_message(name):
+    text, message = MALFORMED_MSH[name]
+    with pytest.raises(MeshError) as info:
+        mb.read_msh(io.StringIO(text))
+    assert str(info.value) == message
+
+
+def test_non_utf8_file_rejected(tmp_path):
+    path = tmp_path / "mesh.msh"
+    path.write_bytes(HEADER.encode() + b"$Nodes\n\xff\n")
+    with pytest.raises(MeshError) as info:
+        mb.read_msh(path)
+    assert str(info.value) == "MSH file is not UTF-8 text (invalid start byte at byte 42)"
+
+
+# a mesh read from a file gets every structure check of `validate`
+DISCONNECTED_MSH = (HEADER + "$Nodes\n6\n1 0 0 0\n2 1 0 0\n3 0 1 0\n4 5 5 0\n5 6 5 0\n6 5 6 0\n$EndNodes\n"
+                    "$Elements\n2\n1 2 2 0 1 1 2 3\n2 2 2 0 1 4 5 6\n$EndElements\n")
+
+
+@pytest.mark.parametrize("text,message", [
+    (DISCONNECTED_MSH, "mesh is not edge-connected (2 components)"),
+    (_elements("1 2 2 0 1 1 2 3", "2 2 2 0 1 2 3 1"), "duplicate triangles"),
+], ids=["disconnected", "duplicate_triangle"])
+def test_msh_mesh_gets_the_structure_checks(text, message):
+    with pytest.raises(MeshError) as info:
+        mb.read_msh(io.StringIO(text))
+    assert str(info.value) == message
 
 
 def holed_unstructured_mesh(seed=3, n=12):
