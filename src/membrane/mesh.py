@@ -44,11 +44,11 @@ class StructuredSpec:
     Parameters
     ----------
     Lx, Ly : float
-        Side lengths of the rectangle, must be positive.
+        Side lengths of the rectangle, must be positive and finite.
     nx, ny : int
-        Number of rectangular cells along each side, at least 1.  Each
-        cell is split into two triangles along its lower-left to
-        upper-right diagonal (fixed orientation for the whole grid).
+        Number of rectangular cells along each side, integers, at least
+        1.  Each cell is split into two triangles along its lower-left
+        to upper-right diagonal (fixed orientation for the whole grid).
         The grid may have at most MAX_NODES nodes.
     """
 
@@ -58,10 +58,11 @@ class StructuredSpec:
     ny: int
 
     def __post_init__(self):
-        if not (self.Lx > 0.0 and self.Ly > 0.0):
-            raise MeshError(f"side lengths must be positive, got {self.Lx} x {self.Ly}")
-        if self.nx < 1 or self.ny < 1:
-            raise MeshError(f"cell counts must be >= 1, got {self.nx} x {self.ny}")
+        if not (0.0 < self.Lx < np.inf and 0.0 < self.Ly < np.inf):
+            raise MeshError(f"side lengths must be positive and finite, got {self.Lx} x {self.Ly}")
+        if not all(isinstance(c, (int, np.integer)) and not isinstance(c, bool) and c >= 1
+                   for c in (self.nx, self.ny)):
+            raise MeshError(f"cell counts must be integers >= 1, got {self.nx} x {self.ny}")
         if self.n_nodes > MAX_NODES:
             raise MeshError(f"{self.nx} x {self.ny} cells exceed the node limit {MAX_NODES:.0e}")
 

@@ -21,9 +21,14 @@ same bits (a held in-plane field's zeros, flags without a threshold) is
 formatted once, as a literal.
 
 The element strains come from `assembly.strain_operator`, built by the
-`MeshText` at the first snapshot that needs it: S_w, its (yz, xz) rows
-over the w dofs, while every u and v is zero, and the full S otherwise.
-A run that writes nothing builds neither.
+`MeshText` at the first snapshot that needs it as one CSR operator per
+block of `_BLOCK_ROWS` triangles: S_w, its (yz, xz) rows over the w
+dofs, while every u and v is zero, and the full S otherwise.  A run
+that writes nothing builds neither.  A snapshot's strains are one
+array at the product's own width, (m, 2) from S_w and (m, 6) from S;
+the stresses, flags and text are made one block of rows at a time,
+after a first pass over the blocks has found the columns that are
+constant across the whole file.
 """
 from __future__ import annotations
 
@@ -32,7 +37,6 @@ from functools import cached_property
 from itertools import chain
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .assembly import strain_operator
 from .convergence import NORMS, StudyResult
@@ -68,42 +72,60 @@ def _g17(x: float) -> str:
 _BLOCK_ROWS = 1024
 
 
-def _blocks(parts, n: int):
+def _spans(n: int):
+    """(start, stop) of each block of `_BLOCK_ROWS` rows out of `n`.
+
+    A last block of one row joins the block before it: numpy multiplies
+    a single row by a matrix through BLAS gemv, whose bits can differ
+    from those the same row gets inside a gemm, as in the stresses.
+    """
+    starts = list(range(0, n, _BLOCK_ROWS))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [n]))
+
+
+def _blocks(parts, n: int, values=None):
     """The text of `n` rows, each the concatenation of `parts`, as one
     uint8 array per block of `_BLOCK_ROWS` rows, zero bytes to be dropped.
 
     A part is a `bytes` literal, an (n, w) uint8 array of per-row text,
-    or a float column, written as ``%.17g``.  A column whose values all
-    have the same bits (so -0.0 differs from 0.0) is formatted once, as
-    a literal.
+    a float column, written as ``%.17g``, or `None`: a float column
+    whose values come from `values`, which yields, per block, the
+    values of the `None` columns in order, one column after another.
+    A float column whose values all have the same bits (so -0.0
+    differs from 0.0) is formatted once, as a literal.
     """
     # imported here, at the first write: where no bytecode is cached,
     # compiling the kernel at import would add about 0.2 MB to the peak
     # memory of runs that write no snapshot
     from ._format import records
 
-    spec = []
+    spec, columns = [], []
     for part in parts:
         if isinstance(part, np.ndarray) and part.ndim == 1:
             part = _literal(part)
+            if not isinstance(part, bytes):
+                columns.append(part)
+                part = None
         if isinstance(part, bytes) and spec and isinstance(spec[-1], bytes):
             spec[-1] += part
         else:
             spec.append(part)
-    columns = [p for p in spec if isinstance(p, np.ndarray) and p.ndim == 1]
-    widths = [len(p) if isinstance(p, bytes) else p.shape[1] if p.ndim == 2 else 32 for p in spec]
+    if values is None:
+        values = (np.concatenate([c[start:stop] for c in columns] or [np.empty(0)])
+                  for start, stop in _spans(n))
+    widths = [len(p) if isinstance(p, bytes) else 32 if p is None else p.shape[1] for p in spec]
     edges = np.cumsum([0, *widths])
-    for start in range(0, n, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, n)
-        if columns:
-            values = np.concatenate([c[start:stop] for c in columns])
-            formatted = iter(records(values).reshape(len(columns), stop - start, 32))
+    for (start, stop), block_values in zip(_spans(n), values):
+        if block_values.size:
+            formatted = iter(records(block_values).reshape(-1, stop - start, 32))
         block = np.empty((stop - start, edges[-1]), np.uint8)
         for p, left, right in zip(spec, edges[:-1], edges[1:]):
             if isinstance(p, bytes):
                 block[:, left:right] = np.frombuffer(p, np.uint8)
             else:
-                block[:, left:right] = p[start:stop] if p.ndim == 2 else next(formatted)
+                block[:, left:right] = next(formatted) if p is None else p[start:stop]
         yield block
 
 
@@ -138,23 +160,53 @@ class MeshText:
     Build one `MeshText` per run and hand it to every writer call.  It
     builds nothing up front: each text and strain operator is made at
     the first snapshot that needs it, and kept for the rest of the run.
-    It also holds the w and vmag text of one state (`columns`) from its
-    node CSV to its VTK.
+    The strain operators are lists of CSR blocks, one per `_BLOCK_ROWS`
+    triangles, so building one lays out a block's entries at a time,
+    never the whole mesh's.  It also holds the w and vmag text of one
+    state (`columns`) from its node CSV to its VTK.
     """
 
     def __init__(self, mesh: Mesh):
         self.mesh = mesh
         self._held = None  # (state, its (w, vmag) text)
 
-    @cached_property
-    def strain(self):
-        """S, the mesh's full strain operator (`assembly.strain_operator`)."""
-        return strain_operator(self.mesh)[1]
+    def _operator(self, w_only: bool) -> list:
+        """`assembly.strain_operator` of each block of triangles, in order."""
+        nodes, tri = self.mesh.nodes, self.mesh.triangles
+        return [strain_operator(Mesh(nodes, tri[start:stop]), w_only)[1]
+                for start, stop in _spans(len(tri))]
 
     @cached_property
-    def strain_w(self):
-        """S_w, the (yz, xz) rows of S over the w dofs."""
-        return strain_operator(self.mesh, w_only=True)[1]
+    def strain(self) -> list:
+        """S, the mesh's full strain operator, in blocks of rows."""
+        return self._operator(w_only=False)
+
+    @cached_property
+    def strain_w(self) -> list:
+        """S_w, the (yz, xz) rows of S over the w dofs, in blocks of rows."""
+        return self._operator(w_only=True)
+
+    def strains(self, state: State) -> np.ndarray:
+        """Each element's strain S a, (m, 6), or only its (yz, xz)
+        columns S_w w, (m, 2), while every u and v is zero.
+
+        Then S's rows xx, yy and xy sum to +0.0 (each row sum starts at
+        +0.0, so -0.0 terms add nothing), its zz row stores nothing, and
+        its rows yz and xz hold S_w's entries in S_w's stored order: the
+        other four columns are +0.0.  Each row is summed alone, so the
+        blocks give the whole operator's bits.
+        """
+        a = state.a.reshape(-1, 3)
+        held = not a[:, :2].any()
+        blocks, x = (self.strain_w, np.ascontiguousarray(a[:, 2])) if held else (self.strain, state.a)
+        width = 2 if held else 6
+        eps = np.empty((self.mesh.n_triangles, width))
+        start = 0
+        for s in blocks:
+            stop = start + s.shape[0] // width
+            eps[start:stop] = (s @ x).reshape(-1, width)
+            start = stop
+        return eps
 
     def columns(self, state: State, keep: bool):
         """The text of `state`'s w and vmag columns, as `_column` parts.
@@ -229,48 +281,57 @@ def write_snapshot_csv(path, text: MeshText, state: State) -> None:
     _write(path, chain([CSV_HEADER.encode() + b"\n"], _blocks(parts, text.mesh.n_nodes)))
 
 
-def _batch_strain_stress(strain: csr_matrix, material: MaterialParams, state: State):
-    """Strain S a and stress D S a per element, shapes (m, 6); S from
-    `assembly.strain_operator`."""
-    eps = (strain @ state.a).reshape(-1, 6)
-    sig = eps @ material.d.T
-    return eps, sig
-
-
-def _strain_stress(text: MeshText, material: MaterialParams, state: State):
-    """`_batch_strain_stress` of the full S, bitwise, from S_w alone
-    while every u and v is zero.
-
-    Then S's rows xx, yy and xy sum to +0.0 (each row sum starts at
-    +0.0, so -0.0 terms add nothing), its zz row stores nothing, and its
-    rows yz and xz hold S_w's entries in S_w's stored order.
-    """
-    a = state.a.reshape(-1, 3)
-    if a[:, :2].any():
-        return _batch_strain_stress(text.strain, material, state)
-    eps = np.zeros((text.mesh.n_triangles, 6))
-    eps[:, 4:] = (text.strain_w @ a[:, 2]).reshape(-1, 2)
-    return eps, eps @ material.d.T
-
-
-def _flags(values: np.ndarray, threshold) -> np.ndarray:
-    if threshold is None:
-        return np.zeros(len(values))
-    return (np.abs(values) > threshold).any(axis=1).astype(float)
+def _element_values(eps: np.ndarray, material: MaterialParams):
+    """The element CSV's float columns per block of `_BLOCK_ROWS`
+    elements, as three (rows, w) arrays: strain (w = 6), stress D eps
+    (6), and the strain and stress flags (2), from `MeshText.strains`."""
+    d = material.d.T
+    thresholds = material.strain_threshold, material.stress_threshold
+    for start, stop in _spans(len(eps)):
+        e = eps[start:stop]
+        if e.shape[1] == 2:  # S_w's (yz, xz): the other strains are +0.0
+            e = np.zeros((stop - start, 6))
+            e[:, 4:] = eps[start:stop]
+        sig = e @ d
+        flags = np.zeros((stop - start, 2))
+        for k, (x, threshold) in enumerate(zip((e, sig), thresholds)):
+            if threshold is not None:
+                flags[:, k] = (np.abs(x) > threshold).any(axis=1)
+        yield e, sig, flags
 
 
 def write_element_csv(path, text: MeshText, material: MaterialParams, state: State) -> None:
     """One row per element: strain, stress, and threshold flags.
 
     A flag is 1 when any component magnitude exceeds the configured
-    threshold, 0 otherwise (and always 0 without a threshold).
+    threshold, 0 otherwise (and always 0 without a threshold).  The
+    columns are made one block at a time, twice: a first pass finds
+    those whose values all have the bits of their first, written once
+    as literals, and a second formats the others.
     """
-    eps, sig = _strain_stress(text, material, state)
-    cols = (*eps.T, *sig.T,
-            _flags(eps, material.strain_threshold), _flags(sig, material.stress_threshold))
+    eps = text.strains(state)
+    # first pass: per array, its first row's bits and a mask of all ones on
+    # the columns still constant, both tiled over the longest block (see
+    # `_spans`) so that each test runs over a whole block at once
+    heads = keep = None
+    for arrays in _element_values(eps, material):
+        if heads is None:
+            heads = [np.tile(x[0].view(np.uint64), _BLOCK_ROWS + 1) for x in arrays]
+            keep = [np.full(h.size, ~np.uint64(0)) for h in heads]
+        for x, h, k in zip(arrays, heads, keep):
+            bits = x.view(np.uint64).ravel()
+            if ((bits ^ h[:bits.size]) & k[:bits.size]).any():
+                w = x.shape[1]
+                k.reshape(-1, w)[:, (bits.reshape(-1, w) != h[:w]).any(axis=0)] = 0
+    first = np.concatenate([h[:x.shape[1]] for h, x in zip(heads, arrays)]).view(np.float64)
+    literal = np.concatenate([k[:x.shape[1]] for k, x in zip(keep, arrays)]) != 0
+    cols = [_g17(x).encode() if c else None for x, c in zip(first, literal)]
     parts = _row(_g17(state.t).encode() + b",", text.element_ids, cols)
+    values = (np.concatenate([c for c, lit in zip(chain(*(x.T for x in arrays)), literal)
+                              if not lit] or [np.empty(0)])
+              for arrays in _element_values(eps, material))
     _write(path, chain([ELEMENT_CSV_HEADER.encode() + b"\n"],
-                       _blocks(parts, text.mesh.n_triangles)))
+                       _blocks(parts, text.mesh.n_triangles, values)))
 
 
 def write_snapshot_vtk(path, text: MeshText, state: State) -> None:

@@ -177,6 +177,26 @@ class TestValidation:
             with pytest.raises(MeshError, match=r"finite, got \[inf, 0.0\]"):
                 mb.generate_structured(mb.StructuredSpec(1e308, 1.0, 4, 4))
 
+    @pytest.mark.parametrize("lx, ly", [(1.0, float("inf")), (float("-inf"), 1.0),
+                                        (float("nan"), 1.0), (1.0, 0.0)])
+    def test_non_finite_side_length_rejected(self, lx, ly):
+        # rejected by the spec itself, before numpy sees 0 * inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MeshError, match="^side lengths must be positive and finite"):
+                mb.generate_structured(mb.StructuredSpec(lx, ly, 2, 2))
+
+    @pytest.mark.parametrize("nx, ny", [(2.5, 2), (2, 2.0), (True, 2), ("2", 2), (2, 0)])
+    def test_non_integer_cell_count_rejected(self, nx, ny):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MeshError, match="^cell counts must be integers >= 1"):
+                mb.generate_structured(mb.StructuredSpec(1.0, 1.0, nx, ny))
+
+    def test_numpy_integer_cell_counts_accepted(self):
+        mesh = mb.generate_structured(mb.StructuredSpec(1.0, 1.0, np.int64(3), np.int32(2)))
+        assert mesh.n_triangles == 12
+
     def test_disconnected_mesh_rejected(self):
         nodes = np.array(
             [[0, 0], [1, 0], [0, 1], [5, 5], [6, 5], [5, 6]], dtype=float

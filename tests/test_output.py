@@ -1,5 +1,7 @@
 """Writer tests: %.17g kernel, snapshot CSV, element CSV, VTK grammar, study CSV, manifest."""
+import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +14,6 @@ from membrane.convergence import LevelDiff, StudyResult
 from membrane.integrator import State
 from membrane.output import (
     CSV_HEADER,
-    _batch_strain_stress,
     ELEMENT_CSV_HEADER,
     MeshText,
     write_element_csv,
@@ -311,9 +312,16 @@ def _oracle_snapshot_csv(mesh, state):
     return ("\n".join(lines) + "\n").encode()
 
 
+def _oracle_strain_stress(mesh, material, state):
+    """Strain S a and stress D S a per element, (m, 6) each, from the
+    whole mesh's S."""
+    eps = (strain_operator(mesh)[1] @ state.a).reshape(-1, 6)
+    return eps, eps @ material.d.T
+
+
 def _oracle_element_csv(mesh, material, state):
     lines = [ELEMENT_CSV_HEADER]
-    all_eps, all_sig = _batch_strain_stress(strain_operator(mesh)[1], material, state)
+    all_eps, all_sig = _oracle_strain_stress(mesh, material, state)
     for e, (eps, sig) in enumerate(zip(all_eps, all_sig)):
         sflag = int(np.any(np.abs(eps) > material.strain_threshold))
         tflag = int(np.any(np.abs(sig) > material.stress_threshold))
@@ -392,7 +400,7 @@ class TestWritersMatchOracle:
     def test_element_csv_bytes_with_flags(self, grid4, tmp_path):
         state = _edge_state(grid4)
         plain = mb.MaterialParams(d=mb.isotropic(200e9, 0.3), rho=7800.0, h=1e-3)
-        eps, sig = _batch_strain_stress(strain_operator(grid4)[1], plain, state)
+        eps, sig = _oracle_strain_stress(grid4, plain, state)
         emax, smax = np.abs(eps).max(axis=1), np.abs(sig).max(axis=1)
         flagged = mb.MaterialParams(
             d=plain.d, rho=7800.0, h=1e-3,
@@ -612,3 +620,101 @@ class TestManifest:
         assert text.endswith("\n")
         assert json.loads(text) == manifest
         assert text.index('"alpha"') < text.index('"tau"') < text.index('"zeta"')
+
+
+def _jittered_msh(n, seed):
+    """An n-by-n grid with jittered interior nodes, read back from MSH
+    text with shuffled node ids and some clockwise triangles."""
+    import io
+
+    mesh = _jittered(n, seed)
+    rng = np.random.default_rng(seed)
+    ids = 5 + 2 * rng.permutation(mesh.n_nodes)
+    lines = ["$MeshFormat", "2.2 0 8", "$EndMeshFormat", "$Nodes", str(mesh.n_nodes)]
+    lines += [f"{ids[k]} {x!r} {y!r} 0" for k, (x, y) in enumerate(mesh.nodes.tolist())]
+    lines += ["$EndNodes", "$Elements", str(mesh.n_triangles)]
+    for e, tri in enumerate(mesh.triangles.tolist()):
+        tri = tri[::-1] if e % 3 == 0 else tri
+        lines.append(f"{e + 1} 2 2 0 1 " + " ".join(str(ids[v]) for v in tri))
+    lines.append("$EndElements")
+    return mb.read_msh(io.StringIO("\n".join(lines) + "\n"))
+
+
+def _one_triangle():
+    return mb.Mesh(nodes=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+                   triangles=np.array([[0, 1, 2]]))
+
+
+class TestBlockedElementCsv:
+    """The element CSV, made one block of rows at a time, keeps every
+    byte of the oracle's full S and per-value `format`, on meshes whose
+    triangle count is not a multiple of the block size.  The jittered
+    mesh's 1058 triangles leave one row over in blocks of 7: alone, its
+    stresses would come from gemv, not gemm, and differ in the last bit."""
+
+    @pytest.mark.parametrize("block_rows", [1024, 7])
+    @pytest.mark.parametrize("mesh", [
+        mb.generate_structured(mb.StructuredSpec(1.0, 1.0, 33, 31)),
+        _jittered_msh(23, seed=4),
+        _one_triangle(),
+    ], ids=["grid33x31", "jittered_msh", "one_triangle"])
+    def test_bytes_of_the_oracle(self, mesh, block_rows, tmp_path, monkeypatch):
+        assert mesh.n_triangles % 1024 and mesh.n_triangles % 7
+        monkeypatch.setattr("membrane.output._BLOCK_ROWS", block_rows)
+        text = MeshText(mesh)
+        p = tmp_path / "elem.csv"
+        for material in (_zz_coupled(), mb.MaterialParams(d=mb.isotropic(2e9, 0.3), rho=1.0, h=1e-3)):
+            for state in (_state(mesh, seed=6), _held_state(mesh, seed=7), _edge_state(mesh)):
+                eps, sig = _oracle_strain_stress(mesh, material, state)
+                emax, smax = np.abs(eps).max(axis=1), np.abs(sig).max(axis=1)
+                flagged = mb.MaterialParams(d=material.d, rho=1.0, h=1e-3,
+                                            strain_threshold=np.median(emax),
+                                            stress_threshold=np.quantile(smax, 0.25))
+                unflagged = mb.MaterialParams(d=material.d, rho=1.0, h=1e-3,
+                                              strain_threshold=np.inf, stress_threshold=np.inf)
+                write_element_csv(p, text, flagged, state)
+                assert p.read_bytes() == _oracle_element_csv(mesh, flagged, state)
+                write_element_csv(p, text, material, state)
+                assert p.read_bytes() == _oracle_element_csv(mesh, unflagged, state)
+
+    def test_a_column_constant_only_in_its_first_blocks(self, tmp_path, monkeypatch):
+        # w is zero on the first rows of the grid: the shear strains of
+        # the first blocks are all +0.0, then vary
+        monkeypatch.setattr("membrane.output._BLOCK_ROWS", 16)
+        mesh = mb.generate_structured(mb.StructuredSpec(1.0, 1.0, 9, 9))
+        state = _held_state(mesh)
+        state.a[2:3 * 40:3] = 0.0
+        steel = mb.MaterialParams(d=mb.isotropic(200e9, 0.3), rho=7800.0, h=1e-3)
+        p = tmp_path / "elem.csv"
+        write_element_csv(p, MeshText(mesh), steel, state)
+        unflagged = mb.MaterialParams(d=steel.d, rho=1.0, h=1e-3,
+                                      strain_threshold=np.inf, stress_threshold=np.inf)
+        assert p.read_bytes() == _oracle_element_csv(mesh, unflagged, state)
+        rows = [r.split(",") for r in p.read_text().splitlines()[1:]]
+        assert rows[0][6] == "0" and len({r[6] for r in rows}) > 1
+
+    def test_operator_blocks(self, monkeypatch):
+        monkeypatch.setattr("membrane.output._BLOCK_ROWS", 100)
+        mesh = mb.generate_structured(mb.StructuredSpec(1.0, 1.0, 15, 11))  # 330 triangles
+        text = MeshText(mesh)
+        assert [s.shape for s in text.strain_w] == [(200, mesh.n_nodes)] * 3 + [(60, mesh.n_nodes)]
+        assert [s.shape[0] for s in text.strain] == [600] * 3 + [180]
+
+    def test_traced_peak_does_not_grow_with_the_mesh(self, tmp_path):
+        # a held 128x128 state: 32768 elements, whose (m, 6) strains and
+        # stresses alone would take 3.1 MB (a writer holding them peaks at
+        # 5.3 MB); the writer holds the (m, 2) strains (0.5 MB) and one
+        # block's values and text at a time, about 2.6 MB in all
+        mesh = mb.generate_structured(mb.StructuredSpec(1.0, 1.0, 128, 128))
+        steel = mb.MaterialParams(d=mb.isotropic(200e9, 0.3), rho=7800.0, h=1e-3)
+        state = _held_state(mesh)
+        text = MeshText(mesh)
+        p = tmp_path / "elem.csv"
+        write_element_csv(p, text, steel, state)  # builds S_w and the element ids
+        tracemalloc.start()
+        try:
+            write_element_csv(p, text, steel, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5e6
