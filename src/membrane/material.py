@@ -147,7 +147,7 @@ class MaterialParams:
         Membrane thickness, > 0.
     strain_threshold, stress_threshold : float or None
         Optional componentwise magnitudes above which an element is
-        flagged in the per-element output.
+        flagged in the per-element output; non-negative in a config.
     """
 
     d: np.ndarray
@@ -195,6 +195,9 @@ def params_from_config(cfg: dict) -> MaterialParams:
     for key in ("rho", "h"):
         if not values[key] > 0.0:
             raise ConfigError(f"material.{key} must be positive, got {values[key]}")
+    for key in ("strain_threshold", "stress_threshold"):
+        if values[key] is not None and values[key] < 0.0:
+            raise ConfigError(f"material.{key} must be non-negative, got {values[key]}")
     del values["type"]
     return MaterialParams(d=d, **values)
 

@@ -16,25 +16,24 @@ head of each node CSV row, the element ids, the VTK ``CELLS`` block and
 the "x0 y0" of each VTK point (used while the in-plane displacement
 leaves every point where it was).  The w and vmag columns a snapshot's
 node CSV and VTK share are formatted once per state, and released once
-the VTK is written.  Within a file, a column whose values all have the
-same bits (a held in-plane field's zeros, flags without a threshold) is
-formatted once, as a literal.
+the VTK is written.  Within a block of rows (within a state, for w and
+vmag), a column whose values all have the same bits (a held in-plane
+field's zeros) is formatted once, as a literal: its bytes are those of
+each value formatted alone, so where it is decided changes no byte.
 
 The element strains come from `assembly.strain_operator`, built by the
 `MeshText` at the first snapshot that needs it as one CSR operator per
 block of `_BLOCK_ROWS` triangles: S_w, its (yz, xz) rows over the w
 dofs, while every u and v is zero, and the full S otherwise.  A run
-that writes nothing builds neither.  A snapshot's strains are one
-array at the product's own width, (m, 2) from S_w and (m, 6) from S;
-the stresses, flags and text are made one block of rows at a time,
-after a first pass over the blocks has found the columns that are
-constant across the whole file.
+that writes nothing builds neither.  The element CSV is made in one
+pass over these blocks: each block's strains, stresses, flags and text
+together, with its literal columns decided within the block.
 """
 from __future__ import annotations
 
 import json
 from functools import cached_property
-from itertools import chain
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -85,41 +84,40 @@ def _spans(n: int):
     return list(zip(starts, starts[1:] + [n]))
 
 
-def _blocks(parts, n: int, values=None):
+def _blocks(parts, n: int):
     """The text of `n` rows, each the concatenation of `parts`, as one
     uint8 array per block of `_BLOCK_ROWS` rows, zero bytes to be dropped.
 
     A part is a `bytes` literal, an (n, w) uint8 array of per-row text,
-    a float column, written as ``%.17g``, or `None`: a float column
-    whose values come from `values`, which yields, per block, the
-    values of the `None` columns in order, one column after another.
-    A float column whose values all have the same bits (so -0.0
-    differs from 0.0) is formatted once, as a literal.
+    or a float column, written as ``%.17g``.  A float column whose
+    values in a block all have the same bits (so -0.0 differs from 0.0)
+    is formatted once there, as a literal.
     """
     # imported here, at the first write: where no bytecode is cached,
     # compiling the kernel at import would add about 0.2 MB to the peak
     # memory of runs that write no snapshot
     from ._format import records
 
-    spec, columns = [], []
-    for part in parts:
-        if isinstance(part, np.ndarray) and part.ndim == 1:
-            part = _literal(part)
-            if not isinstance(part, bytes):
-                columns.append(part)
-                part = None
-        if isinstance(part, bytes) and spec and isinstance(spec[-1], bytes):
-            spec[-1] += part
-        else:
-            spec.append(part)
-    if values is None:
-        values = (np.concatenate([c[start:stop] for c in columns] or [np.empty(0)])
-                  for start, stop in _spans(n))
-    widths = [len(p) if isinstance(p, bytes) else 32 if p is None else p.shape[1] for p in spec]
-    edges = np.cumsum([0, *widths])
-    for (start, stop), block_values in zip(_spans(n), values):
-        if block_values.size:
-            formatted = iter(records(block_values).reshape(-1, stop - start, 32))
+    floats = [isinstance(p, np.ndarray) and p.ndim == 1 for p in parts]
+    for start, stop in _spans(n):
+        # the block's float columns as rows, (k, rows) also for k = 0
+        values = np.array([p[start:stop] for p, f in zip(parts, floats) if f]).reshape(-1, stop - start)
+        bits = values.view(np.uint64)
+        same = bits.min(axis=1) == bits.max(axis=1)
+        if not same.all():
+            formatted = iter(records(values[~same].ravel()).reshape(-1, stop - start, 32))
+        # each float column's literal, or None where it varies
+        text = iter([_g17(x).encode() if c else None for x, c in zip(values[:, 0].tolist(), same)])
+        spec = []
+        for p, f in zip(parts, floats):
+            if f:
+                p = next(text)
+            if isinstance(p, bytes) and spec and isinstance(spec[-1], bytes):
+                spec[-1] += p
+            else:
+                spec.append(p)
+        widths = [len(p) if isinstance(p, bytes) else 32 if p is None else p.shape[1] for p in spec]
+        edges = list(accumulate(widths, initial=0))
         block = np.empty((stop - start, edges[-1]), np.uint8)
         for p, left, right in zip(spec, edges[:-1], edges[1:]):
             if isinstance(p, bytes):
@@ -129,28 +127,25 @@ def _blocks(parts, n: int, values=None):
         yield block
 
 
-def _literal(x: np.ndarray):
-    """The text of float column `x` as one literal when all its values
-    have the same bits (so -0.0 differs from 0.0), else `x` itself."""
-    bits = x.view(np.uint64)
-    return _g17(x[0]).encode() if (bits == bits[0]).all() else x
-
-
 def _column(x: np.ndarray):
-    """The text of float column `x` as a `_blocks` part: a literal, or
-    (n, 32) uint8 rows with zero bytes to be dropped."""
-    x = _literal(x)
-    return x if isinstance(x, bytes) else np.concatenate(list(_blocks((x,), len(x))))
+    """The text of float column `x` as a `_blocks` part: a literal when
+    all its values have the same bits, else (n, 32) uint8 rows with zero
+    bytes to be dropped."""
+    from ._format import records
+
+    bits = x.view(np.uint64)
+    if (bits == bits[0]).all():
+        return _g17(x[0]).encode()
+    return np.concatenate([records(x[start:stop]) for start, stop in _spans(len(x))])
 
 
 def _packed(parts, n: int) -> np.ndarray:
     """The rows of `_blocks(parts, n)` without their zero bytes, each at
     the start of its row of an array as wide as the longest."""
-    rows = np.concatenate(list(_blocks(parts, n)))
-    keep = rows != 0
-    length = keep.sum(axis=1)
+    blocks = list(_blocks(parts, n))
+    length = np.concatenate([(b != 0).sum(axis=1) for b in blocks])
     out = np.zeros((n, length.max()), np.uint8)
-    out[np.arange(out.shape[1]) < length[:, None]] = rows[keep]
+    out[np.arange(out.shape[1]) < length[:, None]] = np.concatenate([b[b != 0] for b in blocks])
     return out
 
 
@@ -186,9 +181,10 @@ class MeshText:
         """S_w, the (yz, xz) rows of S over the w dofs, in blocks of rows."""
         return self._operator(w_only=True)
 
-    def strains(self, state: State) -> np.ndarray:
-        """Each element's strain S a, (m, 6), or only its (yz, xz)
-        columns S_w w, (m, 2), while every u and v is zero.
+    def strains(self, state: State):
+        """Each element's strain S a, one (rows, 6) array per block of
+        `_spans`; while every u and v is zero, S_w w in columns 4-5 of
+        zeros.
 
         Then S's rows xx, yy and xy sum to +0.0 (each row sum starts at
         +0.0, so -0.0 terms add nothing), its zz row stores nothing, and
@@ -197,16 +193,15 @@ class MeshText:
         blocks give the whole operator's bits.
         """
         a = state.a.reshape(-1, 3)
-        held = not a[:, :2].any()
-        blocks, x = (self.strain_w, np.ascontiguousarray(a[:, 2])) if held else (self.strain, state.a)
-        width = 2 if held else 6
-        eps = np.empty((self.mesh.n_triangles, width))
-        start = 0
-        for s in blocks:
-            stop = start + s.shape[0] // width
-            eps[start:stop] = (s @ x).reshape(-1, width)
-            start = stop
-        return eps
+        if a[:, :2].any():
+            for s in self.strain:
+                yield (s @ state.a).reshape(-1, 6)
+            return
+        w = np.ascontiguousarray(a[:, 2])
+        for s in self.strain_w:
+            eps = np.zeros((s.shape[0] // 2, 6))
+            eps[:, 4:] = (s @ w).reshape(-1, 2)
+            yield eps
 
     def columns(self, state: State, keep: bool):
         """The text of `state`'s w and vmag columns, as `_column` parts.
@@ -281,57 +276,26 @@ def write_snapshot_csv(path, text: MeshText, state: State) -> None:
     _write(path, chain([CSV_HEADER.encode() + b"\n"], _blocks(parts, text.mesh.n_nodes)))
 
 
-def _element_values(eps: np.ndarray, material: MaterialParams):
-    """The element CSV's float columns per block of `_BLOCK_ROWS`
-    elements, as three (rows, w) arrays: strain (w = 6), stress D eps
-    (6), and the strain and stress flags (2), from `MeshText.strains`."""
-    d = material.d.T
-    thresholds = material.strain_threshold, material.stress_threshold
-    for start, stop in _spans(len(eps)):
-        e = eps[start:stop]
-        if e.shape[1] == 2:  # S_w's (yz, xz): the other strains are +0.0
-            e = np.zeros((stop - start, 6))
-            e[:, 4:] = eps[start:stop]
-        sig = e @ d
-        flags = np.zeros((stop - start, 2))
-        for k, (x, threshold) in enumerate(zip((e, sig), thresholds)):
-            if threshold is not None:
-                flags[:, k] = (np.abs(x) > threshold).any(axis=1)
-        yield e, sig, flags
-
-
 def write_element_csv(path, text: MeshText, material: MaterialParams, state: State) -> None:
     """One row per element: strain, stress, and threshold flags.
 
     A flag is 1 when any component magnitude exceeds the configured
-    threshold, 0 otherwise (and always 0 without a threshold).  The
-    columns are made one block at a time, twice: a first pass finds
-    those whose values all have the bits of their first, written once
-    as literals, and a second formats the others.
+    threshold, 0 otherwise (and always 0 without a threshold).  Each
+    block of `MeshText.strains` is written as it comes, with its
+    stresses D eps, its flags and its literal columns.
     """
-    eps = text.strains(state)
-    # first pass: per array, its first row's bits and a mask of all ones on
-    # the columns still constant, both tiled over the longest block (see
-    # `_spans`) so that each test runs over a whole block at once
-    heads = keep = None
-    for arrays in _element_values(eps, material):
-        if heads is None:
-            heads = [np.tile(x[0].view(np.uint64), _BLOCK_ROWS + 1) for x in arrays]
-            keep = [np.full(h.size, ~np.uint64(0)) for h in heads]
-        for x, h, k in zip(arrays, heads, keep):
-            bits = x.view(np.uint64).ravel()
-            if ((bits ^ h[:bits.size]) & k[:bits.size]).any():
-                w = x.shape[1]
-                k.reshape(-1, w)[:, (bits.reshape(-1, w) != h[:w]).any(axis=0)] = 0
-    first = np.concatenate([h[:x.shape[1]] for h, x in zip(heads, arrays)]).view(np.float64)
-    literal = np.concatenate([k[:x.shape[1]] for k, x in zip(keep, arrays)]) != 0
-    cols = [_g17(x).encode() if c else None for x, c in zip(first, literal)]
-    parts = _row(_g17(state.t).encode() + b",", text.element_ids, cols)
-    values = (np.concatenate([c for c, lit in zip(chain(*(x.T for x in arrays)), literal)
-                              if not lit] or [np.empty(0)])
-              for arrays in _element_values(eps, material))
-    _write(path, chain([ELEMENT_CSV_HEADER.encode() + b"\n"],
-                       _blocks(parts, text.mesh.n_triangles, values)))
+    lead = _g17(state.t).encode() + b","
+    thresholds = material.strain_threshold, material.stress_threshold
+
+    def blocks():
+        for (start, stop), eps in zip(_spans(text.mesh.n_triangles), text.strains(state)):
+            sig = eps @ material.d.T
+            flags = [b"0" if threshold is None else (np.abs(x) > threshold).any(axis=1).astype(float)
+                     for x, threshold in zip((eps, sig), thresholds)]
+            parts = _row(lead, text.element_ids[start:stop], (*eps.T, *sig.T, *flags))
+            yield from _blocks(parts, stop - start)
+
+    _write(path, chain([ELEMENT_CSV_HEADER.encode() + b"\n"], blocks()))
 
 
 def write_snapshot_vtk(path, text: MeshText, state: State) -> None:

@@ -155,6 +155,9 @@ class TestRunCommand:
             # the mesh file path must be a string
             (None, "mesh", {"msh_path": None}),
             (None, "mesh", {"msh_path": 5}),
+            # a negative threshold would flag every element
+            ("material", "strain_threshold", -1e-9),
+            ("material", "stress_threshold", -1),
         ],
     )
     def test_bad_value_exit_2_one_line(self, tmp_path, capsys, section, key, value):

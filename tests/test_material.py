@@ -138,6 +138,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             mb.params_from_config(cfg)
 
+    @pytest.mark.parametrize("key", ["strain_threshold", "stress_threshold"])
+    def test_negative_threshold_rejected(self, key):
+        # a negative threshold would flag every element, even an unstrained one
+        cfg = {"type": "isotropic", "E": 2e9, "nu": 0.3, "rho": 1200.0, "h": 1e-3}
+        with pytest.raises(ConfigError, match=f"material.{key} must be non-negative, got -1e-12"):
+            mb.params_from_config({**cfg, key: -1e-12})
+        assert getattr(mb.params_from_config({**cfg, key: 0.0}), key) == 0.0
+
     @pytest.mark.parametrize(
         "cfg",
         [

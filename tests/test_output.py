@@ -693,6 +693,34 @@ class TestBlockedElementCsv:
         rows = [r.split(",") for r in p.read_text().splitlines()[1:]]
         assert rows[0][6] == "0" and len({r[6] for r in rows}) > 1
 
+    @pytest.mark.parametrize("held", [True, False])
+    def test_columns_constant_in_each_block_but_not_across(self, held, tmp_path, monkeypatch):
+        # blocks of 8 triangles are the 8 rows of cells of a 4x8 grid; a
+        # field piecewise linear in y, with dyadic values, gives every
+        # triangle of a row the same strains and stresses, and rows of
+        # different slopes flag differently
+        monkeypatch.setattr("membrane.output._BLOCK_ROWS", 8)
+        mesh = mb.generate_structured(mb.StructuredSpec(1.0, 1.0, 4, 8))
+        slopes = np.array([0.0, 1.0, 1.0, 0.0, -2.0, 0.0, 0.5, 0.0])
+        g = np.concatenate([[0.0], np.cumsum(slopes) / 8])[np.arange(mesh.n_nodes) // 5]  # row j
+        state = _held_state(mesh)
+        state.a[2::3] = g
+        if not held:
+            state.a[0::3] = g
+        steel = mb.MaterialParams(d=mb.isotropic(200e9, 0.3), rho=7800.0, h=1e-3,
+                                  strain_threshold=0.75, stress_threshold=1.5 * 76.9e9)
+        p = tmp_path / "elem.csv"
+        write_element_csv(p, MeshText(mesh), steel, state)
+        assert p.read_bytes() == _oracle_element_csv(mesh, steel, state)
+        rows = [r.split(",") for r in p.read_text().splitlines()[1:]]
+        # gamma_yz, sig_yz and the flags; unheld, gamma_xy and sig_xy too
+        for k in (6, 12, 14, 15) + (() if held else (5, 11)):
+            blocks = [{r[k] for r in rows[start:start + 8]} for start in range(0, 64, 8)]
+            assert all(len(b) == 1 for b in blocks) and len(set.union(*blocks)) > 1
+        assert [rows[start][14] + rows[start][15] for start in range(0, 64, 8)] == [
+            "00", "10", "10", "00", "11", "00", "00", "00"]
+        assert rows[0][6] == "0" and rows[8][6] == "1"
+
     def test_operator_blocks(self, monkeypatch):
         monkeypatch.setattr("membrane.output._BLOCK_ROWS", 100)
         mesh = mb.generate_structured(mb.StructuredSpec(1.0, 1.0, 15, 11))  # 330 triangles
