@@ -18,7 +18,7 @@ Every vector spans the system's dofs (`GlobalSystem.dofs`): only w
 when `scenarios.run` holds the in-plane field at rest.  Constrained
 dofs are eliminated from every solve: only the block of free rows and
 columns is solved, and the constrained entries of the solution are
-exact zeros, so the constrained rows of K, M and f are never read.
+exact zeros, so the constrained rows of K, M and f never enter a solve.
 The free block of A is the only factorization.  It is symmetric
 positive definite, so it takes a symmetric-mode LU: diagonal pivots
 and a minimum degree ordering of A + A^T.  When the material couples w
@@ -27,11 +27,12 @@ adjacency, so the ordering is taken on the graph of the nodes and each
 node expands to its dofs (Ashcraft 1995): about a fifth less fill on a
 coupled anisotropic layer.  Any other block is ordered dof by dof.
 
-Each step forms the full product K a_bar and keeps the rows it solves
-for, so a constrained dof that moves (a strike node) still enters the
-free rows through K_fc a_c.  No copy of K's rows is kept: the rows not
-solved for (the constrained ones) are a few percent of the product, and
-a copy would keep a second K alive through every step.
+Each step forms the full right-hand side f + K a_bar and solves through
+the factor's own `solve`, which reads only the free rows, so a
+constrained dof that moves (a strike node) still enters them through
+K_fc a_c.  No copy of K's rows is kept: the rows not solved for (the
+constrained ones) are a few percent of the product, and a copy would
+keep a second K alive through every step.
 
 The one solve with M, for a''_0 at t=0, needs no factorization.
 Scaled by its diagonal, every linear-triangle element mass has the
@@ -265,11 +266,11 @@ def factor_once(system: GlobalSystem, params: NewmarkParams) -> NewmarkFactor:
 def step(state: State, system: GlobalSystem, params: NewmarkParams, factor: NewmarkFactor) -> State:
     """Advance one Newmark step; system.f must hold the load at t_n+1.
 
-    `state` and the result span the system's dofs.  The solve leaves
-    constrained accelerations at exact zero, which keeps constrained
-    velocities bitwise constant.  Time is computed as step*tau rather
-    than accumulated, so snapshot times of a halved timestep line up
-    bitwise with the coarser run.
+    `state` and the result span the system's dofs.  The step solves
+    through `factor.lu.solve`, which leaves constrained accelerations
+    at exact zero; that keeps constrained velocities bitwise constant.
+    Time is computed as step*tau rather than accumulated, so snapshot
+    times of a halved timestep line up bitwise with the coarser run.
     """
     if factor.system is not system or factor.tau != params.tau or factor.beta2 != params.beta2:
         raise SolverError("stale factorization: system or timestep changed")
@@ -278,13 +279,9 @@ def step(state: State, system: GlobalSystem, params: NewmarkParams, factor: Newm
     tau = params.tau
     v_bar = state.adot + tau * (1.0 - params.beta1) * state.addot
     a_bar = state.a + tau * state.adot + 0.5 * tau**2 * (1.0 - params.beta2) * state.addot
-    dofs = factor.lu.dofs
-    # bitwise K[dofs] @ a_bar: each CSR row sums the same entries in the same order
-    x = factor.lu.superlu.solve(-(system.f[dofs] + (system.K @ a_bar)[dofs]))
-    if not np.all(np.isfinite(x)):
+    addot = factor.lu.solve(-(system.f + system.K @ a_bar))
+    if not np.all(np.isfinite(addot)):
         raise SolverError(f"non-finite acceleration at step {state.step + 1}")
-    addot = np.zeros(a_bar.size)
-    addot[dofs] = x
     adot = v_bar + params.beta1 * tau * addot
     a = a_bar + 0.5 * tau**2 * params.beta2 * addot
     n = state.step + 1

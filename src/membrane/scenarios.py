@@ -34,7 +34,7 @@ from .assembly import (
     couples_normal,
     update_load,
 )
-from .errors import REQUIRED, ConfigError, MeshError, config_section
+from .errors import REQUIRED, ConfigError, MeshError, config_number, config_section
 from .integrator import (
     NewmarkParams,
     State,
@@ -54,7 +54,6 @@ __all__ = [
     "SimulationResult",
     "build_case",
     "distributed_b",
-    "elementwise_load",
     "compile_case",
     "build_mesh",
     "run",
@@ -89,14 +88,17 @@ class LoadSpec:
     support_radius: float | None = None
 
 
-# the keys of `case.load`, one per LoadSpec field
+# the keys of `case.load`, one per LoadSpec field: those of every load,
+# and those of its kind
 _LOAD_KEYS = {
     "kind": (object, REQUIRED),
     "direction": ((float, 3), REQUIRED),
     "b0": (float, REQUIRED),
     "window": ((float, 2), REQUIRED),
-    "elements": ((int, None), None),
-    "support_radius": (float, None),
+}
+_LOAD_KIND_KEYS = {
+    "element-uniform": {"elements": ((int, None), None)},
+    "distributed-cos2": {"support_radius": (float, None)},
 }
 
 
@@ -137,13 +139,16 @@ class CaseSpec:
     support_radius: float | None = None
 
 
-# the keys of a numbered `case`; "id" fills CaseSpec.case_id
+# the keys a numbered `case` reads, by its id, besides "id" itself
+# (CaseSpec.case_id): a load case reads b0 and window, a strike speed
+_LOAD_CASE_KEYS = {"b0": (float, 1.0), "window": ((float, 2), None)}
+_STRIKE_CASE_KEYS = {"speed": (float, 1.0)}
 _CASE_KEYS = {
-    "id": (int, REQUIRED),
-    "b0": (float, 1.0),
-    "speed": (float, 1.0),
-    "window": ((float, 2), None),
-    "support_radius": (float, None),
+    1: _LOAD_CASE_KEYS,
+    2: _LOAD_CASE_KEYS,
+    3: _STRIKE_CASE_KEYS,
+    4: _STRIKE_CASE_KEYS,
+    5: {**_LOAD_CASE_KEYS, "support_radius": (float, None)},
 }
 
 
@@ -263,16 +268,6 @@ def distributed_b(x, y, b0: float, size: float, support_radius=None, center=None
     return np.where(r <= cutoff, b0 * np.cos(r) ** 2, 0.0)
 
 
-def elementwise_load(mesh: Mesh, field_fn) -> np.ndarray:
-    """Per-element load magnitudes: the field sampled at centroids.
-
-    Loads are uniform within each element, so a spatial field enters
-    the discretization through one sample per triangle.
-    """
-    c = mesh.centroids()
-    return np.asarray(field_fn(c[:, 0], c[:, 1]), dtype=float)
-
-
 def compile_case(mesh: Mesh, material: MaterialParams, case, t_final: float):
     """Turn a case into assembled load vectors and node constraints.
 
@@ -301,12 +296,10 @@ def compile_case(mesh: Mesh, material: MaterialParams, case, t_final: float):
         xmin, xmax, ymin, ymax = mesh.extent()
         size = xmax - xmin
         center = (0.5 * (xmin + xmax), 0.5 * (ymin + ymax))
-        mags = elementwise_load(
-            mesh,
-            lambda x, y: distributed_b(
-                x, y, case.b0, size, support_radius=case.support_radius, center=center
-            ),
-        )
+        # loads are uniform within each element: one sample per triangle, at its centroid
+        c = mesh.centroids()
+        mags = distributed_b(c[:, 0], c[:, 1], case.b0, size,
+                             support_radius=case.support_radius, center=center)
         ids = np.nonzero(mags)[0]
         if ids.size == 0:
             raise ConfigError("distributed load vanishes on every element")
@@ -386,8 +379,12 @@ def run(config: ScenarioConfig, on_snapshot=None, keep_snapshots: bool = True) -
     material = config.material
     loads, constraints = compile_case(mesh, material, config.case, config.t_final)
     if config.border == "fixed":
-        for node in boundary_nodes(mesh):
-            constraints.append(Constraint(node=int(node), v_fix=(0.0, 0.0, 0.0)))
+        border = boundary_nodes(mesh)
+        for c in constraints:  # the strike's, if any
+            if c.node in border:
+                raise ConfigError(f"strike node {c.node} lies on the fixed border, "
+                                  "whose nodes are held at rest")
+        constraints += [Constraint(node=int(node), v_fix=(0.0, 0.0, 0.0)) for node in border]
 
     a0 = None
     if config.initial_translation is not None:
@@ -467,14 +464,29 @@ def _mesh_from_dict(d: dict):
 
 
 def _case_from_dict(d: dict):
-    """The `case` section: "id" wins over "load", which wins over "strike"."""
+    """The `case` section: "id" wins over "load", which wins over "strike".
+
+    A numbered case takes the keys of its id in _CASE_KEYS, and a load
+    those of its kind in _LOAD_KIND_KEYS, so a key the case does not
+    read is rejected.
+    """
     if "id" in d:
-        values = config_section(d, "case.", _CASE_KEYS)
+        case_id = config_number(d["id"], "case.id", integer=True)
+        if case_id not in _CASE_KEYS:
+            raise ConfigError(f"unknown case id {case_id} (valid: 1..5)")
+        values = config_section(d, "case.", {"id": (int, REQUIRED), **_CASE_KEYS[case_id]})
         return CaseSpec(case_id=values.pop("id"), **values)
-    for form, spec, keys in (("load", LoadSpec, _LOAD_KEYS), ("strike", StrikeSpec, _STRIKE_KEYS)):
-        if form in d:
-            section = config_section(d, "case.", {form: (dict, REQUIRED)})[form]
-            return spec(**config_section(section, f"case.{form}.", keys))
+    if "load" in d:
+        load = config_section(d, "case.", {"load": (dict, REQUIRED)})["load"]
+        if "kind" not in load:
+            raise ConfigError("missing config key: case.load.kind")
+        kind = load["kind"]
+        if not (isinstance(kind, str) and kind in _LOAD_KIND_KEYS):
+            raise ConfigError(f"unknown load kind {kind!r}")
+        return LoadSpec(**config_section(load, "case.load.", {**_LOAD_KEYS, **_LOAD_KIND_KEYS[kind]}))
+    if "strike" in d:
+        strike = config_section(d, "case.", {"strike": (dict, REQUIRED)})["strike"]
+        return StrikeSpec(**config_section(strike, "case.strike.", _STRIKE_KEYS))
     raise ConfigError("case needs one of: id, load, strike")
 
 

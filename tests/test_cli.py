@@ -264,11 +264,15 @@ class TestExitCodeTable:
             (_flags("--tau", "1e300"), 2),
             (_set("material", E=1e-320), 2),  # a default tau of about 1e159
             (_set("material", rho=1e-320), 2),  # the wave speed overflows to inf
+            # a strike on a node the fixed border holds at rest
+            (_set(None, mesh={"Lx": 1.0, "Ly": 1.0, "nx": 1, "ny": 1}, case={"id": 3}), 2),
+            (_set(None, case={"strike": {"node": 0, "speed": 1.0}}), 2),
         ],
         ids=["case_id", "nu", "rho", "Lx", "directory", "moduli_gpa", "speed",
              "huge_coordinates", "window_reversed", "step_count", "nx_1e19",
              "node_ceiling", "element_1e20", "element_2_63", "load_overflow",
-             "tau_overflow", "tau_flag_overflow", "default_tau_overflow", "wave_speed_overflow"],
+             "tau_overflow", "tau_flag_overflow", "default_tau_overflow", "wave_speed_overflow",
+             "strike_on_border_1x1", "strike_node_0_fixed"],
     )
     def test_exit_code_and_one_line(self, tmp_path, capsys, monkeypatch, edit, code):
         monkeypatch.chdir(tmp_path)  # a relative output directory stays in tmp_path

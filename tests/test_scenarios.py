@@ -3,6 +3,7 @@ import copy
 import json
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 import membrane as mb
-from membrane.assembly import CompiledLoad, Constraint
+from membrane.assembly import CompiledLoad, Constraint, build_load_vector
 from membrane.errors import ConfigError
 from membrane.mesh import central_element_pair, nearest_node
 from membrane.scenarios import (
@@ -23,7 +24,6 @@ from membrane.scenarios import (
     compile_case,
     config_from_json,
     distributed_b,
-    elementwise_load,
     MAX_STEPS,
     run,
     scenario_from_dict,
@@ -117,13 +117,6 @@ class TestDistributedB:
             distributed_b(0.0, 0.0, b0=1.0, size=0.0)
 
 
-class TestElementwiseLoad:
-    def test_samples_at_centroids(self, grid8):
-        vals = elementwise_load(grid8, lambda x, y: 2.0 * x + y)
-        c = grid8.centroids()
-        np.testing.assert_allclose(vals, 2.0 * c[:, 0] + c[:, 1], rtol=1e-14)
-
-
 class TestCompileCase:
     def test_case1_compiles_to_one_load(self, grid8, polymer):
         loads, cons = compile_case(grid8, polymer, CaseSpec(case_id=1, b0=1e6), 1.0)
@@ -176,6 +169,17 @@ class TestCompileCase:
         with pytest.raises(ConfigError, match="vanishes"):
             compile_case(grid8, polymer, CaseSpec(case_id=5, b0=0.0), 1.0)
 
+    def test_case5_samples_distributed_b_at_centroids(self, polymer):
+        # off-center, non-square, with a cutoff that leaves some elements unloaded
+        mesh = mb.generate_structured(mb.StructuredSpec(2.0, 1.0, 8, 4))
+        loads, _ = compile_case(mesh, polymer, CaseSpec(case_id=5, b0=3e5, support_radius=0.5), 1.0)
+        c = mesh.centroids()
+        mags = distributed_b(c[:, 0], c[:, 1], 3e5, 2.0, support_radius=0.5, center=(1.0, 0.5))
+        ids = np.nonzero(mags)[0]
+        assert 0 < ids.size < mesh.n_triangles
+        want = build_load_vector(mesh, polymer, ids, mags[ids, None] * np.array([0.0, 0.0, 1.0]))
+        assert loads[0].vector.tobytes() == want.tobytes()
+
     def test_distributed_total_force_quadrature(self, polymer):
         # centroid sampling must reproduce the continuous integral
         mesh = mb.generate_structured(mb.StructuredSpec(1.0, 1.0, 64, 64))
@@ -225,6 +229,27 @@ class TestRun:
         np.testing.assert_array_equal(res.final_state.a, res.snapshots[-1].a)
         assert res.wall_time > 0.0
         assert res.system.constrained
+
+    @pytest.mark.parametrize("case_id", [1, 3])
+    def test_each_step_solves_through_the_factor(self, polymer, monkeypatch, case_id):
+        # one solve path: every step's solve goes through _FreeBlockLU.solve
+        from membrane.integrator import _FreeBlockLU
+
+        calls = []
+        solve = _FreeBlockLU.solve
+        monkeypatch.setattr(_FreeBlockLU, "solve", lambda lu, rhs: calls.append(1) or solve(lu, rhs))
+        tau = 4e-6
+        cfg = _scenario(mb.StructuredSpec(1.0, 1.0, 4, 4), polymer, CaseSpec(case_id=case_id),
+                        t_final=7 * tau, tau=tau)
+        assert run(cfg, keep_snapshots=False).n_steps == len(calls) == 7
+
+    @pytest.mark.parametrize("case", [CaseSpec(case_id=3), StrikeSpec(node=0, speed=1.0)])
+    def test_strike_on_fixed_border_named(self, polymer, case):
+        # the 1x1 grid's nodes all lie on its border: case 3 strikes node 0
+        cfg = _scenario(mb.StructuredSpec(1.0, 1.0, 1, 1), polymer, case, t_final=1e-5)
+        with pytest.raises(ConfigError, match="^strike node 0 lies on the fixed border"):
+            run(cfg)
+        assert run(replace(cfg, border="free"), keep_snapshots=False).n_steps > 0
 
     def test_never_stops_short(self, polymer):
         tau = 4e-6
@@ -483,12 +508,44 @@ class TestScenarioFromDict:
                        "window": [0, 1], "elemnts": [3]}}, "case.load.elemnts"),
             ({"strike": {"node": 7, "speed": 1.0, "angle": 0.1}}, "case.strike.angle"),
             ({"strike": {"node": 7, "speed": 1.0}, "id": 3}, "case.strike"),
+            # keys of another case: each numbered case and load kind reads only its own
+            ({"id": 1, "speed": 5}, "case.speed"),
+            ({"id": 3, "b0": 7, "window": [0, 1], "support_radius": 2}, "case.b0"),
+            ({"id": 4, "window": [0, 1]}, "case.window"),
+            ({"id": 2, "support_radius": 2}, "case.support_radius"),
+            ({"id": 5, "speed": 3}, "case.speed"),
+            ({"load": {"kind": "element-uniform", "direction": [0, 0, 1], "b0": 1.0,
+                       "window": [0, 1], "elements": [3], "support_radius": 2}},
+             "case.load.support_radius"),
+            ({"load": {"kind": "distributed-cos2", "direction": [0, 0, 1], "b0": 1.0,
+                       "window": [0, 1], "elements": [3]}}, "case.load.elements"),
         ],
     )
     def test_unknown_case_key_rejected(self, case, bad):
         d = self._minimal()
         d["case"] = case
         with pytest.raises(ConfigError, match=f"unknown config key: {bad}$"):
+            scenario_from_dict(d)
+
+    def test_distributed_load_case_dict(self):
+        d = self._minimal()
+        d["case"] = {"load": {"kind": "distributed-cos2", "direction": [0, 0, 1], "b0": 2.0,
+                              "window": [0.0, 0.5], "support_radius": 1.5}}
+        assert scenario_from_dict(d).case == LoadSpec(
+            "distributed-cos2", (0.0, 0.0, 1.0), 2.0, (0.0, 0.5), support_radius=1.5)
+
+    @pytest.mark.parametrize("kind", ["nodal", None, ["element-uniform"]])
+    def test_unknown_load_kind_rejected(self, kind):
+        d = self._minimal()
+        d["case"] = {"load": {"kind": kind, "direction": [0, 0, 1], "b0": 1.0, "window": [0, 1]}}
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'unknown load kind {kind!r}')}$"):
+            scenario_from_dict(d)
+
+    @pytest.mark.parametrize("case_id", [0, 6])
+    def test_unknown_case_id_rejected(self, case_id):
+        d = self._minimal()
+        d["case"] = {"id": case_id, "b0": 1.0}
+        with pytest.raises(ConfigError, match=rf"^unknown case id {case_id} \(valid: 1\.\.5\)$"):
             scenario_from_dict(d)
 
     def test_case_needs_one_form(self):
