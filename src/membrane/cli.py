@@ -16,6 +16,7 @@ import argparse
 import sys
 import time
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -71,22 +72,18 @@ def _cmd_run(args) -> int:
     # the manifest echoes the dict that was parsed, not a second read of the file
     config_echo = _read_json_object(args.config, "config")
     config = scenario_from_dict(config_echo)
-    if args.every is not None:
-        if args.every < 1:
-            print("error: --every must be >= 1", file=sys.stderr)
-            return 2
-        config.every_n_steps = args.every
-    if args.tau is not None:
-        if args.tau <= 0:
-            print("error: --tau must be positive", file=sys.stderr)
-            return 2
-        config.tau = args.tau
+    if args.every is not None and args.every < 1:
+        raise ConfigError("--every must be >= 1")
+    if args.tau is not None and args.tau <= 0:
+        raise ConfigError("--tau must be positive")
     out_dir = Path(args.out or config.out_dir or DEFAULT_OUT)
 
     # build the mesh up front, once; the writers' text is made at the first snapshot
     mesh = build_mesh(config.mesh)
     text = MeshText(mesh)
-    config.mesh = mesh
+    config = replace(config, mesh=mesh,
+                     every_n_steps=config.every_n_steps if args.every is None else args.every,
+                     tau=config.tau if args.tau is None else args.tau)
     written = []
     output = {"files": 0, "bytes": 0, "write_s": 0.0}
 

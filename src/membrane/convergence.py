@@ -59,10 +59,21 @@ NORMS = ("L1", "L2", "Linf")
 
 @dataclass(frozen=True)
 class StudySpec:
-    """A scenario plus the number of refinements to run."""
+    """A scenario on a structured mesh spec plus the number of refinements to run."""
 
     scenario: ScenarioConfig
     k_max: int
+
+    def __post_init__(self):
+        if self.k_max < 2:
+            raise ConfigError(f"k_max must be >= 2 to fit a rate, got {self.k_max}")
+        if not isinstance(self.scenario.mesh, StructuredSpec):
+            raise ConfigError("a refinement study needs a structured mesh spec")
+        case = self.scenario.case
+        if isinstance(case, StrikeSpec):
+            raise ConfigError("explicit strike node ids are mesh-bound; use a numbered case for studies")
+        if isinstance(case, LoadSpec) and case.elements is not None:
+            raise ConfigError("explicit element targets are mesh-bound; use a numbered case for studies")
 
 
 # the keys a study config adds to a run config
@@ -161,22 +172,6 @@ def extract_at_positions(mesh: Mesh, state: State, positions: np.ndarray) -> np.
     return np.concatenate([state.a[dofs], state.adot[dofs]])
 
 
-def _check_refinable(scenario: ScenarioConfig) -> StructuredSpec:
-    spec = scenario.mesh
-    if not isinstance(spec, StructuredSpec):
-        raise ConfigError("a refinement study needs a structured mesh spec")
-    case = scenario.case
-    if isinstance(case, StrikeSpec):
-        raise ConfigError(
-            "explicit strike node ids are mesh-bound; use a numbered case for studies"
-        )
-    if isinstance(case, LoadSpec) and case.elements is not None:
-        raise ConfigError(
-            "explicit element targets are mesh-bound; use a numbered case for studies"
-        )
-    return spec
-
-
 def _window_breakpoints(scenario: ScenarioConfig, base_mesh: Mesh) -> list[float]:
     case = _resolve_case(scenario.case, base_mesh, scenario.t_final)
     if isinstance(case, LoadSpec):
@@ -213,13 +208,8 @@ def run_study(spec: StudySpec) -> StudyResult:
 
     Levels run one after another in the calling thread, coarsest first.
     """
-    if spec.k_max < 2:
-        raise ConfigError(f"k_max must be >= 2 to fit a rate, got {spec.k_max}")
     scenario = spec.scenario
-    if not scenario.t_final > 0.0:
-        raise ConfigError(f"t_final must be positive, got {scenario.t_final}")
-    base_spec = _check_refinable(scenario)
-    base_mesh = generate_structured(base_spec)
+    base_mesh = generate_structured(scenario.mesh)
 
     tau_rule = scenario.tau if scenario.tau is not None else default_timestep(
         base_mesh, scenario.material
@@ -229,7 +219,7 @@ def run_study(spec: StudySpec) -> StudyResult:
     tau0 = scenario.t_final / n0
     step_count(scenario.t_final, math.ldexp(tau0, -spec.k_max))  # the finest level, up front
 
-    specs = [base_spec]
+    specs = [scenario.mesh]
     for k in range(1, spec.k_max + 1):
         try:
             specs.append(refine(specs[-1]))

@@ -147,7 +147,7 @@ class MaterialParams:
         Membrane thickness, > 0.
     strain_threshold, stress_threshold : float or None
         Optional componentwise magnitudes above which an element is
-        flagged in the per-element output; non-negative in a config.
+        flagged in the per-element output; non-negative.
     """
 
     d: np.ndarray
@@ -155,6 +155,15 @@ class MaterialParams:
     h: float
     strain_threshold: float | None = None
     stress_threshold: float | None = None
+
+    def __post_init__(self):
+        for key in ("rho", "h"):
+            if not getattr(self, key) > 0.0:
+                raise ConfigError(f"material.{key} must be positive, got {getattr(self, key)}")
+        for key in ("strain_threshold", "stress_threshold"):
+            value = getattr(self, key)
+            if value is not None and value < 0.0:
+                raise ConfigError(f"material.{key} must be non-negative, got {value}")
 
 
 # the keys of a config's `material` section: these, plus the moduli of its type
@@ -192,12 +201,6 @@ def params_from_config(cfg: dict) -> MaterialParams:
             d = anisotropic(pa)
     except MaterialError as exc:
         raise ConfigError(f"invalid material: {exc}") from exc
-    for key in ("rho", "h"):
-        if not values[key] > 0.0:
-            raise ConfigError(f"material.{key} must be positive, got {values[key]}")
-    for key in ("strain_threshold", "stress_threshold"):
-        if values[key] is not None and values[key] < 0.0:
-            raise ConfigError(f"material.{key} must be non-negative, got {values[key]}")
     del values["type"]
     return MaterialParams(d=d, **values)
 

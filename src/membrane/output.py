@@ -1,8 +1,9 @@
 """File writers: snapshot CSV, per-element CSV, legacy VTK, study CSV.
 
 Every float is written as ``%.17g``: 17 significant digits, so files
-are bitwise-reproducible and round-trip through float64 exactly, with
--0, inf and nan kept.  Writers never mutate the state they are given.
+round-trip through float64 exactly, with -0, inf and nan kept.  Their
+bytes are reproducible on one machine and OpenBLAS kernel, not across
+machines.  Writers never mutate the state they are given.
 
 The snapshot writers format float columns with one numpy kernel,
 `membrane._format.records`, a block of `_BLOCK_ROWS` rows at a time;

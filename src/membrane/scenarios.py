@@ -21,13 +21,14 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .assembly import (
     CompiledLoad,
     Constraint,
+    GlobalSystem,
     apply_constraints,
     assemble,
     build_load_vector,
@@ -70,24 +71,6 @@ TILT_ANGLE = math.pi / 6.0
 MAX_STEPS = 10**9
 
 
-@dataclass(frozen=True)
-class LoadSpec:
-    """A volumetric load with a direction, magnitude, and time window.
-
-    kind is "element-uniform" (constant b on the listed elements) or
-    "distributed-cos2" (the case-5 field sampled per element at the
-    centroid, all elements).  The window is closed: active for
-    t_start <= t <= t_end.
-    """
-
-    kind: str
-    direction: tuple[float, float, float]
-    b0: float
-    window: tuple[float, float]
-    elements: tuple[int, ...] | None = None
-    support_radius: float | None = None
-
-
 # the keys of `case.load`, one per LoadSpec field: those of every load,
 # and those of its kind
 _LOAD_KEYS = {
@@ -101,46 +84,8 @@ _LOAD_KIND_KEYS = {
     "distributed-cos2": {"support_radius": (float, None)},
 }
 
-
-@dataclass(frozen=True)
-class StrikeSpec:
-    """Constant-velocity strike: one node's velocity is held fixed."""
-
-    node: int
-    speed: float
-    angle_to_normal: float = 0.0
-
-    @property
-    def v_fix(self) -> tuple[float, float, float]:
-        s, c = math.sin(self.angle_to_normal), math.cos(self.angle_to_normal)
-        return (self.speed * s, 0.0, self.speed * c)
-
-
-# the keys of `case.strike`, one per StrikeSpec field
-_STRIKE_KEYS = {
-    "node": (int, REQUIRED),
-    "speed": (float, REQUIRED),
-    "angle_to_normal": (float, 0.0),
-}
-
-
-@dataclass(frozen=True)
-class CaseSpec:
-    """Recipe for one numbered case, resolved against a concrete mesh.
-
-    Keeping the recipe rather than element/node ids lets refinement
-    studies rebuild the case on every grid level.
-    """
-
-    case_id: int
-    b0: float = 1.0
-    speed: float = 1.0
-    window: tuple[float, float] | None = None
-    support_radius: float | None = None
-
-
-# the keys a numbered `case` reads, by its id, besides "id" itself
-# (CaseSpec.case_id): a load case reads b0 and window, a strike speed
+# the keys a numbered `case` reads besides "id", with their defaults, by
+# id (CaseSpec.case_id): a load case reads b0 and window, a strike speed
 _LOAD_CASE_KEYS = {"b0": (float, 1.0), "window": ((float, 2), None)}
 _STRIKE_CASE_KEYS = {"speed": (float, 1.0)}
 _CASE_KEYS = {
@@ -152,9 +97,101 @@ _CASE_KEYS = {
 }
 
 
-@dataclass
+def _variant_keys(tables: dict, variant) -> dict:
+    """The keys of a case id in _CASE_KEYS or a load kind in _LOAD_KIND_KEYS."""
+    try:
+        return tables[variant]
+    except (KeyError, TypeError):  # TypeError: an unhashable variant
+        what = f"case id {variant} (valid: 1..5)" if tables is _CASE_KEYS else f"load kind {variant!r}"
+        raise ConfigError(f"unknown {what}") from None
+
+
+def _check_variant(spec, tables: dict, variant) -> None:
+    """Check the optional fields of `spec` (those None by default) against
+    the keys of its `variant`: a field they hold and `spec` left None
+    takes its default there, and any other field must be None."""
+    keys = _variant_keys(tables, variant)
+    for name in (f.name for f in fields(spec) if f.default is None):
+        value = getattr(spec, name)
+        if name not in keys and value is not None:
+            raise ConfigError(f"{type(spec).__name__} {variant!r} does not read {name}, got {value!r}")
+        if name in keys and value is None:
+            object.__setattr__(spec, name, keys[name][1])
+
+
+@dataclass(frozen=True)
+class LoadSpec:
+    """A volumetric load with a direction, magnitude, and time window.
+
+    kind is "element-uniform" (constant b on the listed elements) or
+    "distributed-cos2" (the case-5 field sampled per element at the
+    centroid, all elements).  The window is closed: active for
+    t_start <= t <= t_end.  Each kind reads its field in _LOAD_KIND_KEYS.
+    """
+
+    kind: str
+    direction: tuple[float, float, float]
+    b0: float
+    window: tuple[float, float]
+    elements: tuple[int, ...] | None = None
+    support_radius: float | None = None
+
+    def __post_init__(self):
+        _check_variant(self, _LOAD_KIND_KEYS, self.kind)
+        if not 0.0 <= self.window[0] <= self.window[1]:
+            raise ConfigError(f"bad load window {self.window}")
+        if self.kind == "element-uniform" and (self.elements is None or len(self.elements) == 0):
+            raise ConfigError("element-uniform load needs target elements")
+
+
+@dataclass(frozen=True)
+class StrikeSpec:
+    """Constant-velocity strike: one node's velocity is held fixed."""
+
+    node: int
+    speed: float
+    angle_to_normal: float = 0.0
+
+    def __post_init__(self):
+        if not (math.isfinite(self.speed) and math.isfinite(self.angle_to_normal)):
+            raise ConfigError(f"strike speed {self.speed!r} and angle {self.angle_to_normal!r} must be finite")
+
+    @property
+    def v_fix(self) -> tuple[float, float, float]:
+        s, c = math.sin(self.angle_to_normal), math.cos(self.angle_to_normal)
+        return (self.speed * s, 0.0, self.speed * c)
+
+
+# the keys of `case.strike`, one per StrikeSpec field
+_STRIKE_KEYS = {
+    "node": (int, REQUIRED),
+    "speed": (float, REQUIRED),
+    "angle_to_normal": (float, StrikeSpec.angle_to_normal),
+}
+
+
+@dataclass(frozen=True)
+class CaseSpec:
+    """Recipe for one numbered case, resolved against a concrete mesh.
+
+    Keeping the recipe rather than element/node ids lets refinement
+    studies rebuild the case on every grid level.  Each id reads the
+    fields its _CASE_KEYS entry holds, with their defaults.
+    """
+
+    case_id: int
+    b0: float | None = None
+    speed: float | None = None
+    window: tuple[float, float] | None = None
+    support_radius: float | None = None
+
+    def __post_init__(self):
+        _check_variant(self, _CASE_KEYS, self.case_id)
+
+
+@dataclass(frozen=True)
 class ScenarioConfig:
-    """Everything needed to run one simulation."""
+    """Everything needed to run one simulation; `run` checks what needs the mesh."""
 
     mesh: StructuredSpec | Mesh | str
     material: MaterialParams
@@ -165,6 +202,18 @@ class ScenarioConfig:
     every_n_steps: int = 1
     out_dir: str | None = None
     initial_translation: tuple[float, float, float] | None = None
+
+    def __post_init__(self):
+        if self.border not in ("free", "fixed"):
+            raise ConfigError(f"border must be 'free' or 'fixed', got {self.border!r}")
+        if not self.t_final > 0.0:
+            raise ConfigError(f"t_final must be positive, got {self.t_final}")
+        if self.every_n_steps < 1:
+            raise ConfigError(f"every_n_steps must be >= 1, got {self.every_n_steps}")
+        if self.tau is not None and not 0.0 < self.tau < math.inf:
+            raise ConfigError(f"tau must be positive and finite, got {self.tau}")
+        if self.initial_translation is not None and np.shape(self.initial_translation) != (3,):
+            raise ConfigError("initial_translation must have three components")
 
 
 # the keys of a run config, of its `output` section, and of its `mesh`
@@ -179,7 +228,7 @@ _RUN_KEYS = {
     "output": (dict, {}),
     "initial_translation": ((float, None), None),
 }
-_OUTPUT_KEYS = {"directory": (str, None), "every_n_steps": (int, 1)}
+_OUTPUT_KEYS = {"directory": (str, None), "every_n_steps": (int, ScenarioConfig.every_n_steps)}
 _GRID_KEYS = {
     "Lx": (float, REQUIRED),
     "Ly": (float, REQUIRED),
@@ -205,48 +254,31 @@ class SimulationResult:
     solver: dict = field(default_factory=dict)
 
 
-def build_case(case_id: int, mesh: Mesh, t_final: float, *, b0: float = 1.0,
-               speed: float = 1.0, window=None, support_radius=None):
-    """Resolve a numbered case against a mesh.
-
-    Returns a LoadSpec (cases 1, 2, 5) or a StrikeSpec (cases 3, 4).
-    The strike node is the one nearest the geometric center of the
-    bounding box; load cases 1 and 2 target the central element pair.
-    """
-    if case_id in (1, 2):
-        angle = 0.0 if case_id == 1 else TILT_ANGLE
-        direction = (math.sin(angle), 0.0, math.cos(angle))
-        win = tuple(window) if window is not None else (0.0, t_final / 10.0)
-        return LoadSpec(
-            kind="element-uniform",
-            direction=direction,
-            b0=b0,
-            window=win,
-            elements=central_element_pair(mesh),
-        )
-    if case_id in (3, 4):
-        xmin, xmax, ymin, ymax = mesh.extent()
-        node = nearest_node(mesh, (0.5 * (xmin + xmax), 0.5 * (ymin + ymax)))
-        angle = 0.0 if case_id == 3 else TILT_ANGLE
-        return StrikeSpec(node=node, speed=speed, angle_to_normal=angle)
-    if case_id == 5:
-        win = tuple(window) if window is not None else (0.0, t_final)
-        return LoadSpec(
-            kind="distributed-cos2",
-            direction=(0.0, 0.0, 1.0),
-            b0=b0,
-            window=win,
-            support_radius=support_radius,
-        )
-    raise ConfigError(f"unknown case id {case_id} (valid: 1..5)")
+def build_case(case_id: int, mesh: Mesh, t_final: float, **fields):
+    """Resolve `CaseSpec(case_id, **fields)` against a mesh (`_resolve_case`)."""
+    return _resolve_case(CaseSpec(case_id, **fields), mesh, t_final)
 
 
 def _resolve_case(case, mesh: Mesh, t_final: float):
-    """A CaseSpec resolved by `build_case` on `mesh`; any other case as is."""
+    """A CaseSpec resolved on `mesh`, any other case as is.
+
+    Cases 1, 2 and 5 give a LoadSpec (1 and 2 on the central element
+    pair), 3 and 4 a StrikeSpec on the node nearest the bounding box's center.
+    """
     if not isinstance(case, CaseSpec):
         return case
-    return build_case(case.case_id, mesh, t_final, b0=case.b0, speed=case.speed,
-                      window=case.window, support_radius=case.support_radius)
+    angle = TILT_ANGLE if case.case_id in (2, 4) else 0.0
+    if case.case_id in (3, 4):
+        xmin, xmax, ymin, ymax = mesh.extent()
+        node = nearest_node(mesh, (0.5 * (xmin + xmax), 0.5 * (ymin + ymax)))
+        return StrikeSpec(node=node, speed=case.speed, angle_to_normal=angle)
+    end = t_final if case.case_id == 5 else t_final / 10.0
+    window = (0.0, end) if case.window is None else tuple(case.window)
+    if case.case_id == 5:
+        return LoadSpec("distributed-cos2", (0.0, 0.0, 1.0), case.b0, window,
+                        support_radius=case.support_radius)
+    return LoadSpec("element-uniform", (math.sin(angle), 0.0, math.cos(angle)), case.b0, window,
+                    elements=central_element_pair(mesh))
 
 
 def distributed_b(x, y, b0: float, size: float, support_radius=None, center=None):
@@ -281,18 +313,13 @@ def compile_case(mesh: Mesh, material: MaterialParams, case, t_final: float):
     if not isinstance(case, LoadSpec):
         raise ConfigError(f"unsupported case object {type(case).__name__}")
 
-    t0, t1 = case.window
-    if not (0.0 <= t0 <= t1):
-        raise ConfigError(f"bad load window {case.window}")
     if case.kind == "element-uniform":
-        if case.elements is None or len(case.elements) == 0:
-            raise ConfigError("element-uniform load needs target elements")
         # checked as written, before numpy could overflow or wrap an id
         bad = next((e for e in case.elements if not 0 <= e < mesh.n_triangles), None)
         if bad is not None:
             raise ConfigError(f"load element id {bad} out of range 0..{mesh.n_triangles - 1}")
         ids, mags = np.asarray(case.elements), case.b0
-    elif case.kind == "distributed-cos2":
+    else:
         xmin, xmax, ymin, ymax = mesh.extent()
         size = xmax - xmin
         center = (0.5 * (xmin + xmax), 0.5 * (ymin + ymax))
@@ -304,14 +331,12 @@ def compile_case(mesh: Mesh, material: MaterialParams, case, t_final: float):
         if ids.size == 0:
             raise ConfigError("distributed load vanishes on every element")
         mags = mags[ids, None]
-    else:
-        raise ConfigError(f"unknown load kind {case.kind!r}")
     # a load that overflows is a configuration error, not a numerical failure
     with np.errstate(over="ignore", invalid="ignore"):
         vec = build_load_vector(mesh, material, ids, mags * np.asarray(case.direction, dtype=float))
     if not np.isfinite(vec).all():
         raise ConfigError(f"load is not finite: b0={case.b0!r}, direction={case.direction!r}")
-    return [CompiledLoad(vector=vec, t_start=t0, t_end=t1)], []
+    return [CompiledLoad(vec, *case.window)], []
 
 
 def build_mesh(spec) -> Mesh:
@@ -365,15 +390,6 @@ def run(config: ScenarioConfig, on_snapshot=None, keep_snapshots: bool = True) -
     assembled over the w dofs only, and the steps carry those.
     Snapshots and `final_state` span every dof, held ones exact zeros.
     """
-    if config.border not in ("free", "fixed"):
-        raise ConfigError(f"border must be 'free' or 'fixed', got {config.border!r}")
-    if not config.t_final > 0.0:
-        raise ConfigError(f"t_final must be positive, got {config.t_final}")
-    if config.every_n_steps < 1:
-        raise ConfigError(f"every_n_steps must be >= 1, got {config.every_n_steps}")
-    if config.tau is not None and not 0.0 < config.tau < math.inf:
-        raise ConfigError(f"tau must be positive and finite, got {config.tau}")
-
     t_start = time.perf_counter()
     mesh = build_mesh(config.mesh)
     material = config.material
@@ -471,19 +487,15 @@ def _case_from_dict(d: dict):
     read is rejected.
     """
     if "id" in d:
-        case_id = config_number(d["id"], "case.id", integer=True)
-        if case_id not in _CASE_KEYS:
-            raise ConfigError(f"unknown case id {case_id} (valid: 1..5)")
-        values = config_section(d, "case.", {"id": (int, REQUIRED), **_CASE_KEYS[case_id]})
+        keys = _variant_keys(_CASE_KEYS, config_number(d["id"], "case.id", integer=True))
+        values = config_section(d, "case.", {"id": (int, REQUIRED), **keys})
         return CaseSpec(case_id=values.pop("id"), **values)
     if "load" in d:
         load = config_section(d, "case.", {"load": (dict, REQUIRED)})["load"]
         if "kind" not in load:
             raise ConfigError("missing config key: case.load.kind")
-        kind = load["kind"]
-        if not (isinstance(kind, str) and kind in _LOAD_KIND_KEYS):
-            raise ConfigError(f"unknown load kind {kind!r}")
-        return LoadSpec(**config_section(load, "case.load.", {**_LOAD_KEYS, **_LOAD_KIND_KEYS[kind]}))
+        keys = _variant_keys(_LOAD_KIND_KEYS, load["kind"])
+        return LoadSpec(**config_section(load, "case.load.", {**_LOAD_KEYS, **keys}))
     if "strike" in d:
         strike = config_section(d, "case.", {"strike": (dict, REQUIRED)})["strike"]
         return StrikeSpec(**config_section(strike, "case.strike.", _STRIKE_KEYS))
@@ -494,9 +506,6 @@ def scenario_from_dict(d: dict) -> ScenarioConfig:
     """Parse a run config dict, each section against its key table."""
     values = config_section(d, "", _RUN_KEYS)
     output = config_section(values["output"], "output.", _OUTPUT_KEYS)
-    translation = values["initial_translation"]
-    if translation is not None and len(translation) != 3:
-        raise ConfigError("initial_translation must have three components")
     return ScenarioConfig(
         mesh=_mesh_from_dict(values["mesh"]),
         material=params_from_config(values["material"]),
@@ -506,7 +515,7 @@ def scenario_from_dict(d: dict) -> ScenarioConfig:
         tau=values["tau"],
         every_n_steps=output["every_n_steps"],
         out_dir=output["directory"],
-        initial_translation=translation,
+        initial_translation=values["initial_translation"],
     )
 
 

@@ -174,31 +174,25 @@ def _study(material, case, k_max=2, t_final=None, border="fixed", **kw):
 
 class TestRunStudy:
     def test_kmax_too_small(self, polymer):
-        spec = _study(polymer, CaseSpec(case_id=1), k_max=1, t_final=1e-4)
         with pytest.raises(ConfigError, match="k_max"):
-            run_study(spec)
+            _study(polymer, CaseSpec(case_id=1), k_max=1, t_final=1e-4)
 
     def test_needs_structured_spec(self, polymer, grid4):
-        spec = StudySpec(
-            scenario=ScenarioConfig(
-                mesh=grid4, material=polymer, case=CaseSpec(case_id=1),
-                border="fixed", t_final=1e-4,
-            ),
-            k_max=2,
+        scenario = ScenarioConfig(
+            mesh=grid4, material=polymer, case=CaseSpec(case_id=1),
+            border="fixed", t_final=1e-4,
         )
         with pytest.raises(ConfigError, match="structured"):
-            run_study(spec)
+            StudySpec(scenario=scenario, k_max=2)
 
     def test_strike_spec_is_mesh_bound(self, polymer):
-        spec = _study(polymer, StrikeSpec(node=12, speed=1.0), t_final=1e-4)
         with pytest.raises(ConfigError, match="mesh-bound"):
-            run_study(spec)
+            _study(polymer, StrikeSpec(node=12, speed=1.0), t_final=1e-4)
 
     def test_explicit_elements_are_mesh_bound(self, polymer):
         case = LoadSpec("element-uniform", (0, 0, 1), 1.0, (0.0, 1e-5), elements=(0, 1))
-        spec = _study(polymer, case, t_final=1e-4)
         with pytest.raises(ConfigError, match="mesh-bound"):
-            run_study(spec)
+            _study(polymer, case, t_final=1e-4)
 
     def test_structure_of_result(self, polymer):
         base = mb.generate_structured(mb.StructuredSpec(1.0, 1.0, 4, 4))

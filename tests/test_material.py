@@ -147,6 +147,21 @@ class TestConfig:
         assert getattr(mb.params_from_config({**cfg, key: 0.0}), key) == 0.0
 
     @pytest.mark.parametrize(
+        "key,val,message",
+        [
+            # once a SolverError from the mass matrix's diagonal
+            ("h", -1e-3, "material.h must be positive, got -0.001"),
+            # once a numpy RuntimeWarning from max_wave_speed's sqrt
+            ("rho", -1.0, "material.rho must be positive, got -1.0"),
+            ("stress_threshold", -1.0, "material.stress_threshold must be non-negative, got -1.0"),
+        ],
+    )
+    def test_params_checked_when_made(self, key, val, message):
+        values = {"d": mb.isotropic(2e9, 0.3), "rho": 1200.0, "h": 1e-3, key: val}
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            mb.MaterialParams(**values)
+
+    @pytest.mark.parametrize(
         "cfg",
         [
             {"type": "isotropic", "E": 1e308, "nu": 0.3},  # D overflows to inf

@@ -61,3 +61,8 @@ def test_run_config_example_parses():
         case_cfg["case"] = form
         scenario_from_dict(case_cfg)
 
+
+def test_python_api_example_runs():
+    # exactly as written: a spec check that rejected it would fail here
+    (block,) = re.findall(r"```python\n(.*?)```", _section("Python API"), re.S)
+    exec(compile(block, "README.md", "exec"), {})

@@ -139,15 +139,13 @@ class TestCompileCase:
         with pytest.raises(ConfigError, match="out of range"):
             compile_case(grid8, polymer, StrikeSpec(node=10**6, speed=1.0), 1.0)
 
-    def test_bad_window(self, grid8, polymer):
-        bad = LoadSpec("element-uniform", (0, 0, 1), 1.0, (0.5, 0.1), elements=(0,))
+    def test_bad_window(self):
         with pytest.raises(ConfigError, match="window"):
-            compile_case(grid8, polymer, bad, 1.0)
+            LoadSpec("element-uniform", (0, 0, 1), 1.0, (0.5, 0.1), elements=(0,))
 
-    def test_uniform_needs_elements(self, grid8, polymer):
-        bad = LoadSpec("element-uniform", (0, 0, 1), 1.0, (0.0, 1.0), elements=())
+    def test_uniform_needs_elements(self):
         with pytest.raises(ConfigError, match="target elements"):
-            compile_case(grid8, polymer, bad, 1.0)
+            LoadSpec("element-uniform", (0, 0, 1), 1.0, (0.0, 1.0), elements=())
 
     @pytest.mark.parametrize("bad", [-1, 128, 2**63, 10**20])
     def test_uniform_element_named_as_written(self, grid8, polymer, bad):
@@ -156,10 +154,9 @@ class TestCompileCase:
         with pytest.raises(ConfigError, match=rf"^load element id {bad} out of range 0\.\.127$"):
             compile_case(grid8, polymer, spec, 1.0)
 
-    def test_unknown_kind(self, grid8, polymer):
-        bad = LoadSpec("nodal", (0, 0, 1), 1.0, (0.0, 1.0))
+    def test_unknown_kind(self):
         with pytest.raises(ConfigError, match="unknown load kind"):
-            compile_case(grid8, polymer, bad, 1.0)
+            LoadSpec("nodal", (0, 0, 1), 1.0, (0.0, 1.0))
 
     def test_unsupported_case_object(self, grid8, polymer):
         with pytest.raises(ConfigError, match="unsupported case object"):
@@ -308,22 +305,19 @@ class TestRun:
             np.testing.assert_array_equal(f.view(np.int64), want.view(np.int64))
 
     def test_border_validation(self, polymer):
-        cfg = _scenario(mb.StructuredSpec(1, 1, 4, 4), polymer, CaseSpec(1), border="clamped", t_final=1e-5)
         with pytest.raises(ConfigError, match="border"):
-            run(cfg)
+            _scenario(mb.StructuredSpec(1, 1, 4, 4), polymer, CaseSpec(1), border="clamped", t_final=1e-5)
 
     def test_t_final_validation(self, polymer):
-        cfg = _scenario(mb.StructuredSpec(1, 1, 4, 4), polymer, CaseSpec(1), t_final=0.0)
         with pytest.raises(ConfigError, match="t_final"):
-            run(cfg)
+            _scenario(mb.StructuredSpec(1, 1, 4, 4), polymer, CaseSpec(1), t_final=0.0)
 
     def test_every_n_steps_validation(self, polymer):
-        cfg = _scenario(
-            mb.StructuredSpec(1, 1, 4, 4), polymer, CaseSpec(1), t_final=1e-5,
-            every_n_steps=0,
-        )
         with pytest.raises(ConfigError, match="every_n_steps"):
-            run(cfg)
+            _scenario(
+                mb.StructuredSpec(1, 1, 4, 4), polymer, CaseSpec(1), t_final=1e-5,
+                every_n_steps=0,
+            )
 
     def test_normal_impulse_leaves_plane_motion_zero(self, polymer):
         # isotropic material: transverse and in-plane motion decouple
@@ -404,6 +398,70 @@ class TestRun:
     def test_mirror_asymmetry_orthotropic(self):
         material = mb.MaterialParams(d=orthotropic_gpa(), rho=7800.0, h=1e-3)
         assert self._mirror_mismatch(material, tau=1e-6) > 0.05
+
+
+class TestSpecChecks:
+    """The specs check their own values when made, through the API as
+    through the JSON reader (TestScenarioFromDict)."""
+
+    @pytest.mark.parametrize(
+        "make,field",
+        [
+            # the API forms of the rows of test_unknown_case_key_rejected
+            # whose key is another case's field
+            (lambda: CaseSpec(1, speed=5.0), "speed"),
+            (lambda: CaseSpec(3, b0=7.0, window=(0, 1), support_radius=2.0), "b0"),
+            (lambda: CaseSpec(4, window=(0, 1)), "window"),
+            (lambda: CaseSpec(2, support_radius=2.0), "support_radius"),
+            (lambda: CaseSpec(5, speed=3.0), "speed"),
+            (lambda: LoadSpec("element-uniform", (0, 0, 1), 1.0, (0, 1), elements=(3,),
+                              support_radius=2.0), "support_radius"),
+            (lambda: LoadSpec("distributed-cos2", (0, 0, 1), 1.0, (0, 1), elements=(3,)), "elements"),
+        ],
+    )
+    def test_field_of_another_case_rejected(self, make, field):
+        with pytest.raises(ConfigError, match=f" does not read {field}, got "):
+            make()
+
+    @pytest.mark.parametrize(
+        "make,field",
+        [
+            # the API forms of its rows whose key is no field at all: the
+            # dataclass's own __init__ rejects the keyword
+            (lambda: LoadSpec("element-uniform", (0, 0, 1), 1.0, (0, 1), elemnts=(3,)), "elemnts"),
+            (lambda: StrikeSpec(node=7, speed=1.0, angle=0.1), "angle"),
+            (lambda: CaseSpec(3, strike=StrikeSpec(node=7, speed=1.0)), "strike"),
+        ],
+    )
+    def test_unknown_field_rejected(self, make, field):
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{field}'"):
+            make()
+
+    @pytest.mark.parametrize(
+        "make,message",
+        [
+            (lambda: CaseSpec(9), r"^unknown case id 9 \(valid: 1\.\.5\)$"),
+            (lambda: LoadSpec("foo", (0, 0, 1), 1.0, (0, 1)), "^unknown load kind 'foo'$"),
+            (lambda: StrikeSpec(node=12, speed=math.nan), "^strike speed nan and angle 0.0 must be finite$"),
+            (lambda: StrikeSpec(node=12, speed=1.0, angle_to_normal=math.inf),
+             "^strike speed 1.0 and angle inf must be finite$"),
+        ],
+    )
+    def test_unknown_variant_or_value_rejected(self, make, message):
+        with pytest.raises(ConfigError, match=message):
+            make()
+
+    def test_translation_length(self, polymer):
+        # once a bare ValueError from reshaping inside run
+        with pytest.raises(ConfigError, match="^initial_translation must have three components$"):
+            _scenario(mb.StructuredSpec(1, 1, 4, 4), polymer, CaseSpec(1), border="free",
+                      t_final=1e-5, initial_translation=(1.0, 2.0))
+
+    def test_case_fields_take_their_case_defaults(self):
+        assert CaseSpec(1) == CaseSpec(1, b0=1.0)
+        assert (CaseSpec(1).b0, CaseSpec(1).speed) == (1.0, None)
+        assert (CaseSpec(3).b0, CaseSpec(3).speed) == (None, 1.0)
+        assert StrikeSpec(node=0, speed=1.0).angle_to_normal == 0.0
 
 
 class TestScenarioFromDict:
