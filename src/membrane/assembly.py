@@ -81,9 +81,9 @@ class GlobalSystem:
     ascending; f is the current load vector over the same ids.
     `coupled` records whether K couples w with u or v: the material
     does (`couples_normal`) and the system carries both.  `constraints`
-    lists the velocity constraints; `apply_constraints` sets
-    `constrained_dofs` to the positions, within `dofs`, of the dofs
-    they hold.
+    lists the velocity constraints and `constrained_dofs` the positions,
+    within `dofs`, of the dofs they hold; both are empty until
+    `apply_constraints` sets them.
     """
 
     K: csr_matrix
@@ -92,19 +92,14 @@ class GlobalSystem:
     mesh: Mesh
     dofs: np.ndarray
     constraints: list[Constraint] = field(default_factory=list)
-    constrained_dofs: np.ndarray | None = None
+    constrained_dofs: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     coupled: bool = False
-
-    @property
-    def constrained(self) -> bool:
-        return self.constrained_dofs is not None
 
     @property
     def free_dofs(self) -> np.ndarray:
         """The positions no constraint holds, ascending."""
         free = np.ones(self.ndof, dtype=bool)
-        if self.constrained:
-            free[self.constrained_dofs] = False
+        free[self.constrained_dofs] = False
         return np.flatnonzero(free)
 
     @property
@@ -243,28 +238,26 @@ def build_load_vector(mesh: Mesh, material: MaterialParams, element_ids, b_vecto
     return f
 
 
-def apply_constraints(system: GlobalSystem) -> GlobalSystem:
-    """Record the constrained dofs, returning a new system.
+def apply_constraints(system: GlobalSystem, constraints) -> GlobalSystem:
+    """`system` with the Constraint sequence `constraints` held, as a new system.
 
-    The result shares K, M and f with `system`; only `constraints` and
-    `constrained_dofs` (the positions of the nodes' carried dofs, in
-    constraint order) are its own.  Applying twice or constraining a
-    node twice is a configuration error.
+    The result shares K, M and f with `system`; only `constraints` (a
+    list) and `constrained_dofs` (the positions of the nodes' carried
+    dofs, in constraint order) are its own, and they replace any
+    `system` held.  Constraining a node twice is a configuration error.
     """
-    if system.constrained:
-        raise AssemblyError("constraints already applied to this system")
-    nodes = [c.node for c in system.constraints]
+    constraints = list(constraints)
+    nodes = [c.node for c in constraints]
     if len(set(nodes)) != len(nodes):
         dup = sorted({n for n in nodes if nodes.count(n) > 1})
         raise ConfigError(f"duplicate constraint on node(s) {dup}")
-    for c in system.constraints:
+    for c in constraints:
         if not 0 <= c.node < system.mesh.n_nodes:
             raise ConfigError(f"constraint node {c.node} out of range")
 
-    ids = np.asarray([3 * c.node + k for c in system.constraints for k in range(3)],
-                     dtype=np.int64)
+    ids = np.asarray([3 * c.node + k for c in constraints for k in range(3)], dtype=np.int64)
     cdofs = np.searchsorted(system.dofs, ids[np.isin(ids, system.dofs)])
-    return replace(system, constraints=list(system.constraints), constrained_dofs=cdofs)
+    return replace(system, constraints=constraints, constrained_dofs=cdofs)
 
 
 def update_load(system: GlobalSystem, t: float, loads) -> np.ndarray:

@@ -1,7 +1,7 @@
-"""Implicit Newmark time integration.
+"""Implicit Newmark time integration: the trapezoid rule.
 
 The semi-discrete equation of motion is M a'' + K a + f = 0.  One step
-of size tau with parameters (beta1, beta2) reads
+of size tau with the Newmark parameters (beta1, beta2) reads
 
     v_bar   = a'_n + tau*(1 - beta1)*a''_n
     a_bar   = a_n + tau*a'_n + 0.5*tau^2*(1 - beta2)*a''_n
@@ -10,9 +10,10 @@ of size tau with parameters (beta1, beta2) reads
     a_n+1   = a_bar + 0.5*tau^2*beta2*a''_n+1
 
 so the balance M a'' + K a + f = 0 holds exactly at t_n+1.  The scheme
-is unconditionally stable for beta2 >= beta1 >= 1/2 and second-order
-accurate for beta1 = 1/2; both defaults are 1/2.  A is constant while
-M, K, and tau are, so it is factorized once and reused every step.
+is the trapezoid rule, beta1 = beta2 = 1/2: second-order accurate,
+unconditionally stable, and exact in the per-step work-energy balance
+(Hughes 2000, section 9.1).  A is constant while M, K, and tau are, so
+it is factorized once; the factor carries its system and timestep.
 
 Every vector spans the system's dofs (`GlobalSystem.dofs`): only w
 when `scenarios.run` holds the in-plane field at rest.  Constrained
@@ -44,6 +45,7 @@ of 1e-14 in about 30 iterations, whatever the mesh size or shape.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from scipy.sparse import csr_matrix, diags
@@ -68,11 +70,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NewmarkParams:
-    """Timestep and the two Newmark parameters."""
+    """Timestep of the scheme; its Newmark parameters are constants."""
 
     tau: float
-    beta1: float = 0.5
-    beta2: float = 0.5
+    beta1: ClassVar[float] = 0.5
+    beta2: ClassVar[float] = 0.5
 
     def __post_init__(self):
         if not self.tau > 0.0:
@@ -214,12 +216,11 @@ class _FreeBlockLU:
 
 @dataclass(frozen=True)
 class NewmarkFactor:
-    """LU factorization of A, pinned to the system and timestep it used."""
+    """LU factorization of A with the system and params it was made from."""
 
     lu: object
-    tau: float
-    beta2: float
     system: GlobalSystem
+    params: NewmarkParams
 
 
 def default_timestep(mesh: Mesh, material: MaterialParams) -> float:
@@ -237,8 +238,6 @@ def init_state(system: GlobalSystem, a0=None) -> State:
     entries at the carried components of their v_fix.  `a0` and the
     state returned span the system's dofs.
     """
-    if not system.constrained:
-        raise SolverError("init_state needs a system with constraints applied")
     n = system.ndof
     a = np.zeros(n) if a0 is None else np.asarray(a0, dtype=float).copy()
     if a.shape != (n,):
@@ -254,17 +253,16 @@ def factor_once(system: GlobalSystem, params: NewmarkParams) -> NewmarkFactor:
     """Factorize the block of A = M + 0.5*tau^2*beta2*K over the free dofs.
 
     The block is symmetric positive definite, so it takes a
-    symmetric-mode LU (see the module docstring).  The handle records
-    the system and timestep; `step` refuses a stale handle.  It holds
-    no matrix of its own beside the factors: each step reads K from the
-    system.
+    symmetric-mode LU (see the module docstring).  The handle carries
+    the system and params, and holds no matrix of its own beside the
+    factors: each step reads K and f from the system.
     """
     lu = _FreeBlockLU(system, 0.5 * params.tau**2 * params.beta2)
-    return NewmarkFactor(lu=lu, tau=params.tau, beta2=params.beta2, system=system)
+    return NewmarkFactor(lu=lu, system=system, params=params)
 
 
-def step(state: State, system: GlobalSystem, params: NewmarkParams, factor: NewmarkFactor) -> State:
-    """Advance one Newmark step; system.f must hold the load at t_n+1.
+def step(state: State, factor: NewmarkFactor) -> State:
+    """Advance one Newmark step; factor.system.f must hold the load at t_n+1.
 
     `state` and the result span the system's dofs.  The step solves
     through `factor.lu.solve`, which leaves constrained accelerations
@@ -272,8 +270,7 @@ def step(state: State, system: GlobalSystem, params: NewmarkParams, factor: Newm
     Time is computed as step*tau rather than accumulated, so snapshot
     times of a halved timestep line up bitwise with the coarser run.
     """
-    if factor.system is not system or factor.tau != params.tau or factor.beta2 != params.beta2:
-        raise SolverError("stale factorization: system or timestep changed")
+    system, params = factor.system, factor.params
     if state.a.shape != (system.ndof,):
         raise SolverError(f"state must span the system's {system.ndof} dofs")
     tau = params.tau

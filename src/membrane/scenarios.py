@@ -106,17 +106,23 @@ def _variant_keys(tables: dict, variant) -> dict:
         raise ConfigError(f"unknown {what}") from None
 
 
-def _check_variant(spec, tables: dict, variant) -> None:
+def _check_variant(spec, tables: dict, variant, where: str, common: dict) -> None:
     """Check the optional fields of `spec` (those None by default) against
-    the keys of its `variant`: a field they hold and `spec` left None
-    takes its default there, and any other field must be None."""
-    keys = _variant_keys(tables, variant)
+    the keys of its `variant`: one they hold and `spec` left None takes
+    its default there, any other must be None.  The values of these and
+    of `common`'s fields are checked as `config_section` checks keys at
+    `where`, and a load window (both specs have one) must run forward
+    from t = 0."""
+    keys = {**common, **_variant_keys(tables, variant)}
     for name in (f.name for f in fields(spec) if f.default is None):
         value = getattr(spec, name)
         if name not in keys and value is not None:
             raise ConfigError(f"{type(spec).__name__} {variant!r} does not read {name}, got {value!r}")
         if name in keys and value is None:
             object.__setattr__(spec, name, keys[name][1])
+    config_section({key: getattr(spec, key) for key in keys}, where, keys)
+    if spec.window is not None and not 0.0 <= spec.window[0] <= spec.window[1]:
+        raise ConfigError(f"bad load window {spec.window}")
 
 
 @dataclass(frozen=True)
@@ -137,9 +143,7 @@ class LoadSpec:
     support_radius: float | None = None
 
     def __post_init__(self):
-        _check_variant(self, _LOAD_KIND_KEYS, self.kind)
-        if not 0.0 <= self.window[0] <= self.window[1]:
-            raise ConfigError(f"bad load window {self.window}")
+        _check_variant(self, _LOAD_KIND_KEYS, self.kind, "case.load.", _LOAD_KEYS)
         if self.kind == "element-uniform" and (self.elements is None or len(self.elements) == 0):
             raise ConfigError("element-uniform load needs target elements")
 
@@ -155,6 +159,7 @@ class StrikeSpec:
     def __post_init__(self):
         if not (math.isfinite(self.speed) and math.isfinite(self.angle_to_normal)):
             raise ConfigError(f"strike speed {self.speed!r} and angle {self.angle_to_normal!r} must be finite")
+        config_section({key: getattr(self, key) for key in _STRIKE_KEYS}, "case.strike.", _STRIKE_KEYS)
 
     @property
     def v_fix(self) -> tuple[float, float, float]:
@@ -186,7 +191,8 @@ class CaseSpec:
     support_radius: float | None = None
 
     def __post_init__(self):
-        _check_variant(self, _CASE_KEYS, self.case_id)
+        config_number(self.case_id, "case.id", integer=True)
+        _check_variant(self, _CASE_KEYS, self.case_id, "case.", {})
 
 
 @dataclass(frozen=True)
@@ -206,14 +212,16 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.border not in ("free", "fixed"):
             raise ConfigError(f"border must be 'free' or 'fixed', got {self.border!r}")
-        if not self.t_final > 0.0:
+        if not config_number(self.t_final, "t_final") > 0.0:
             raise ConfigError(f"t_final must be positive, got {self.t_final}")
-        if self.every_n_steps < 1:
+        if config_number(self.every_n_steps, "every_n_steps", integer=True) < 1:
             raise ConfigError(f"every_n_steps must be >= 1, got {self.every_n_steps}")
         if self.tau is not None and not 0.0 < self.tau < math.inf:
             raise ConfigError(f"tau must be positive and finite, got {self.tau}")
         if self.initial_translation is not None and np.shape(self.initial_translation) != (3,):
             raise ConfigError("initial_translation must have three components")
+        for i, x in enumerate(() if self.initial_translation is None else self.initial_translation):
+            config_number(x, f"initial_translation[{i}]")
 
 
 # the keys of a run config, of its `output` section, and of its `mesh`
@@ -407,9 +415,7 @@ def run(config: ScenarioConfig, on_snapshot=None, keep_snapshots: bool = True) -
         a0 = np.tile(np.asarray(config.initial_translation, dtype=float), mesh.n_nodes)
 
     held = _in_plane_undriven(material, loads, constraints, a0)
-    system = assemble(mesh, material, w_only=held)
-    system.constraints = constraints
-    system = apply_constraints(system)
+    system = apply_constraints(assemble(mesh, material, w_only=held), constraints)
     carried = system.dofs
     loads = [replace(ld, vector=ld.vector[carried]) for ld in loads]
 
@@ -461,7 +467,7 @@ def run(config: ScenarioConfig, on_snapshot=None, keep_snapshots: bool = True) -
         if now != active:
             update_load(system, (k + 1) * tau, loads)
             active = now
-        state = step(state, system, params, factor)
+        state = step(state, factor)
         if state.step % config.every_n_steps == 0 or state.step == n_steps:
             emit(state)
 

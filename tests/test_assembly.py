@@ -328,16 +328,16 @@ class TestConstraints:
     def _constrained(self, grid4, steel, nodes=(0, 5)):
         sys0 = assemble(grid4, steel)
         sys0.f = np.arange(sys0.ndof, dtype=float)
-        sys0.constraints = [Constraint(n, (0.0, 0.0, 0.0)) for n in nodes]
-        return sys0, apply_constraints(sys0)
+        constraints = [Constraint(n, (0.0, 0.0, 0.0)) for n in nodes]
+        return sys0, apply_constraints(sys0, constraints)
 
     def test_shares_matrices_and_records_cdofs(self, grid4, steel):
         sys0, sysc = self._constrained(grid4, steel)
         assert sysc.K is sys0.K and sysc.M is sys0.M and sysc.f is sys0.f
         np.testing.assert_array_equal(sysc.constrained_dofs, [0, 1, 2, 15, 16, 17])
         assert sysc.constrained_dofs.dtype == np.int64
-        assert sysc.constraints == sys0.constraints
-        assert sysc.constraints is not sys0.constraints
+        assert sysc.constraints == [Constraint(n, (0.0, 0.0, 0.0)) for n in (0, 5)]
+        assert sys0.constraints == []
 
     def test_free_rows_and_columns_bitwise(self, grid4, steel):
         # constraining changes no entry, in free rows or anywhere else
@@ -350,35 +350,35 @@ class TestConstraints:
     def test_original_system_untouched(self, grid4, steel):
         sys0 = assemble(grid4, steel)
         k_before = sys0.K.toarray().copy()
-        sys0.constraints = [Constraint(0, (0.0, 0.0, 0.0))]
-        apply_constraints(sys0)
+        apply_constraints(sys0, [Constraint(0, (0.0, 0.0, 0.0))])
         np.testing.assert_array_equal(sys0.K.toarray(), k_before)
-        assert not sys0.constrained
+        assert sys0.constraints == [] and sys0.constrained_dofs.size == 0
 
-    def test_double_apply_rejected(self, grid4, steel):
-        _, sysc = self._constrained(grid4, steel)
-        with pytest.raises(AssemblyError, match="already applied"):
-            apply_constraints(sysc)
+    def test_reapplying_replaces(self, grid4, steel):
+        sys0, sysc = self._constrained(grid4, steel)
+        again = apply_constraints(sysc, [Constraint(1, (0.0, 0.0, 1.0))])
+        assert again.constraints == [Constraint(1, (0.0, 0.0, 1.0))]
+        np.testing.assert_array_equal(again.constrained_dofs, [3, 4, 5])
+        np.testing.assert_array_equal(apply_constraints(sysc, []).free_dofs, np.arange(sys0.ndof))
 
     def test_duplicate_node_named(self, grid4, steel):
-        sys0 = assemble(grid4, steel)
-        sys0.constraints = [
+        constraints = [
             Constraint(3, (0.0, 0.0, 0.0)),
             Constraint(3, (1.0, 0.0, 0.0)),
         ]
         with pytest.raises(ConfigError, match=r"\[3\]"):
-            apply_constraints(sys0)
+            apply_constraints(assemble(grid4, steel), constraints)
 
     def test_node_out_of_range(self, grid4, steel):
-        sys0 = assemble(grid4, steel)
-        sys0.constraints = [Constraint(grid4.n_nodes, (0.0, 0.0, 0.0))]
         with pytest.raises(ConfigError, match="out of range"):
-            apply_constraints(sys0)
+            apply_constraints(assemble(grid4, steel), [Constraint(grid4.n_nodes, (0.0, 0.0, 0.0))])
 
     def test_no_constraints_still_flags(self, grid4, steel):
+        # a free membrane needs no apply_constraints: none is the default
         sys0 = assemble(grid4, steel)
-        sysc = apply_constraints(sys0)
-        assert sysc.constrained
+        assert sys0.constrained_dofs.dtype == np.int64 and sys0.constrained_dofs.size == 0
+        np.testing.assert_array_equal(sys0.free_dofs, np.arange(sys0.ndof))
+        sysc = apply_constraints(sys0, [])
         assert sysc.constrained_dofs.size == 0
         np.testing.assert_array_equal(sysc.K.toarray(), sys0.K.toarray())
 
@@ -418,9 +418,8 @@ class TestUpdateLoad:
     def test_constrained_entries_ignored_by_solve(self, grid4, steel):
         # the solve never reads f on constrained rows, so update_load
         # need not zero them
-        sys0 = assemble(grid4, steel)
-        sys0.constraints = [Constraint(0, (1.0, 0.0, 0.0)), Constraint(7, (0.0, 0.0, 0.0))]
-        sysc = apply_constraints(sys0)
+        sysc = apply_constraints(assemble(grid4, steel),
+                                 [Constraint(0, (1.0, 0.0, 0.0)), Constraint(7, (0.0, 0.0, 0.0))])
         a0 = np.random.default_rng(3).uniform(-1e-4, 1e-4, sysc.ndof)
         params = NewmarkParams(tau=1e-6)
         factor = factor_once(sysc, params)
@@ -431,7 +430,7 @@ class TestUpdateLoad:
             f[sysc.constrained_dofs] = value
             states = [init_state(sysc, a0=a0)]
             for _ in range(3):
-                states.append(step(states[-1], sysc, params, factor))
+                states.append(step(states[-1], factor))
             runs.append(states)
         for states in runs[1:]:
             for got, want in zip(states, runs[0]):

@@ -360,6 +360,29 @@ def test_shipped_aniso_orders_the_node_graph(tmp_path):
     assert solver["lu_stored_entries"] > solver["factored_entries"] > 0
 
 
+def test_shipped_aniso_bytes_identical_across_runs_and_blas_threads(tmp_path):
+    # as acceptance criterion 10 checks study.csv: a rerun in process,
+    # then 1 and 2 BLAS threads (read once, at process start), write the
+    # same snapshot and element files.  The bytes hold on one machine and
+    # one BLAS kernel; another kernel may round the solve differently.
+    config = str(CONFIGS / "run_aniso.json")
+    assert main(["run", config, "--out", str(tmp_path / "a")]) == 0
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    for name, threads in (("b", "1"), ("c", "2")):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
+        subprocess.run([sys.executable, "-m", "membrane.cli", "run", config,
+                        "--out", str(tmp_path / name)], env=env, check=True, stdout=subprocess.DEVNULL)
+    out = tmp_path / "a"
+    files = sorted(p.name for p in out.iterdir() if p.name.startswith(("snapshot_", "elements_")))
+    steps = json.loads((out / "manifest.json").read_text())["snapshot_steps"]
+    assert len(files) == 3 * len(steps)  # node CSV, VTK and element CSV per snapshot
+    for name in files:
+        blobs = [(tmp_path / run / name).read_bytes() for run in "abc"]
+        assert blobs[0] == blobs[1], f"{name}: reruns differ"
+        assert blobs[1] == blobs[2], f"{name}: BLAS thread counts differ"
+
+
 @pytest.mark.parametrize("command", ["run", "convergence"])
 def test_exit_2_leaves_no_output_directory(tmp_path, capsys, command):
     if command == "run":

@@ -2,6 +2,7 @@
 import json
 import math
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -47,18 +48,16 @@ def _oscillator(omega):
         f=np.zeros(3),
         mesh=mesh1,
         dofs=np.arange(3),
-        constraints=[],
-        constrained_dofs=np.zeros(0, dtype=np.int64),
     )
 
 
-def _integrate_oscillator(omega, t_final, n_steps, beta1=0.5, beta2=0.5):
+def _integrate_oscillator(omega, t_final, n_steps):
     system = _oscillator(omega)
-    params = NewmarkParams(tau=t_final / n_steps, beta1=beta1, beta2=beta2)
+    params = NewmarkParams(tau=t_final / n_steps)
     state = init_state(system, a0=[1.0, 0.0, 0.0])
     factor = factor_once(system, params)
     for _ in range(n_steps):
-        state = step(state, system, params, factor)
+        state = step(state, factor)
     return state
 
 
@@ -79,15 +78,6 @@ class TestOscillator:
         for r in rates:
             assert 1.9 <= r <= 2.1, f"measured order {rates}"
 
-    def test_first_order_when_beta1_off_half(self):
-        omega, t_final = 2.0, 1.0
-        errors = []
-        for n in (50, 100, 200):
-            state = _integrate_oscillator(omega, t_final, n, beta1=0.6, beta2=0.6)
-            errors.append(abs(state.a[0] - np.cos(omega * t_final)))
-        rate = np.log2(errors[1] / errors[2])
-        assert 0.5 <= rate <= 1.5, f"measured order {rate}"
-
     def test_untouched_dofs_stay_zero(self):
         state = _integrate_oscillator(2.0, 1.0, 50)
         assert state.a[1] == 0.0 and state.a[2] == 0.0
@@ -100,7 +90,7 @@ class TestOscillator:
         factor = factor_once(system, params)
         e0 = sum(energy(state, system.K, system.M))
         for _ in range(500):
-            state = step(state, system, params, factor)
+            state = step(state, factor)
             e = sum(energy(state, system.K, system.M))
             assert abs(e - e0) <= 1e-10 * e0
 
@@ -112,20 +102,22 @@ class TestParams:
         with pytest.raises(SolverError, match="positive"):
             NewmarkParams(tau=-1e-6)
 
+    def test_trapezoid_rule_is_fixed(self):
+        # beta1 = beta2 = 1/2 are the scheme's constants; tau is the one field
+        assert [f.name for f in fields(NewmarkParams)] == ["tau"]
+        assert (NewmarkParams(tau=1e-6).beta1, NewmarkParams.beta2) == (0.5, 0.5)
+        with pytest.raises(TypeError, match="beta1"):
+            NewmarkParams(tau=1e-6, beta1=0.6)
+
     def test_default_timestep(self, grid4, steel):
         expected = grid4.min_edge_length() / (10.0 * mb.max_wave_speed(steel))
         assert default_timestep(grid4, steel) == expected
 
 
 class TestInitState:
-    def test_requires_constrained(self, grid4, steel):
-        with pytest.raises(SolverError, match="constraints applied"):
-            init_state(assemble(grid4, steel))
-
     def test_balance_at_t0(self, grid4, polymer):
-        sys0 = assemble(grid4, polymer)
-        sys0.constraints = [Constraint(n, (0.0, 0.0, 0.0)) for n in boundary_nodes(grid4)]
-        sysc = apply_constraints(sys0)
+        border = [Constraint(n, (0.0, 0.0, 0.0)) for n in boundary_nodes(grid4)]
+        sysc = apply_constraints(assemble(grid4, polymer), border)
         rng = np.random.default_rng(1)
         a0 = rng.uniform(-1e-4, 1e-4, sysc.ndof)
         state = init_state(sysc, a0=a0)
@@ -136,29 +128,25 @@ class TestInitState:
         assert state.t == 0.0 and state.step == 0
 
     def test_vfix_overrides_v0(self, grid4, steel):
-        sys0 = assemble(grid4, steel)
-        sys0.constraints = [Constraint(2, (0.25, -1.0, 3.0))]
-        sysc = apply_constraints(sys0)
+        sysc = apply_constraints(assemble(grid4, steel), [Constraint(2, (0.25, -1.0, 3.0))])
         state = init_state(sysc)  # v0 is zero but for the constrained node's v_fix
         np.testing.assert_array_equal(state.adot[6:9], [0.25, -1.0, 3.0])
         assert not np.delete(state.adot, [6, 7, 8]).any()
 
     def test_constrained_acceleration_zero(self, grid4, steel):
-        sys0 = assemble(grid4, steel)
-        sys0.constraints = [Constraint(0, (1.0, 0.0, 0.0))]
-        sysc = apply_constraints(sys0)
+        sysc = apply_constraints(assemble(grid4, steel), [Constraint(0, (1.0, 0.0, 0.0))])
         state = init_state(sysc, a0=np.ones(sysc.ndof))
         assert np.all(state.addot[[0, 1, 2]] == 0.0)
 
     def test_inputs_copied(self, grid4, steel):
-        sysc = apply_constraints(assemble(grid4, steel))
+        sysc = assemble(grid4, steel)
         a0 = np.zeros(sysc.ndof)
         state = init_state(sysc, a0=a0)
         a0[0] = 99.0
         assert state.a[0] == 0.0
 
     def test_bad_shape(self, grid4, steel):
-        sysc = apply_constraints(assemble(grid4, steel))
+        sysc = assemble(grid4, steel)
         with pytest.raises(SolverError, match="shape"):
             init_state(sysc, a0=np.zeros(5))
 
@@ -166,39 +154,23 @@ class TestInitState:
 class TestStep:
     def _free_membrane(self, polymer, n=8):
         mesh = mb.generate_structured(mb.StructuredSpec(1.0, 1.0, n, n))
-        return mesh, apply_constraints(assemble(mesh, polymer))
+        return mesh, assemble(mesh, polymer)
 
-    def test_stale_factor_other_system(self, grid4, steel):
-        sysa = apply_constraints(assemble(grid4, steel))
-        sysb = apply_constraints(assemble(grid4, steel))
+    def test_factor_carries_its_system_and_params(self, grid4, steel):
+        sysc = _fixed_border_system(grid4, steel)
         params = NewmarkParams(tau=1e-6)
-        state = init_state(sysa)
-        factor = factor_once(sysb, params)
-        with pytest.raises(SolverError, match="stale"):
-            step(state, sysa, params, factor)
-
-    def test_stale_factor_changed_tau(self, grid4, steel):
-        sysc = apply_constraints(assemble(grid4, steel))
-        state = init_state(sysc)
-        factor = factor_once(sysc, NewmarkParams(tau=1e-6))
-        with pytest.raises(SolverError, match="stale"):
-            step(state, sysc, NewmarkParams(tau=5e-7), factor)
-
-    def test_stale_factor_changed_beta2(self, grid4, steel):
-        sysc = apply_constraints(assemble(grid4, steel))
-        state = init_state(sysc)
-        factor = factor_once(sysc, NewmarkParams(tau=1e-6, beta2=0.5))
-        with pytest.raises(SolverError, match="stale"):
-            step(state, sysc, NewmarkParams(tau=1e-6, beta2=0.6), factor)
+        factor = factor_once(sysc, params)
+        assert factor.system is sysc and factor.params is params
+        assert step(init_state(sysc), factor).t == params.tau
 
     def test_nonfinite_raises(self, grid4, steel):
-        sysc = apply_constraints(assemble(grid4, steel))
+        sysc = assemble(grid4, steel)
         params = NewmarkParams(tau=1e-6)
         state = init_state(sysc)
         state.a[0] = np.inf
         factor = factor_once(sysc, params)
         with pytest.raises(SolverError, match="non-finite"):
-            step(state, sysc, params, factor)
+            step(state, factor)
 
     def test_time_is_step_times_tau(self, polymer):
         _, sysc = self._free_membrane(polymer, n=4)
@@ -207,7 +179,7 @@ class TestStep:
         state = init_state(sysc)
         factor = factor_once(sysc, params)
         for k in range(1, 8):
-            state = step(state, sysc, params, factor)
+            state = step(state, factor)
             assert state.t == k * tau
             assert state.step == k
 
@@ -217,33 +189,29 @@ class TestStep:
         params = NewmarkParams(tau=default_timestep(mesh, polymer))
         state = init_state(sysc, a0=rng.uniform(-1e-4, 1e-4, sysc.ndof))
         factor = factor_once(sysc, params)
-        state = step(state, sysc, params, factor)
+        state = step(state, factor)
         r = sysc.M @ state.addot + sysc.K @ state.a + sysc.f
         scale = max(np.abs(sysc.K @ state.a).max(), np.abs(sysc.M @ state.addot).max())
         assert np.abs(r).max() < 1e-9 * scale
 
     def test_constrained_velocity_bitwise(self, polymer):
         mesh = mb.generate_structured(mb.StructuredSpec(1.0, 1.0, 6, 6))
-        sys0 = assemble(mesh, polymer)
         vfix = (0.1, -0.25, 0.5)
-        sys0.constraints = [Constraint(0, vfix)] + [
+        sysc = apply_constraints(assemble(mesh, polymer), [Constraint(0, vfix)] + [
             Constraint(n, (0.0, 0.0, 0.0)) for n in boundary_nodes(mesh) if n != 0
-        ]
-        sysc = apply_constraints(sys0)
+        ])
         params = NewmarkParams(tau=default_timestep(mesh, polymer))
         state = init_state(sysc)
         factor = factor_once(sysc, params)
         for _ in range(200):
-            state = step(state, sysc, params, factor)
+            state = step(state, factor)
             assert tuple(state.adot[0:3]) == vfix
             assert np.all(state.addot[0:3] == 0.0)
 
     def test_fixed_border_displacement_exactly_zero(self, polymer):
         mesh = mb.generate_structured(mb.StructuredSpec(1.0, 1.0, 6, 6))
-        sys0 = assemble(mesh, polymer)
-        border = boundary_nodes(mesh)
-        sys0.constraints = [Constraint(n, (0.0, 0.0, 0.0)) for n in border]
-        sysc = apply_constraints(sys0)
+        border = [Constraint(n, (0.0, 0.0, 0.0)) for n in boundary_nodes(mesh)]
+        sysc = apply_constraints(assemble(mesh, polymer), border)
         rng = np.random.default_rng(9)
         a0 = rng.uniform(-1e-4, 1e-4, sysc.ndof)
         a0[sysc.constrained_dofs] = 0.0
@@ -251,7 +219,7 @@ class TestStep:
         state = init_state(sysc, a0=a0)
         factor = factor_once(sysc, params)
         for _ in range(100):
-            state = step(state, sysc, params, factor)
+            state = step(state, factor)
         assert np.all(state.a[sysc.constrained_dofs] == 0.0)
         assert np.all(state.adot[sysc.constrained_dofs] == 0.0)
 
@@ -266,7 +234,7 @@ class TestStep:
         factor = factor_once(sysc, params)
         e0 = sum(energy(state, raw.K, raw.M))
         for _ in range(1000):
-            state = step(state, sysc, params, factor)
+            state = step(state, factor)
         assert np.all(np.isfinite(state.a))
         e1 = sum(energy(state, raw.K, raw.M))
         assert e1 <= e0 * (1.0 + 1e-8)
@@ -277,9 +245,8 @@ class TestEnergy:
         # trapezoidal rule: kinetic + strain is a discrete invariant
         mesh = mb.generate_structured(mb.StructuredSpec(1.0, 1.0, 8, 8))
         raw = assemble(mesh, polymer)
-        sys0 = assemble(mesh, polymer)
-        sys0.constraints = [Constraint(n, (0.0, 0.0, 0.0)) for n in boundary_nodes(mesh)]
-        sysc = apply_constraints(sys0)
+        border = [Constraint(n, (0.0, 0.0, 0.0)) for n in boundary_nodes(mesh)]
+        sysc = apply_constraints(assemble(mesh, polymer), border)
         rng = np.random.default_rng(21)
         a0 = rng.uniform(-1e-4, 1e-4, sysc.ndof)
         a0[sysc.constrained_dofs] = 0.0
@@ -288,14 +255,14 @@ class TestEnergy:
         factor = factor_once(sysc, params)
         e0 = sum(energy(state, raw.K, raw.M))
         for _ in range(300):
-            state = step(state, sysc, params, factor)
+            state = step(state, factor)
         e1 = sum(energy(state, raw.K, raw.M))
         assert abs(e1 - e0) <= 1e-10 * e0
 
     def test_components_nonnegative(self, polymer):
         mesh = mb.generate_structured(mb.StructuredSpec(1.0, 1.0, 4, 4))
         raw = assemble(mesh, polymer)
-        sysc = apply_constraints(assemble(mesh, polymer))
+        sysc = assemble(mesh, polymer)
         rng = np.random.default_rng(2)
         state = init_state(sysc, a0=rng.uniform(-1e-4, 1e-4, sysc.ndof))
         kin, strain = energy(state, raw.K, raw.M)
@@ -313,12 +280,10 @@ def _fully_anisotropic():
 
 
 def _fixed_border_system(mesh, material, strike=None):
-    sys0 = assemble(mesh, material)
     strikes = [] if strike is None else [Constraint(strike, (0.1, -0.2, 1.0))]
-    sys0.constraints = strikes + [
+    return apply_constraints(assemble(mesh, material), strikes + [
         Constraint(int(n), (0.0, 0.0, 0.0)) for n in boundary_nodes(mesh)
-    ]
-    return apply_constraints(sys0)
+    ])
 
 
 class TestFreeBlockSolve:
@@ -327,10 +292,9 @@ class TestFreeBlockSolve:
         material = _fully_anisotropic()
         raw = assemble(mesh, material)
         raw.f = build_load_vector(mesh, material, [20, 21], (3e5, -1e5, 1e6))
-        raw.constraints = [Constraint(24, (0.1, -0.2, 1.0))] + [
+        sysc = apply_constraints(raw, [Constraint(24, (0.1, -0.2, 1.0))] + [
             Constraint(int(n), (0.0, 0.0, 0.0)) for n in boundary_nodes(mesh)
-        ]
-        sysc = apply_constraints(raw)
+        ])
         cdofs = sysc.constrained_dofs
         params = NewmarkParams(tau=default_timestep(mesh, material))
         tau, b1, b2 = params.tau, params.beta1, params.beta2
@@ -354,7 +318,7 @@ class TestFreeBlockSolve:
         ref_a = a0
         factor = factor_once(sysc, params)
         for _ in range(5):
-            state = step(state, sysc, params, factor)
+            state = step(state, factor)
             v_bar = ref_v + tau * (1.0 - b1) * ref_acc
             a_bar = ref_a + tau * ref_v + 0.5 * tau**2 * (1.0 - b2) * ref_acc
             ref_acc = np.linalg.solve(a_dense, -(f + k @ a_bar))
@@ -603,13 +567,14 @@ class TestSteppedDofs:
         calls = []  # per step: the carried length, f at t_n+1, and the arguments
         real_step = scenarios.step
 
-        def recording_step(state, system, params, factor):
-            calls.append((state.a.size, system.f.copy(), system, params, factor))
-            return real_step(state, system, params, factor)
+        def recording_step(state, factor):
+            calls.append((state.a.size, factor.system.f.copy(), factor))
+            return real_step(state, factor)
 
         monkeypatch.setattr(scenarios, "step", recording_step)
         result = mb.run(config)
-        system, params, factor = calls[0][2:]
+        factor = calls[0][2]
+        system, params = factor.system, factor.params
         assert result.solver["held_in_plane"] is held
         carried = system.dofs
         assert system.ndof == (1 if held else 3) * result.mesh.n_nodes
@@ -629,15 +594,14 @@ class TestSteppedDofs:
             assert np.all(np.delete(vec, carried) == 0.0)
 
     def test_state_must_span_system_dofs(self, grid4, polymer):
-        sysw = assemble(grid4, polymer, w_only=True)
-        sysw.constraints = [Constraint(int(n), (0.0, 0.0, 0.0)) for n in boundary_nodes(grid4)]
-        sysw = apply_constraints(sysw)
+        border = [Constraint(int(n), (0.0, 0.0, 0.0)) for n in boundary_nodes(grid4)]
+        sysw = apply_constraints(assemble(grid4, polymer, w_only=True), border)
         assert init_state(sysw).a.size == grid4.n_nodes
         params = NewmarkParams(tau=1e-6)
         factor = factor_once(sysw, params)
         z = np.zeros(3 * grid4.n_nodes)
         with pytest.raises(SolverError, match="state must span the system's 25 dofs"):
-            step(State(a=z, adot=z, addot=z, t=0.0, step=0), sysw, params, factor)
+            step(State(a=z, adot=z, addot=z, t=0.0, step=0), factor)
 
 
 class TestStandingMode:
@@ -675,7 +639,7 @@ class TestStandingMode:
             factor = factor_once(sysc, params)
             e0 = sum(energy(state, sysc.K, sysc.M))
             for _ in range(4 * n):
-                state = step(state, sysc, params, factor)
+                state = step(state, factor)
             assert abs(sum(energy(state, sysc.K, sysc.M)) - e0) <= 1e-12 * e0
             for vec in (state.a, state.adot, state.addot):
                 assert np.all(vec[0::3] == 0.0) and np.all(vec[1::3] == 0.0)
@@ -718,7 +682,7 @@ class TestMassSolve:
         if border == "fixed":
             sysc = _fixed_border_system(mesh, mat, strike=40)
         else:
-            sysc = apply_constraints(assemble(mesh, mat))
+            sysc = assemble(mesh, mat)
         sysc.f = build_load_vector(mesh, mat, [60, 61], (3e5, -1e5, 1e6))
         a0 = np.random.default_rng(7).uniform(-1e-4, 1e-4, sysc.ndof)
         state = init_state(sysc, a0=a0)

@@ -66,3 +66,12 @@ def test_python_api_example_runs():
     # exactly as written: a spec check that rejected it would fail here
     (block,) = re.findall(r"```python\n(.*?)```", _section("Python API"), re.S)
     exec(compile(block, "README.md", "exec"), {})
+
+
+def test_lower_level_example_runs(capsys):
+    # exactly as written: assemble, apply_constraints, init_state,
+    # factor_once and 100 steps of a loaded fixed square
+    (block,) = re.findall(r"```python\n(.*?)```", _section("Lower-level entry points"), re.S)
+    exec(compile(block, "README.md", "exec"), {})
+    t, w_max, total = map(float, capsys.readouterr().out.split())
+    assert t > 0.0 and w_max > 0.0 and total > 0.0

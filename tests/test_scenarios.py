@@ -198,6 +198,13 @@ def _scenario(mesh_spec, material, case, border="fixed", t_final=None, tau=None,
     )
 
 
+def _grid4_config(**fields):
+    """A fixed-border case-1 run on a 4x4 grid, `fields` replacing its own."""
+    material = mb.MaterialParams(d=mb.isotropic(2.0e9, 0.3), rho=1200.0, h=1e-3)
+    return _scenario(mb.StructuredSpec(1.0, 1.0, 4, 4), material, CaseSpec(1),
+                     **{"t_final": 1e-5, **fields})
+
+
 class TestRun:
     def test_step_count_ceiling(self):
         assert step_count(2e-3, 2e-3 / MAX_STEPS) == MAX_STEPS
@@ -225,7 +232,9 @@ class TestRun:
         assert res.final_state.step == 50
         np.testing.assert_array_equal(res.final_state.a, res.snapshots[-1].a)
         assert res.wall_time > 0.0
-        assert res.system.constrained
+        # the fixed border's nodes, in order, each at its one carried dof (w)
+        held = res.system.dofs[res.system.constrained_dofs]
+        np.testing.assert_array_equal(held, 3 * mb.boundary_nodes(res.mesh) + 2)
 
     @pytest.mark.parametrize("case_id", [1, 3])
     def test_each_step_solves_through_the_factor(self, polymer, monkeypatch, case_id):
@@ -278,9 +287,9 @@ class TestRun:
                         CompiledLoad(0.5 * ld.vector, 3 * tau, 8 * tau)]
             return list(loads), constraints
 
-        def recording_step(state, system, params, factor, step=mb.scenarios.step):
-            seen.append(system.f.copy())
-            return step(state, system, params, factor)
+        def recording_step(state, factor, step=mb.scenarios.step):
+            seen.append(factor.system.f.copy())
+            return step(state, factor)
 
         def counting_update(system, t, lds, update=mb.scenarios.update_load):
             rebuilt.append(t)
@@ -448,6 +457,36 @@ class TestSpecChecks:
         ],
     )
     def test_unknown_variant_or_value_rejected(self, make, message):
+        with pytest.raises(ConfigError, match=message):
+            make()
+
+    @pytest.mark.parametrize(
+        "make,message",
+        [
+            # each was once accepted when made: it failed inside run, ran
+            # on a truncated id or as another case, or exited 3
+            (lambda: CaseSpec(1, window=(0.5, 0.1)), r"^bad load window \(0\.5, 0\.1\)$"),
+            (lambda: CaseSpec(2, window=(0.0, math.inf)),
+             r"^case\.window\[1\] must be a finite number, got inf$"),
+            (lambda: CaseSpec(3, speed=math.nan), "^case.speed must be a finite number, got nan$"),
+            (lambda: CaseSpec(1, b0=math.inf), "^case.b0 must be a finite number, got inf$"),
+            (lambda: CaseSpec(5, support_radius=math.nan),
+             "^case.support_radius must be a finite number, got nan$"),
+            (lambda: CaseSpec(True), "^case.id must be an integer, got True$"),
+            (lambda: StrikeSpec(node=1.5, speed=1.0), "^case.strike.node must be an integer, got 1.5$"),
+            (lambda: LoadSpec("element-uniform", (0, 0, 1), 1.0, (0, 1), elements=(1.5,)),
+             r"^case\.load\.elements\[0\] must be an integer, got 1\.5$"),
+            (lambda: LoadSpec("distributed-cos2", (0, 0, math.nan), 1.0, (0, 1)),
+             r"^case\.load\.direction\[2\] must be a finite number, got nan$"),
+            (lambda: LoadSpec("distributed-cos2", (0, 1), 1.0, (0, 1)),
+             r"^case\.load\.direction must be a list of 3 numbers, got \(0, 1\)$"),
+            (lambda: _grid4_config(every_n_steps=2.5), "^every_n_steps must be an integer, got 2.5$"),
+            (lambda: _grid4_config(initial_translation=(math.nan, 0.0, 0.0)),
+             r"^initial_translation\[0\] must be a finite number, got nan$"),
+            (lambda: _grid4_config(t_final=math.inf), "^t_final must be a finite number, got inf$"),
+        ],
+    )
+    def test_bad_value_rejected_when_made(self, make, message):
         with pytest.raises(ConfigError, match=message):
             make()
 
@@ -734,9 +773,9 @@ def test_work_energy_balance_per_step(name, monkeypatch):
         loads.append(system.f)
         return init_state(system, a0)
 
-    def recording_step(state, system, params, factor):
-        after = step(state, system, params, factor)
-        loads.append(system.f)
+    def recording_step(state, factor):
+        after = step(state, factor)
+        loads.append(factor.system.f)
         steps.append((state, after))
         return after
 
