@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import REQUIRED, ConfigError, MeshError, config_section
+from .errors import REQUIRED, ConfigError, MeshError, config_number, config_section
 from .integrator import State, default_timestep
 from .mesh import Mesh, StructuredSpec, generate_structured, refine
 from .scenarios import (
@@ -65,7 +65,7 @@ class StudySpec:
     k_max: int
 
     def __post_init__(self):
-        if self.k_max < 2:
+        if config_number(self.k_max, "k_max", integer=True) < 2:
             raise ConfigError(f"k_max must be >= 2 to fit a rate, got {self.k_max}")
         if not isinstance(self.scenario.mesh, StructuredSpec):
             raise ConfigError("a refinement study needs a structured mesh spec")

@@ -158,11 +158,12 @@ class MaterialParams:
 
     def __post_init__(self):
         for key in ("rho", "h"):
-            if not getattr(self, key) > 0.0:
+            if not config_number(getattr(self, key), f"material.{key}") > 0.0:
                 raise ConfigError(f"material.{key} must be positive, got {getattr(self, key)}")
         for key in ("strain_threshold", "stress_threshold"):
             value = getattr(self, key)
-            if value is not None and value < 0.0:
+            # inf flags nothing
+            if value is not None and value != np.inf and config_number(value, f"material.{key}") < 0.0:
                 raise ConfigError(f"material.{key} must be non-negative, got {value}")
 
 

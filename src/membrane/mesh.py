@@ -13,6 +13,7 @@ Rectangle (i, j) owns triangles 2*(j*nx + i) (below the diagonal) and
 """
 from __future__ import annotations
 
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -58,8 +59,8 @@ class StructuredSpec:
     ny: int
 
     def __post_init__(self):
-        if not (0.0 < self.Lx < np.inf and 0.0 < self.Ly < np.inf):
-            raise MeshError(f"side lengths must be positive and finite, got {self.Lx} x {self.Ly}")
+        if not all(isinstance(s, numbers.Real) and 0.0 < s < np.inf for s in (self.Lx, self.Ly)):
+            raise MeshError(f"side lengths must be positive and finite, got {self.Lx!r} x {self.Ly!r}")
         if not all(isinstance(c, (int, np.integer)) and not isinstance(c, bool) and c >= 1
                    for c in (self.nx, self.ny)):
             raise MeshError(f"cell counts must be integers >= 1, got {self.nx} x {self.ny}")

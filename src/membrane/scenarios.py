@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -157,8 +158,6 @@ class StrikeSpec:
     angle_to_normal: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.speed) and math.isfinite(self.angle_to_normal)):
-            raise ConfigError(f"strike speed {self.speed!r} and angle {self.angle_to_normal!r} must be finite")
         config_section({key: getattr(self, key) for key in _STRIKE_KEYS}, "case.strike.", _STRIKE_KEYS)
 
     @property
@@ -216,8 +215,8 @@ class ScenarioConfig:
             raise ConfigError(f"t_final must be positive, got {self.t_final}")
         if config_number(self.every_n_steps, "every_n_steps", integer=True) < 1:
             raise ConfigError(f"every_n_steps must be >= 1, got {self.every_n_steps}")
-        if self.tau is not None and not 0.0 < self.tau < math.inf:
-            raise ConfigError(f"tau must be positive and finite, got {self.tau}")
+        if self.tau is not None and not (isinstance(self.tau, numbers.Real) and 0.0 < self.tau < math.inf):
+            raise ConfigError(f"tau must be positive and finite, got {self.tau!r}")
         if self.initial_translation is not None and np.shape(self.initial_translation) != (3,):
             raise ConfigError("initial_translation must have three components")
         for i, x in enumerate(() if self.initial_translation is None else self.initial_translation):

@@ -2,7 +2,7 @@
 import json
 import math
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -647,6 +647,93 @@ class TestStandingMode:
         lo, hi = self.RATE_BAND
         assert lo <= math.log2(errors[-2] / errors[-1]) <= hi
 
+
+
+class TestManufacturedCoupled:
+    """The coupled, node-ordered factor against a manufactured solution.
+
+    u = d sin(pi x) sin(pi y) cos(omega t), d = (0.3, -0.5, 1), on a
+    fixed unit square of the bench's fully anisotropic material, whose
+    D couples w with u and v (Roache, J. Fluids Eng. 124, 2002).  The
+    body force b = rho u_tt - div sigma(u), sampled at the centroids,
+    drives the run at every step; omega is the standing shear mode's
+    of TestStandingMode, and one period at tau = T/(4n) gives (max
+    over nodes and steps, relative to the peak 1)
+
+        n           8        16       32
+        max error   8.38e-2  2.13e-2  5.34e-3
+
+    rates 1.97 and 2.00.  With D's coupled entries dropped from K the
+    errors grow with n instead.
+    """
+
+    # bench/workloads.py's ANISO_MODULI_GPA: [i, j, GPa], 1-based
+    MODULI_GPA = [
+        [1, 1, 140.0], [1, 2, 3.0], [1, 3, 3.0], [1, 6, 5.0],
+        [2, 2, 10.0], [2, 3, 3.0], [2, 6, 2.0], [3, 3, 10.0],
+        [4, 4, 5.0], [4, 5, 1.0], [5, 5, 5.0], [6, 6, 5.0],
+    ]
+    D_VEC = np.array([0.3, -0.5, 1.0])
+    LEVELS = (8, 16, 32)
+    RATE_BAND = (1.9, 2.1)
+
+    def _material(self):
+        d = mb.anisotropic(mb.packed_from_entries(self.MODULI_GPA) * 1e9)
+        return mb.MaterialParams(d=d, rho=1600.0, h=1e-3)
+
+    def _body(self, material, omega, x, y):
+        """b / cos(omega t) at the points (x, y), shape (len(x), 3)."""
+        pi2 = math.pi**2
+        phi = np.sin(math.pi * x) * np.sin(math.pi * y)
+        pxy = pi2 * np.cos(math.pi * x) * np.cos(math.pi * y)
+        d0, d1, d2 = self.D_VEC
+        z = np.zeros_like(x)
+        # the x and y derivatives of the strain (xx, yy, zz, xy, yz, xz);
+        # phi_xx = phi_yy = -pi^2 phi
+        ex = np.stack([-pi2 * d0 * phi, d1 * pxy, z, d0 * pxy - pi2 * d1 * phi, d2 * pxy, -pi2 * d2 * phi], 1)
+        ey = np.stack([d0 * pxy, -pi2 * d1 * phi, z, -pi2 * d0 * phi + d1 * pxy, -pi2 * d2 * phi, d2 * pxy], 1)
+        sx, sy = ex @ material.d.T, ey @ material.d.T
+        div = np.stack([sx[:, 0] + sy[:, 3], sx[:, 3] + sy[:, 1], sx[:, 5] + sy[:, 4]], 1)
+        return -material.rho * omega**2 * phi[:, None] * self.D_VEC - div
+
+    def _rates(self, stiffness):
+        """The observed rates of the max nodal error over LEVELS, K made from `stiffness`."""
+        material = self._material()
+        omega = math.pi * math.sqrt(2.0) * math.sqrt(material.d[4, 4] / material.rho)
+        errors = []
+        for n in self.LEVELS:
+            mesh = mb.generate_structured(mb.StructuredSpec(1.0, 1.0, n, n))
+            sysc = _fixed_border_system(mesh, stiffness)
+            c = mesh.centroids()
+            load = build_load_vector(mesh, material, np.arange(mesh.n_triangles),
+                                     self._body(material, omega, c[:, 0], c[:, 1]))
+            x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
+            shape = np.outer(np.sin(math.pi * x) * np.sin(math.pi * y), self.D_VEC).ravel()
+            params = NewmarkParams(tau=2.0 * math.pi / omega / (4 * n))
+            sysc.f = load
+            state = init_state(sysc, a0=shape)
+            factor = factor_once(sysc, params)
+            err = 0.0
+            for _ in range(4 * n):
+                sysc.f = load * math.cos(omega * (state.step + 1) * params.tau)
+                state = step(state, factor)
+                err = max(err, np.abs(state.a - shape * math.cos(omega * state.t)).max())
+            errors.append(err)
+        return [math.log2(a / b) for a, b in zip(errors, errors[1:])], factor
+
+    def test_second_order_through_the_node_ordered_factor(self):
+        rates, factor = self._rates(self._material())
+        assert factor.lu.ordering == "MMD_AT_PLUS_A (node graph)"
+        lo, hi = self.RATE_BAND
+        assert all(lo <= r <= hi for r in rates), rates
+
+    def test_dropping_the_coupling_from_k_fails(self):
+        material = self._material()
+        d = material.d.copy()
+        d[np.ix_([0, 1, 3], [4, 5])] = d[np.ix_([4, 5], [0, 1, 3])] = 0.0
+        rates, factor = self._rates(replace(material, d=d))
+        assert factor.lu.ordering == "MMD_AT_PLUS_A"
+        assert all(r < self.RATE_BAND[0] for r in rates), rates
 
 def _jittered_grid(n, amplitude, seed):
     """An n-by-n structured grid with interior nodes moved at random.

@@ -154,6 +154,11 @@ class TestConfig:
             # once a numpy RuntimeWarning from max_wave_speed's sqrt
             ("rho", -1.0, "material.rho must be positive, got -1.0"),
             ("stress_threshold", -1.0, "material.stress_threshold must be non-negative, got -1.0"),
+            # once a bare TypeError from comparing a str with a number
+            ("rho", "x", "material.rho must be a finite number, got 'x'"),
+            ("h", "x", "material.h must be a finite number, got 'x'"),
+            ("strain_threshold", "x", "material.strain_threshold must be a finite number, got 'x'"),
+            ("stress_threshold", "x", "material.stress_threshold must be a finite number, got 'x'"),
         ],
     )
     def test_params_checked_when_made(self, key, val, message):

@@ -178,7 +178,7 @@ class TestValidation:
                 mb.generate_structured(mb.StructuredSpec(1e308, 1.0, 4, 4))
 
     @pytest.mark.parametrize("lx, ly", [(1.0, float("inf")), (float("-inf"), 1.0),
-                                        (float("nan"), 1.0), (1.0, 0.0)])
+                                        (float("nan"), 1.0), (1.0, 0.0), ("x", 1.0), (1.0, "x")])
     def test_non_finite_side_length_rejected(self, lx, ly):
         # rejected by the spec itself, before numpy sees 0 * inf
         with warnings.catch_warnings():

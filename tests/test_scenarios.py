@@ -13,6 +13,7 @@ from scipy import integrate
 
 import membrane as mb
 from membrane.assembly import CompiledLoad, Constraint, build_load_vector
+from membrane.convergence import StudySpec
 from membrane.errors import ConfigError
 from membrane.mesh import central_element_pair, nearest_node
 from membrane.scenarios import (
@@ -451,9 +452,9 @@ class TestSpecChecks:
         [
             (lambda: CaseSpec(9), r"^unknown case id 9 \(valid: 1\.\.5\)$"),
             (lambda: LoadSpec("foo", (0, 0, 1), 1.0, (0, 1)), "^unknown load kind 'foo'$"),
-            (lambda: StrikeSpec(node=12, speed=math.nan), "^strike speed nan and angle 0.0 must be finite$"),
+            (lambda: StrikeSpec(node=12, speed=math.nan), r"^case\.strike\.speed must be a finite number, got nan$"),
             (lambda: StrikeSpec(node=12, speed=1.0, angle_to_normal=math.inf),
-             "^strike speed 1.0 and angle inf must be finite$"),
+             r"^case\.strike\.angle_to_normal must be a finite number, got inf$"),
         ],
     )
     def test_unknown_variant_or_value_rejected(self, make, message):
@@ -484,6 +485,12 @@ class TestSpecChecks:
             (lambda: _grid4_config(initial_translation=(math.nan, 0.0, 0.0)),
              r"^initial_translation\[0\] must be a finite number, got nan$"),
             (lambda: _grid4_config(t_final=math.inf), "^t_final must be a finite number, got inf$"),
+            # once a bare TypeError from comparing a str with a number
+            (lambda: StrikeSpec(node=1, speed="x"), r"^case\.strike\.speed must be a finite number, got 'x'$"),
+            (lambda: StrikeSpec(node=1, speed=1.0, angle_to_normal="x"),
+             r"^case\.strike\.angle_to_normal must be a finite number, got 'x'$"),
+            (lambda: _grid4_config(tau="x"), "^tau must be positive and finite, got 'x'$"),
+            (lambda: StudySpec(_grid4_config(), k_max="x"), "^k_max must be an integer, got 'x'$"),
         ],
     )
     def test_bad_value_rejected_when_made(self, make, message):
