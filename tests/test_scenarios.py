@@ -452,9 +452,13 @@ class TestSpecChecks:
         [
             (lambda: CaseSpec(9), r"^unknown case id 9 \(valid: 1\.\.5\)$"),
             (lambda: LoadSpec("foo", (0, 0, 1), 1.0, (0, 1)), "^unknown load kind 'foo'$"),
-            (lambda: StrikeSpec(node=12, speed=math.nan), r"^case\.strike\.speed must be a finite number, got nan$"),
-            (lambda: StrikeSpec(node=12, speed=1.0, angle_to_normal=math.inf),
-             r"^case\.strike\.angle_to_normal must be a finite number, got inf$"),
+            # ids of their own: the generated ones would change with the message
+            pytest.param(lambda: StrikeSpec(node=12, speed=math.nan),
+                         r"^case\.strike\.speed must be a finite number, got nan$",
+                         id="<lambda>-^strike speed nan"),
+            pytest.param(lambda: StrikeSpec(node=12, speed=1.0, angle_to_normal=math.inf),
+                         r"^case\.strike\.angle_to_normal must be a finite number, got inf$",
+                         id="<lambda>-^strike speed 1.0 and angle inf"),
         ],
     )
     def test_unknown_variant_or_value_rejected(self, make, message):
