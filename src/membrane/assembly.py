@@ -6,6 +6,9 @@ Linear triangles have constant strain, so one sparse strain operator S
 W = diag(h*A_e) (x) D, and the element strains S a.
 The consistent mass is M = M_s (x) I_3 for the scalar node mass M_s.
 
+A system is a frozen value that holds no load: `update_load` returns
+the load active at a time, which the integrator takes as an argument.
+
 Constraints fix the velocity of whole nodes (all three components).
 They change no matrix entry: `apply_constraints` records the
 constrained dofs, and the integrator solves only the block of free
@@ -17,8 +20,8 @@ M, which stay the physical matrices.
 
 A system spans `dofs`, the global dof ids it carries: every dof, or
 only the w dofs (`assemble(..., w_only=True)`) of a run whose in-plane
-field nothing drives (see `scenarios.run`).  Its K, M, f and dof
-positions all count over those ids.  A w-only system takes its K from
+field nothing drives (see `scenarios.run`).  Its K, M, dof positions
+and loads all count over those ids.  A w-only system takes its K from
 S's w part alone (`strain_operator(mesh, w_only=True)`).
 """
 from __future__ import annotations
@@ -73,25 +76,23 @@ class CompiledLoad:
         return self.t_start - tol <= t <= self.t_end + tol
 
 
-@dataclass
+@dataclass(frozen=True)
 class GlobalSystem:
-    """Assembled matrices and load of one discretized membrane.
+    """Assembled matrices of one discretized membrane.
 
     K and M are CSR over `dofs`, the global dof ids the system carries,
-    ascending; f is the current load vector over the same ids.
-    `coupled` records whether K couples w with u or v: the material
-    does (`couples_normal`) and the system carries both.  `constraints`
-    lists the velocity constraints and `constrained_dofs` the positions,
-    within `dofs`, of the dofs they hold; both are empty until
-    `apply_constraints` sets them.
+    ascending.  `coupled` records whether K couples w with u or v: the
+    material does (`couples_normal`) and the system carries both.
+    `constraints` holds the velocity constraints and `constrained_dofs`
+    the positions, within `dofs`, of the dofs they hold; both are empty
+    until `apply_constraints` sets them.
     """
 
     K: csr_matrix
     M: csr_matrix
-    f: np.ndarray
     mesh: Mesh
     dofs: np.ndarray
-    constraints: list[Constraint] = field(default_factory=list)
+    constraints: tuple[Constraint, ...] = ()
     constrained_dofs: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     coupled: bool = False
 
@@ -185,7 +186,7 @@ def couples_normal(material: MaterialParams) -> bool:
 
 
 def assemble(mesh: Mesh, material: MaterialParams, w_only: bool = False) -> GlobalSystem:
-    """Assemble the global stiffness and mass of a mesh; f starts at zero.
+    """Assemble the global stiffness and mass of a mesh.
 
     K = S^T W S with S from `strain_operator` and W = diag(h*A_e) (x) D.
     With `w_only` the system carries only the w dofs: S is S_w and D
@@ -205,7 +206,7 @@ def assemble(mesh: Mesh, material: MaterialParams, w_only: bool = False) -> Glob
     m = coo_matrix((me.ravel(), (rows.ravel(), cols.ravel())), shape=(mesh.n_nodes,) * 2).tocsr()
     if not w_only:
         m = kron(m, identity(3), format="csr")
-    return GlobalSystem(K=k, M=m, f=np.zeros(dofs.size), mesh=mesh, dofs=dofs,
+    return GlobalSystem(K=k, M=m, mesh=mesh, dofs=dofs,
                         coupled=not w_only and couples_normal(material))
 
 
@@ -241,12 +242,12 @@ def build_load_vector(mesh: Mesh, material: MaterialParams, element_ids, b_vecto
 def apply_constraints(system: GlobalSystem, constraints) -> GlobalSystem:
     """`system` with the Constraint sequence `constraints` held, as a new system.
 
-    The result shares K, M and f with `system`; only `constraints` (a
-    list) and `constrained_dofs` (the positions of the nodes' carried
+    The result shares K and M with `system`; only `constraints` (a
+    tuple) and `constrained_dofs` (the positions of the nodes' carried
     dofs, in constraint order) are its own, and they replace any
     `system` held.  Constraining a node twice is a configuration error.
     """
-    constraints = list(constraints)
+    constraints = tuple(constraints)
     nodes = [c.node for c in constraints]
     if len(set(nodes)) != len(nodes):
         dup = sorted({n for n in nodes if nodes.count(n) > 1})
@@ -261,14 +262,13 @@ def apply_constraints(system: GlobalSystem, constraints) -> GlobalSystem:
 
 
 def update_load(system: GlobalSystem, t: float, loads) -> np.ndarray:
-    """Rebuild system.f from the loads active at time t.
+    """The sum of the CompiledLoad sequence `loads` active at time t.
 
-    `loads` is a sequence of CompiledLoad.  Returns the new f (also
-    stored on the system).
+    It spans the system's dofs and is stored nowhere: it is an argument
+    of `integrator.init_state` and `step`.
     """
     f = np.zeros(system.ndof)
     for ld in loads:
         if ld.active(t):
             f = f + ld.vector
-    system.f = f
     return f

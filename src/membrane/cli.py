@@ -13,6 +13,7 @@ missing keys, invalid mesh or material), 3 for numerical failures
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 import warnings
@@ -71,19 +72,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args) -> int:
     # the manifest echoes the dict that was parsed, not a second read of the file
     config_echo = _read_json_object(args.config, "config")
-    config = scenario_from_dict(config_echo)
-    if args.every is not None and args.every < 1:
-        raise ConfigError("--every must be >= 1")
-    if args.tau is not None and args.tau <= 0:
-        raise ConfigError("--tau must be positive")
+    overrides = {"every_n_steps": args.every, "tau": args.tau}
+    # ScenarioConfig checks an override as it checks the value a config gives
+    config = replace(scenario_from_dict(config_echo, os.path.dirname(args.config)),
+                     **{key: value for key, value in overrides.items() if value is not None})
     out_dir = Path(args.out or config.out_dir or DEFAULT_OUT)
 
     # build the mesh up front, once; the writers' text is made at the first snapshot
     mesh = build_mesh(config.mesh)
     text = MeshText(mesh)
-    config = replace(config, mesh=mesh,
-                     every_n_steps=config.every_n_steps if args.every is None else args.every,
-                     tau=config.tau if args.tau is None else args.tau)
+    config = replace(config, mesh=mesh)
     written = []
     output = {"files": 0, "bytes": 0, "write_s": 0.0}
 

@@ -97,7 +97,7 @@ class LevelDiff:
     vel: dict
 
 
-@dataclass
+@dataclass(frozen=True)
 class StudyResult:
     """All level differences plus fitted rates per norm."""
 

@@ -14,6 +14,8 @@ is the trapezoid rule, beta1 = beta2 = 1/2: second-order accurate,
 unconditionally stable, and exact in the per-step work-energy balance
 (Hughes 2000, section 9.1).  A is constant while M, K, and tau are, so
 it is factorized once; the factor carries its system and timestep.
+The load f_n+1 is an argument of each step, and every object here is
+frozen, so none can go stale.
 
 Every vector spans the system's dofs (`GlobalSystem.dofs`): only w
 when `scenarios.run` holds the in-plane field at rest.  Constrained
@@ -81,7 +83,7 @@ class NewmarkParams:
             raise SolverError(f"timestep must be positive, got {self.tau}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class State:
     """Displacement, velocity, and acceleration at one instant, over the system's dofs."""
 
@@ -228,15 +230,15 @@ def default_timestep(mesh: Mesh, material: MaterialParams) -> float:
     return mesh.min_edge_length() / (10.0 * max_wave_speed(material))
 
 
-def init_state(system: GlobalSystem, a0=None) -> State:
+def init_state(system: GlobalSystem, f: np.ndarray, a0=None) -> State:
     """Initial state with accelerations solved from the balance at t=0.
 
-    a''_0 solves M a''_0 = -(K a_0 + f) on the free dofs by Jacobi-
-    preconditioned conjugate gradients to a relative residual of 1e-14;
-    no factorization is built (see the module docstring).  Constrained
-    accelerations are exact zeros.  Velocities start at zero, constrained
-    entries at the carried components of their v_fix.  `a0` and the
-    state returned span the system's dofs.
+    a''_0 solves M a''_0 = -(K a_0 + f), f the load at t=0, on the free
+    dofs by Jacobi-preconditioned conjugate gradients to a relative
+    residual of 1e-14; no factorization is built (see the module
+    docstring).  Constrained accelerations are exact zeros.  Velocities
+    start at zero, constrained entries at the carried components of
+    their v_fix.  `f`, `a0` and the state returned span the system's dofs.
     """
     n = system.ndof
     a = np.zeros(n) if a0 is None else np.asarray(a0, dtype=float).copy()
@@ -245,7 +247,7 @@ def init_state(system: GlobalSystem, a0=None) -> State:
     v = np.zeros((system.mesh.n_nodes, 3))
     nodes = np.array([c.node for c in system.constraints], dtype=np.int64)
     v[nodes] = np.reshape([c.v_fix for c in system.constraints], (-1, 3))
-    addot = _mass_solve(system, -(system.K @ a + system.f))
+    addot = _mass_solve(system, -(system.K @ a + f))
     return State(a=a, adot=v.ravel()[system.dofs], addot=addot, t=0.0, step=0)
 
 
@@ -255,16 +257,16 @@ def factor_once(system: GlobalSystem, params: NewmarkParams) -> NewmarkFactor:
     The block is symmetric positive definite, so it takes a
     symmetric-mode LU (see the module docstring).  The handle carries
     the system and params, and holds no matrix of its own beside the
-    factors: each step reads K and f from the system.
+    factors: each step reads K from the system.
     """
     lu = _FreeBlockLU(system, 0.5 * params.tau**2 * params.beta2)
     return NewmarkFactor(lu=lu, system=system, params=params)
 
 
-def step(state: State, factor: NewmarkFactor) -> State:
-    """Advance one Newmark step; factor.system.f must hold the load at t_n+1.
+def step(state: State, factor: NewmarkFactor, f: np.ndarray) -> State:
+    """Advance one Newmark step under the load `f` at t_n+1.
 
-    `state` and the result span the system's dofs.  The step solves
+    `state`, `f` and the result span the system's dofs.  The step solves
     through `factor.lu.solve`, which leaves constrained accelerations
     at exact zero; that keeps constrained velocities bitwise constant.
     Time is computed as step*tau rather than accumulated, so snapshot
@@ -276,7 +278,7 @@ def step(state: State, factor: NewmarkFactor) -> State:
     tau = params.tau
     v_bar = state.adot + tau * (1.0 - params.beta1) * state.addot
     a_bar = state.a + tau * state.adot + 0.5 * tau**2 * (1.0 - params.beta2) * state.addot
-    addot = factor.lu.solve(-(system.f + system.K @ a_bar))
+    addot = factor.lu.solve(-(f + system.K @ a_bar))
     if not np.all(np.isfinite(addot)):
         raise SolverError(f"non-finite acceleration at step {state.step + 1}")
     adot = v_bar + params.beta1 * tau * addot

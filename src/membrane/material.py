@@ -133,7 +133,7 @@ def packed_from_entries(entries) -> np.ndarray:
     return upper[np.triu_indices(6)]
 
 
-@dataclass
+@dataclass(frozen=True)
 class MaterialParams:
     """Bundle of material data used by the element kernels.
 
@@ -147,7 +147,7 @@ class MaterialParams:
         Membrane thickness, > 0.
     strain_threshold, stress_threshold : float or None
         Optional componentwise magnitudes above which an element is
-        flagged in the per-element output; non-negative.
+        flagged in the per-element output; finite and non-negative.
     """
 
     d: np.ndarray
@@ -162,8 +162,7 @@ class MaterialParams:
                 raise ConfigError(f"material.{key} must be positive, got {getattr(self, key)}")
         for key in ("strain_threshold", "stress_threshold"):
             value = getattr(self, key)
-            # inf flags nothing
-            if value is not None and value != np.inf and config_number(value, f"material.{key}") < 0.0:
+            if value is not None and config_number(value, f"material.{key}") < 0.0:
                 raise ConfigError(f"material.{key} must be non-negative, got {value}")
 
 

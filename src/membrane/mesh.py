@@ -77,7 +77,7 @@ class StructuredSpec:
         return 2 * r, 2 * r + 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class Mesh:
     """Triangle mesh of the reference plane.
 

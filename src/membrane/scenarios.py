@@ -22,7 +22,7 @@ import math
 import numbers
 import os
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -245,20 +245,19 @@ _GRID_KEYS = {
 _MSH_KEYS = {"msh_path": (str, REQUIRED)}
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimulationResult:
     """Run artifacts: mesh, system, snapshots, timing, and the size of
     the factored system (`solver`, as the run manifest records it)."""
 
     mesh: Mesh
-    material: MaterialParams
     system: GlobalSystem
     params: NewmarkParams
     n_steps: int
-    snapshots: list[State] = field(default_factory=list)
-    final_state: State | None = None
-    wall_time: float = 0.0
-    solver: dict = field(default_factory=dict)
+    snapshots: list[State]
+    final_state: State
+    wall_time: float
+    solver: dict
 
 
 def build_case(case_id: int, mesh: Mesh, t_final: float, **fields):
@@ -427,21 +426,10 @@ def run(config: ScenarioConfig, on_snapshot=None, keep_snapshots: bool = True) -
     params = NewmarkParams(tau=tau)
     n_steps = step_count(config.t_final, tau)
 
-    update_load(system, 0.0, loads)
-    state = init_state(system, a0=None if a0 is None else a0[carried])
+    f = update_load(system, 0.0, loads)
+    state = init_state(system, f, a0=None if a0 is None else a0[carried])
     factor = factor_once(system, params)
-
-    result = SimulationResult(
-        mesh=mesh,
-        material=material,
-        system=system,
-        params=params,
-        n_steps=n_steps,
-        solver={"ndof": 3 * mesh.n_nodes, "factored_dofs": int(factor.lu.dofs.size),
-                "stepped_dofs": system.ndof, "held_in_plane": held,
-                "factored_entries": factor.lu.factored_entries,
-                "lu_stored_entries": factor.lu.nnz, "ordering": factor.lu.ordering},
-    )
+    snapshots = []
 
     def full(s: State) -> State:
         """`s` over every dof; held dofs are exact zeros."""
@@ -456,7 +444,7 @@ def run(config: ScenarioConfig, on_snapshot=None, keep_snapshots: bool = True) -
         if on_snapshot is not None:
             on_snapshot(s)
         if keep_snapshots:
-            result.snapshots.append(s)
+            snapshots.append(s)
 
     emit(state)
     # the load vectors are fixed, so f changes only when a window opens or closes
@@ -464,20 +452,24 @@ def run(config: ScenarioConfig, on_snapshot=None, keep_snapshots: bool = True) -
     for k in range(n_steps):
         now = [ld.active((k + 1) * tau) for ld in loads]
         if now != active:
-            update_load(system, (k + 1) * tau, loads)
+            f = update_load(system, (k + 1) * tau, loads)
             active = now
-        state = step(state, factor)
+        state = step(state, factor, f)
         if state.step % config.every_n_steps == 0 or state.step == n_steps:
             emit(state)
 
-    result.final_state = full(state)
-    result.wall_time = time.perf_counter() - t_start
-    return result
+    solver = {"ndof": 3 * mesh.n_nodes, "factored_dofs": int(factor.lu.dofs.size),
+              "stepped_dofs": system.ndof, "held_in_plane": held,
+              "factored_entries": factor.lu.factored_entries,
+              "lu_stored_entries": factor.lu.nnz, "ordering": factor.lu.ordering}
+    return SimulationResult(mesh=mesh, system=system, params=params, n_steps=n_steps,
+                            snapshots=snapshots, final_state=full(state),
+                            wall_time=time.perf_counter() - t_start, solver=solver)
 
 
-def _mesh_from_dict(d: dict):
+def _mesh_from_dict(d: dict, folder: str):
     if "msh_path" in d:
-        return config_section(d, "mesh.", _MSH_KEYS)["msh_path"]
+        return os.path.join(folder, config_section(d, "mesh.", _MSH_KEYS)["msh_path"])
     try:
         return StructuredSpec(**config_section(d, "mesh.", _GRID_KEYS))
     except MeshError as exc:
@@ -507,12 +499,13 @@ def _case_from_dict(d: dict):
     raise ConfigError("case needs one of: id, load, strike")
 
 
-def scenario_from_dict(d: dict) -> ScenarioConfig:
-    """Parse a run config dict, each section against its key table."""
+def scenario_from_dict(d: dict, folder: str = "") -> ScenarioConfig:
+    """Parse a run config dict, each section against its key table; a
+    relative `msh_path` is read against the directory `folder`."""
     values = config_section(d, "", _RUN_KEYS)
     output = config_section(values["output"], "output.", _OUTPUT_KEYS)
     return ScenarioConfig(
-        mesh=_mesh_from_dict(values["mesh"]),
+        mesh=_mesh_from_dict(values["mesh"], folder),
         material=params_from_config(values["material"]),
         case=_case_from_dict(values["case"]),
         border=str(values["border"]),
@@ -547,5 +540,10 @@ def _read_json_object(source, what: str) -> dict:
 
 
 def config_from_json(source) -> ScenarioConfig:
-    """Load a ScenarioConfig from a JSON file path or a parsed dict."""
-    return scenario_from_dict(_read_json_object(source, "config"))
+    """Load a ScenarioConfig from a JSON file path or a parsed dict.
+
+    A file's relative `msh_path` is read against the file's directory;
+    a dict's is kept as given.
+    """
+    folder = "" if isinstance(source, dict) else os.path.dirname(source)
+    return scenario_from_dict(_read_json_object(source, "config"), folder)

@@ -203,11 +203,12 @@ def test_criterion_03_oscillator_order_and_stability(polymer):
         params = NewmarkParams(tau=tau)
         rng = np.random.default_rng(7)
         a0 = rng.uniform(-1e-3, 1e-3, sysc.ndof)
-        state = init_state(sysc, a0=a0)
+        f = np.zeros(sysc.ndof)
+        state = init_state(sysc, f, a0=a0)
         factor = factor_once(sysc, params)
         e0 = sum(energy(state, raw.K, raw.M))
         for _ in range(1000):
-            state = step(state, factor)
+            state = step(state, factor, f)
         assert np.all(np.isfinite(state.a))
         assert sum(energy(state, raw.K, raw.M)) <= e0 * (1.0 + 1e-8)
         assert np.abs(state.a).max() <= 1e3 * np.abs(a0).max()

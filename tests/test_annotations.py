@@ -1,4 +1,6 @@
-"""Every annotation in the package resolves to a name its module can see."""
+"""Every annotation in the package resolves to a name its module can see,
+and every dataclass in it is frozen."""
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -22,3 +24,11 @@ def test_type_hints_resolve(module):
             for member in vars(obj).values():
                 if inspect.isfunction(member):
                     typing.get_type_hints(member)
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_every_dataclass_is_frozen(module):
+    # what a run builds is a value: no field of it can be rebound
+    for obj in vars(module).values():
+        if dataclasses.is_dataclass(obj) and obj.__module__ == module.__name__:
+            assert obj.__dataclass_params__.frozen, obj.__qualname__

@@ -104,14 +104,23 @@ class TestRunCommand:
         assert 0.0 < stats["write_s"] < 60.0
 
     def test_bad_every_rejected(self, tmp_path, capsys):
+        # an override is checked as the config's own value is
         cfg_path = _write(tmp_path, "run.json", _run_config())
         assert main(["run", cfg_path, "--every", "0"]) == 2
-        assert "--every" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: every_n_steps must be >= 1, got 0\n"
 
     def test_bad_tau_rejected(self, tmp_path, capsys):
         cfg_path = _write(tmp_path, "run.json", _run_config())
-        assert main(["run", cfg_path, "--tau=-1e-6"]) == 2
-        assert "--tau" in capsys.readouterr().err
+        for tau in ("-1e-06", "0.0", "inf", "nan"):
+            assert main(["run", cfg_path, f"--tau={tau}"]) == 2
+            assert capsys.readouterr().err == f"error: tau must be positive and finite, got {tau}\n"
+
+    def test_relative_msh_path_from_another_directory(self, tmp_path, monkeypatch):
+        # the config names "jit12.msh", the file beside it, not one in the working directory
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "out"
+        assert main(["run", str(CONFIGS / "ci" / "run_jit4.json"), "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["n_nodes"] == 169
 
     def test_tau_override_recorded(self, tmp_path):
         cfg_path = _write(tmp_path, "run.json", _run_config())

@@ -2,7 +2,7 @@
 import json
 import math
 import warnings
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +45,6 @@ def _oscillator(omega):
     return GlobalSystem(
         K=(omega**2) * sparse.identity(3, format="csr"),
         M=sparse.identity(3, format="csr"),
-        f=np.zeros(3),
         mesh=mesh1,
         dofs=np.arange(3),
     )
@@ -54,17 +53,18 @@ def _oscillator(omega):
 def _integrate_oscillator(omega, t_final, n_steps):
     system = _oscillator(omega)
     params = NewmarkParams(tau=t_final / n_steps)
-    state = init_state(system, a0=[1.0, 0.0, 0.0])
+    f = np.zeros(3)
+    state = init_state(system, f, a0=[1.0, 0.0, 0.0])
     factor = factor_once(system, params)
     for _ in range(n_steps):
-        state = step(state, factor)
+        state = step(state, factor, f)
     return state
 
 
 class TestOscillator:
     def test_exact_initial_acceleration(self):
         omega = 2.0
-        state = init_state(_oscillator(omega), a0=[1.0, 0.0, 0.0])
+        state = init_state(_oscillator(omega), np.zeros(3), a0=[1.0, 0.0, 0.0])
         np.testing.assert_allclose(state.addot, [-(omega**2), 0.0, 0.0], rtol=1e-14)
 
     def test_second_order_convergence(self):
@@ -86,11 +86,12 @@ class TestOscillator:
         omega = 2.0
         system = _oscillator(omega)
         params = NewmarkParams(tau=0.01)
-        state = init_state(system, a0=[1.0, 0.0, 0.0])
+        f = np.zeros(3)
+        state = init_state(system, f, a0=[1.0, 0.0, 0.0])
         factor = factor_once(system, params)
         e0 = sum(energy(state, system.K, system.M))
         for _ in range(500):
-            state = step(state, factor)
+            state = step(state, factor, f)
             e = sum(energy(state, system.K, system.M))
             assert abs(e - e0) <= 1e-10 * e0
 
@@ -120,35 +121,37 @@ class TestInitState:
         sysc = apply_constraints(assemble(grid4, polymer), border)
         rng = np.random.default_rng(1)
         a0 = rng.uniform(-1e-4, 1e-4, sysc.ndof)
-        state = init_state(sysc, a0=a0)
+        f = rng.uniform(-1.0, 1.0, sysc.ndof)
+        state = init_state(sysc, f, a0=a0)
         free = np.setdiff1d(np.arange(sysc.ndof), sysc.constrained_dofs)
-        r = (sysc.M @ state.addot + sysc.K @ state.a + sysc.f)[free]
+        r = (sysc.M @ state.addot + sysc.K @ state.a + f)[free]
         scale = np.abs(sysc.K @ state.a).max()
         assert np.abs(r).max() < 1e-10 * scale
         assert state.t == 0.0 and state.step == 0
 
     def test_vfix_overrides_v0(self, grid4, steel):
         sysc = apply_constraints(assemble(grid4, steel), [Constraint(2, (0.25, -1.0, 3.0))])
-        state = init_state(sysc)  # v0 is zero but for the constrained node's v_fix
+        # v0 is zero but for the constrained node's v_fix
+        state = init_state(sysc, np.zeros(sysc.ndof))
         np.testing.assert_array_equal(state.adot[6:9], [0.25, -1.0, 3.0])
         assert not np.delete(state.adot, [6, 7, 8]).any()
 
     def test_constrained_acceleration_zero(self, grid4, steel):
         sysc = apply_constraints(assemble(grid4, steel), [Constraint(0, (1.0, 0.0, 0.0))])
-        state = init_state(sysc, a0=np.ones(sysc.ndof))
+        state = init_state(sysc, np.zeros(sysc.ndof), a0=np.ones(sysc.ndof))
         assert np.all(state.addot[[0, 1, 2]] == 0.0)
 
     def test_inputs_copied(self, grid4, steel):
         sysc = assemble(grid4, steel)
         a0 = np.zeros(sysc.ndof)
-        state = init_state(sysc, a0=a0)
+        state = init_state(sysc, np.zeros(sysc.ndof), a0=a0)
         a0[0] = 99.0
         assert state.a[0] == 0.0
 
     def test_bad_shape(self, grid4, steel):
         sysc = assemble(grid4, steel)
         with pytest.raises(SolverError, match="shape"):
-            init_state(sysc, a0=np.zeros(5))
+            init_state(sysc, np.zeros(sysc.ndof), a0=np.zeros(5))
 
 
 class TestStep:
@@ -161,25 +164,38 @@ class TestStep:
         params = NewmarkParams(tau=1e-6)
         factor = factor_once(sysc, params)
         assert factor.system is sysc and factor.params is params
-        assert step(init_state(sysc), factor).t == params.tau
+        f = np.zeros(sysc.ndof)
+        assert step(init_state(sysc, f), factor, f).t == params.tau
+
+    def test_factor_and_system_cannot_go_stale(self, grid4, steel):
+        # neither a load nor a matrix can be set on the system a factor holds
+        sysc = _fixed_border_system(grid4, steel)
+        factor = factor_once(sysc, NewmarkParams(tau=1e-6))
+        with pytest.raises(FrozenInstanceError):
+            sysc.K = 2 * sysc.K
+        with pytest.raises(FrozenInstanceError):
+            factor.system.f = np.ones(sysc.ndof)
+        assert not hasattr(sysc, "f")
 
     def test_nonfinite_raises(self, grid4, steel):
         sysc = assemble(grid4, steel)
         params = NewmarkParams(tau=1e-6)
-        state = init_state(sysc)
+        f = np.zeros(sysc.ndof)
+        state = init_state(sysc, f)
         state.a[0] = np.inf
         factor = factor_once(sysc, params)
         with pytest.raises(SolverError, match="non-finite"):
-            step(state, factor)
+            step(state, factor, f)
 
     def test_time_is_step_times_tau(self, polymer):
         _, sysc = self._free_membrane(polymer, n=4)
         tau = 1e-3 / 3.0
         params = NewmarkParams(tau=tau)
-        state = init_state(sysc)
+        f = np.zeros(sysc.ndof)
+        state = init_state(sysc, f)
         factor = factor_once(sysc, params)
         for k in range(1, 8):
-            state = step(state, factor)
+            state = step(state, factor, f)
             assert state.t == k * tau
             assert state.step == k
 
@@ -187,10 +203,11 @@ class TestStep:
         mesh, sysc = self._free_membrane(polymer, n=6)
         rng = np.random.default_rng(4)
         params = NewmarkParams(tau=default_timestep(mesh, polymer))
-        state = init_state(sysc, a0=rng.uniform(-1e-4, 1e-4, sysc.ndof))
+        state = init_state(sysc, np.zeros(sysc.ndof), a0=rng.uniform(-1e-4, 1e-4, sysc.ndof))
         factor = factor_once(sysc, params)
-        state = step(state, factor)
-        r = sysc.M @ state.addot + sysc.K @ state.a + sysc.f
+        f = rng.uniform(-1.0, 1.0, sysc.ndof)
+        state = step(state, factor, f)
+        r = sysc.M @ state.addot + sysc.K @ state.a + f
         scale = max(np.abs(sysc.K @ state.a).max(), np.abs(sysc.M @ state.addot).max())
         assert np.abs(r).max() < 1e-9 * scale
 
@@ -201,10 +218,11 @@ class TestStep:
             Constraint(n, (0.0, 0.0, 0.0)) for n in boundary_nodes(mesh) if n != 0
         ])
         params = NewmarkParams(tau=default_timestep(mesh, polymer))
-        state = init_state(sysc)
+        f = np.zeros(sysc.ndof)
+        state = init_state(sysc, f)
         factor = factor_once(sysc, params)
         for _ in range(200):
-            state = step(state, factor)
+            state = step(state, factor, f)
             assert tuple(state.adot[0:3]) == vfix
             assert np.all(state.addot[0:3] == 0.0)
 
@@ -216,10 +234,11 @@ class TestStep:
         a0 = rng.uniform(-1e-4, 1e-4, sysc.ndof)
         a0[sysc.constrained_dofs] = 0.0
         params = NewmarkParams(tau=default_timestep(mesh, polymer))
-        state = init_state(sysc, a0=a0)
+        f = np.zeros(sysc.ndof)
+        state = init_state(sysc, f, a0=a0)
         factor = factor_once(sysc, params)
         for _ in range(100):
-            state = step(state, factor)
+            state = step(state, factor, f)
         assert np.all(state.a[sysc.constrained_dofs] == 0.0)
         assert np.all(state.adot[sysc.constrained_dofs] == 0.0)
 
@@ -230,11 +249,12 @@ class TestStep:
         tau = 100.0 * default_timestep(mesh, polymer)
         params = NewmarkParams(tau=tau)
         rng = np.random.default_rng(12)
-        state = init_state(sysc, a0=rng.uniform(-1e-3, 1e-3, sysc.ndof))
+        f = np.zeros(sysc.ndof)
+        state = init_state(sysc, f, a0=rng.uniform(-1e-3, 1e-3, sysc.ndof))
         factor = factor_once(sysc, params)
         e0 = sum(energy(state, raw.K, raw.M))
         for _ in range(1000):
-            state = step(state, factor)
+            state = step(state, factor, f)
         assert np.all(np.isfinite(state.a))
         e1 = sum(energy(state, raw.K, raw.M))
         assert e1 <= e0 * (1.0 + 1e-8)
@@ -251,11 +271,12 @@ class TestEnergy:
         a0 = rng.uniform(-1e-4, 1e-4, sysc.ndof)
         a0[sysc.constrained_dofs] = 0.0
         params = NewmarkParams(tau=default_timestep(mesh, polymer))
-        state = init_state(sysc, a0=a0)
+        f = np.zeros(sysc.ndof)
+        state = init_state(sysc, f, a0=a0)
         factor = factor_once(sysc, params)
         e0 = sum(energy(state, raw.K, raw.M))
         for _ in range(300):
-            state = step(state, factor)
+            state = step(state, factor, f)
         e1 = sum(energy(state, raw.K, raw.M))
         assert abs(e1 - e0) <= 1e-10 * e0
 
@@ -264,7 +285,7 @@ class TestEnergy:
         raw = assemble(mesh, polymer)
         sysc = assemble(mesh, polymer)
         rng = np.random.default_rng(2)
-        state = init_state(sysc, a0=rng.uniform(-1e-4, 1e-4, sysc.ndof))
+        state = init_state(sysc, np.zeros(sysc.ndof), a0=rng.uniform(-1e-4, 1e-4, sysc.ndof))
         kin, strain = energy(state, raw.K, raw.M)
         assert kin == 0.0  # starts at rest
         assert strain > 0.0
@@ -290,9 +311,8 @@ class TestFreeBlockSolve:
     def test_steps_match_dense_row_replaced_solve(self):
         mesh = mb.generate_structured(mb.StructuredSpec(1.0, 1.0, 6, 6))
         material = _fully_anisotropic()
-        raw = assemble(mesh, material)
-        raw.f = build_load_vector(mesh, material, [20, 21], (3e5, -1e5, 1e6))
-        sysc = apply_constraints(raw, [Constraint(24, (0.1, -0.2, 1.0))] + [
+        load = build_load_vector(mesh, material, [20, 21], (3e5, -1e5, 1e6))
+        sysc = apply_constraints(assemble(mesh, material), [Constraint(24, (0.1, -0.2, 1.0))] + [
             Constraint(int(n), (0.0, 0.0, 0.0)) for n in boundary_nodes(mesh)
         ])
         cdofs = sysc.constrained_dofs
@@ -300,7 +320,7 @@ class TestFreeBlockSolve:
         tau, b1, b2 = params.tau, params.beta1, params.beta2
         # the dense reference replaces the constrained rows, which then
         # read a''_c = 0: K and f rows zeroed, M rows the identity
-        k, m, f = sysc.K.toarray(), sysc.M.toarray(), sysc.f.copy()
+        k, m, f = sysc.K.toarray(), sysc.M.toarray(), load.copy()
         k[cdofs] = 0.0
         m[cdofs] = 0.0
         m[cdofs, cdofs] = 1.0
@@ -311,14 +331,14 @@ class TestFreeBlockSolve:
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
         a0 = np.random.default_rng(5).uniform(-1e-4, 1e-4, sysc.ndof)
-        state = init_state(sysc, a0=a0)
+        state = init_state(sysc, load, a0=a0)
         ref_v = state.adot.copy()
         ref_acc = np.linalg.solve(m, -(k @ a0 + f))
         close(state.addot, ref_acc)
         ref_a = a0
         factor = factor_once(sysc, params)
         for _ in range(5):
-            state = step(state, factor)
+            state = step(state, factor, load)
             v_bar = ref_v + tau * (1.0 - b1) * ref_acc
             a_bar = ref_a + tau * ref_v + 0.5 * tau**2 * (1.0 - b2) * ref_acc
             ref_acc = np.linalg.solve(a_dense, -(f + k @ a_bar))
@@ -349,17 +369,15 @@ class TestFreeBlockSolve:
         assert np.all(x[np.setdiff1d(np.arange(sysc.ndof), sysc.constrained_dofs)] != 0.0)
 
     def test_singular_free_block_raises(self):
-        system = _oscillator(0.0)
-        system.M = sparse.diags([1.0, 1.0, 0.0], format="csr")
+        system = replace(_oscillator(0.0), M=sparse.diags([1.0, 1.0, 0.0], format="csr"))
         with pytest.raises(SolverError, match="singular"):
             factor_once(system, NewmarkParams(tau=0.1))
         with pytest.raises(SolverError, match="mass matrix"):
-            init_state(system)
+            init_state(system, np.zeros(3))
 
     def test_singular_constrained_rows_are_not_factored(self):
-        system = _oscillator(0.0)
-        system.M = sparse.diags([1.0, 1.0, 0.0], format="csr")
-        system.constrained_dofs = np.array([2])
+        system = replace(_oscillator(0.0), M=sparse.diags([1.0, 1.0, 0.0], format="csr"),
+                         constrained_dofs=np.array([2]))
         factor = factor_once(system, NewmarkParams(tau=0.1))
         np.testing.assert_array_equal(factor.lu.solve(np.array([2.0, 3.0, 4.0])), [2.0, 3.0, 0.0])
 
@@ -567,9 +585,9 @@ class TestSteppedDofs:
         calls = []  # per step: the carried length, f at t_n+1, and the arguments
         real_step = scenarios.step
 
-        def recording_step(state, factor):
-            calls.append((state.a.size, factor.system.f.copy(), factor))
-            return real_step(state, factor)
+        def recording_step(state, factor, f):
+            calls.append((state.a.size, f, factor))
+            return real_step(state, factor, f)
 
         monkeypatch.setattr(scenarios, "step", recording_step)
         result = mb.run(config)
@@ -596,12 +614,12 @@ class TestSteppedDofs:
     def test_state_must_span_system_dofs(self, grid4, polymer):
         border = [Constraint(int(n), (0.0, 0.0, 0.0)) for n in boundary_nodes(grid4)]
         sysw = apply_constraints(assemble(grid4, polymer, w_only=True), border)
-        assert init_state(sysw).a.size == grid4.n_nodes
+        assert init_state(sysw, np.zeros(sysw.ndof)).a.size == grid4.n_nodes
         params = NewmarkParams(tau=1e-6)
         factor = factor_once(sysw, params)
         z = np.zeros(3 * grid4.n_nodes)
         with pytest.raises(SolverError, match="state must span the system's 25 dofs"):
-            step(State(a=z, adot=z, addot=z, t=0.0, step=0), factor)
+            step(State(a=z, adot=z, addot=z, t=0.0, step=0), factor, z)
 
 
 class TestStandingMode:
@@ -635,11 +653,12 @@ class TestStandingMode:
             a0 = np.zeros(sysc.ndof)
             a0[2::3] = shape
             params = NewmarkParams(tau=period / (4 * n))
-            state = init_state(sysc, a0=a0)
+            f = np.zeros(sysc.ndof)
+            state = init_state(sysc, f, a0=a0)
             factor = factor_once(sysc, params)
             e0 = sum(energy(state, sysc.K, sysc.M))
             for _ in range(4 * n):
-                state = step(state, factor)
+                state = step(state, factor, f)
             assert abs(sum(energy(state, sysc.K, sysc.M)) - e0) <= 1e-12 * e0
             for vec in (state.a, state.adot, state.addot):
                 assert np.all(vec[0::3] == 0.0) and np.all(vec[1::3] == 0.0)
@@ -710,13 +729,11 @@ class TestManufacturedCoupled:
             x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
             shape = np.outer(np.sin(math.pi * x) * np.sin(math.pi * y), self.D_VEC).ravel()
             params = NewmarkParams(tau=2.0 * math.pi / omega / (4 * n))
-            sysc.f = load
-            state = init_state(sysc, a0=shape)
+            state = init_state(sysc, load, a0=shape)
             factor = factor_once(sysc, params)
             err = 0.0
             for _ in range(4 * n):
-                sysc.f = load * math.cos(omega * (state.step + 1) * params.tau)
-                state = step(state, factor)
+                state = step(state, factor, load * math.cos(omega * (state.step + 1) * params.tau))
                 err = max(err, np.abs(state.a - shape * math.cos(omega * state.t)).max())
             errors.append(err)
         return [math.log2(a / b) for a, b in zip(errors, errors[1:])], factor
@@ -770,15 +787,15 @@ class TestMassSolve:
             sysc = _fixed_border_system(mesh, mat, strike=40)
         else:
             sysc = assemble(mesh, mat)
-        sysc.f = build_load_vector(mesh, mat, [60, 61], (3e5, -1e5, 1e6))
+        f = build_load_vector(mesh, mat, [60, 61], (3e5, -1e5, 1e6))
         a0 = np.random.default_rng(7).uniform(-1e-4, 1e-4, sysc.ndof)
-        state = init_state(sysc, a0=a0)
-        _assert_dense_mass_solve(sysc, state.addot, -(sysc.K @ a0 + sysc.f))
+        state = init_state(sysc, f, a0=a0)
+        _assert_dense_mass_solve(sysc, state.addot, -(sysc.K @ a0 + f))
         assert np.all(state.addot[sysc.constrained_dofs] == 0.0)
 
     def test_zero_rhs_gives_exact_zeros(self, grid4, polymer):
         sysc = _fixed_border_system(grid4, polymer, strike=12)
-        state = init_state(sysc)
+        state = init_state(sysc, np.zeros(sysc.ndof))
         assert np.all(state.addot == 0.0)
 
     def test_huge_rhs_scales_exactly(self, grid4, polymer):
@@ -786,12 +803,11 @@ class TestMassSolve:
         # max-norm, so 2**900 times the load neither overflows nor
         # changes a bit beyond the power-of-two factor
         sysc = _fixed_border_system(grid4, polymer)
-        sysc.f = np.random.default_rng(3).standard_normal(sysc.ndof)
-        small = init_state(sysc).addot
-        sysc.f = sysc.f * 2.0**900
+        f = np.random.default_rng(3).standard_normal(sysc.ndof)
+        small = init_state(sysc, f).addot
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            huge = init_state(sysc).addot
+            huge = init_state(sysc, f * 2.0**900).addot
         np.testing.assert_array_equal(huge, small * 2.0**900)
 
     def test_nonfinite_rhs_raises(self, grid4, polymer):
@@ -799,14 +815,13 @@ class TestMassSolve:
         a0 = np.zeros(sysc.ndof)
         a0[3 * 12] = np.inf  # an interior node
         with pytest.raises(SolverError, match="non-finite right-hand side for the mass matrix"):
-            init_state(sysc, a0=a0)
+            init_state(sysc, np.zeros(sysc.ndof), a0=a0)
 
     def test_indefinite_mass_raises(self):
-        system = _oscillator(1.0)
         # positive diagonal, eigenvalues -1, 1 and 3
-        system.M = sparse.csr_matrix([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        m = sparse.csr_matrix([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         with pytest.raises(SolverError, match="mass matrix"):
-            init_state(system, a0=[1.0, 0.0, 0.0])
+            init_state(replace(_oscillator(1.0), M=m), np.zeros(3), a0=[1.0, 0.0, 0.0])
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_jittered_mesh_within_cap(self, polymer, monkeypatch, seed):
@@ -816,8 +831,7 @@ class TestMassSolve:
         mesh = _jittered_grid(24, 0.25, seed)
         sysc = _fixed_border_system(mesh, polymer)
         rhs = np.random.default_rng(seed).standard_normal(sysc.ndof)
-        sysc.f = -rhs
-        _assert_dense_mass_solve(sysc, init_state(sysc).addot, rhs)
+        _assert_dense_mass_solve(sysc, init_state(sysc, -rhs).addot, rhs)
 
     def test_one_factorization_per_run(self, polymer, monkeypatch):
         # A is factored once, over the dofs that move (the free w dofs of

@@ -159,6 +159,8 @@ class TestConfig:
             ("h", "x", "material.h must be a finite number, got 'x'"),
             ("strain_threshold", "x", "material.strain_threshold must be a finite number, got 'x'"),
             ("stress_threshold", "x", "material.stress_threshold must be a finite number, got 'x'"),
+            # once accepted here though a JSON config cannot give it; None flags nothing
+            ("strain_threshold", float("inf"), "material.strain_threshold must be a finite number, got inf"),
         ],
     )
     def test_params_checked_when_made(self, key, val, message):

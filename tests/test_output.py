@@ -2,6 +2,7 @@
 import io
 import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -187,7 +188,7 @@ class TestElementCsv:
 
     def test_zz_strain_written_as_plus_zero(self, grid4, steel, tmp_path):
         st = _state(grid4)
-        st.a = -np.abs(st.a) - 1e-6  # every product in the zz row is -0.0
+        st = replace(st, a=-np.abs(st.a) - 1e-6)  # every product in the zz row is -0.0
         p = tmp_path / "elem.csv"
         write_element_csv(p, MeshText(grid4), steel, st)
         rows = [l.split(",") for l in p.read_text().splitlines()[1:]]
@@ -322,11 +323,12 @@ def _oracle_strain_stress(mesh, material, state):
 def _oracle_element_csv(mesh, material, state):
     lines = [ELEMENT_CSV_HEADER]
     all_eps, all_sig = _oracle_strain_stress(mesh, material, state)
+    cuts = (material.strain_threshold, material.stress_threshold)
     for e, (eps, sig) in enumerate(zip(all_eps, all_sig)):
-        sflag = int(np.any(np.abs(eps) > material.strain_threshold))
-        tflag = int(np.any(np.abs(sig) > material.stress_threshold))
+        # no threshold flags nothing
+        flags = [str(int(cut is not None and np.any(np.abs(x) > cut))) for x, cut in zip((eps, sig), cuts)]
         cells = [_g17(state.t), str(e)] + [_g17(x) for x in eps] + [_g17(x) for x in sig]
-        lines.append(",".join(cells + [str(sflag), str(tflag)]))
+        lines.append(",".join(cells + flags))
     return ("\n".join(lines) + "\n").encode()
 
 
@@ -349,8 +351,7 @@ def _oracle_vtk(mesh, state):
 
 def _edge_state(mesh):
     """A state whose values hit the corners of the 17-digit format."""
-    st = _state(mesh, seed=3)
-    st.t = 0.1  # shortest repr has fewer than 17 digits
+    st = replace(_state(mesh, seed=3), t=0.1)  # shortest repr has fewer than 17 digits
     specials = [-0.0, 5e-324, -0.0, 0.1, -5e-324, 1e-300, 2.0**-1074 * 3, 1e16, 123456789.0]
     st.a[: len(specials)] = specials
     st.adot[: len(specials)] = specials[::-1]
@@ -380,7 +381,7 @@ def _write_all(tmp_path, text, material, state):
 def _oracle_all(mesh, material, state):
     unflagged = mb.MaterialParams(
         d=material.d, rho=material.rho, h=material.h,
-        strain_threshold=np.inf, stress_threshold=np.inf,
+        strain_threshold=None, stress_threshold=None,
     )
     return (_oracle_snapshot_csv(mesh, state), _oracle_element_csv(mesh, unflagged, state),
             _oracle_vtk(mesh, state))
@@ -416,7 +417,7 @@ class TestWritersMatchOracle:
         state = _edge_state(grid4)
         unflagged = mb.MaterialParams(
             d=steel.d, rho=steel.rho, h=steel.h,
-            strain_threshold=np.inf, stress_threshold=np.inf,
+            strain_threshold=None, stress_threshold=None,
         )
         p = tmp_path / "elem.csv"
         write_element_csv(p, MeshText(grid4), steel, state)
@@ -532,7 +533,7 @@ class TestHeldStrains:
         write_element_csv(p, text, material, state)
         assert "strain_w" in vars(text) and "strain" not in vars(text)
         unflagged = mb.MaterialParams(d=material.d, rho=material.rho, h=material.h,
-                                      strain_threshold=np.inf, stress_threshold=np.inf)
+                                      strain_threshold=None, stress_threshold=None)
         assert p.read_bytes() == _oracle_element_csv(mesh, unflagged, state)
         sig_zz = [float(r.split(",")[10]) for r in p.read_text().splitlines()[1:]]
         assert all(sig_zz)
@@ -671,7 +672,7 @@ class TestBlockedElementCsv:
                                             strain_threshold=np.median(emax),
                                             stress_threshold=np.quantile(smax, 0.25))
                 unflagged = mb.MaterialParams(d=material.d, rho=1.0, h=1e-3,
-                                              strain_threshold=np.inf, stress_threshold=np.inf)
+                                              strain_threshold=None, stress_threshold=None)
                 write_element_csv(p, text, flagged, state)
                 assert p.read_bytes() == _oracle_element_csv(mesh, flagged, state)
                 write_element_csv(p, text, material, state)
@@ -688,7 +689,7 @@ class TestBlockedElementCsv:
         p = tmp_path / "elem.csv"
         write_element_csv(p, MeshText(mesh), steel, state)
         unflagged = mb.MaterialParams(d=steel.d, rho=1.0, h=1e-3,
-                                      strain_threshold=np.inf, stress_threshold=np.inf)
+                                      strain_threshold=None, stress_threshold=None)
         assert p.read_bytes() == _oracle_element_csv(mesh, unflagged, state)
         rows = [r.split(",") for r in p.read_text().splitlines()[1:]]
         assert rows[0][6] == "0" and len({r[6] for r in rows}) > 1

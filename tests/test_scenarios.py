@@ -288,9 +288,9 @@ class TestRun:
                         CompiledLoad(0.5 * ld.vector, 3 * tau, 8 * tau)]
             return list(loads), constraints
 
-        def recording_step(state, factor, step=mb.scenarios.step):
-            seen.append(factor.system.f.copy())
-            return step(state, factor)
+        def recording_step(state, factor, f, step=mb.scenarios.step):
+            seen.append(f)
+            return step(state, factor, f)
 
         def counting_update(system, t, lds, update=mb.scenarios.update_load):
             rebuilt.append(t)
@@ -555,6 +555,14 @@ class TestScenarioFromDict:
         d["mesh"] = {"msh_path": "some/mesh.msh"}
         assert scenario_from_dict(d).mesh == "some/mesh.msh"
 
+    def test_relative_msh_path_read_against_the_config_file(self, tmp_path):
+        d = self._minimal()
+        for given, want in (("m.msh", str(tmp_path / "m.msh")), ("/abs/m.msh", "/abs/m.msh")):
+            d["mesh"] = {"msh_path": given}
+            (tmp_path / "run.json").write_text(json.dumps(d))
+            assert config_from_json(tmp_path / "run.json").mesh == want
+            assert config_from_json(d).mesh == given  # a dict's is kept as given
+
     @pytest.mark.parametrize("path", [None, 5, ["a.msh"]])
     def test_msh_path_must_be_a_string(self, path):
         d = self._minimal()
@@ -780,13 +788,13 @@ def test_work_energy_balance_per_step(name, monkeypatch):
     steps = []  # (state before, state after) of every step
     init_state, step = mb.scenarios.init_state, mb.scenarios.step
 
-    def recording_init(system, a0=None):
-        loads.append(system.f)
-        return init_state(system, a0)
+    def recording_init(system, f, a0=None):
+        loads.append(f)
+        return init_state(system, f, a0)
 
-    def recording_step(state, factor):
-        after = step(state, factor)
-        loads.append(factor.system.f)
+    def recording_step(state, factor, f):
+        after = step(state, factor, f)
+        loads.append(f)
         steps.append((state, after))
         return after
 

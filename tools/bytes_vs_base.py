@@ -7,7 +7,8 @@ REV is checked out into a temporary `git worktree`, removed on exit.
 Each side runs its own `src/` from its own root, on its own
 `configs/study_case*.json` and `configs/run_{case1,case5,aniso}.json`,
 and both run this tree's `configs/ci/run_*.json` (a relative
-`msh_path` there is taken from this tree's root).  The comparison:
+`msh_path` there is read against `configs/ci/` of this tree, as
+`membrane run` reads it).  The comparison:
 
 - each study's `study.csv`, and each run's `snapshot_*` and
   `elements_*` files, byte for byte;
@@ -65,8 +66,8 @@ def compare(base_root: Path, out: Path) -> list:
     runs = list(RUNS)
     for path in sorted((HEAD / "configs/ci").glob("run_*.json")):
         cfg = json.loads(path.read_text())
-        if "msh_path" in cfg["mesh"]:  # from HEAD's root, at both sides
-            cfg["mesh"]["msh_path"] = str(HEAD / cfg["mesh"]["msh_path"])
+        if "msh_path" in cfg["mesh"]:  # from HEAD's configs/ci, at both sides
+            cfg["mesh"]["msh_path"] = str(path.parent / cfg["mesh"]["msh_path"])
         (out / path.name).write_text(json.dumps(cfg))
         runs.append(str(out / path.name))
     info = [membrane(root, "mesh-info", str(MESH)) for root in (base_root, HEAD)]
