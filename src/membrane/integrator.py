@@ -28,7 +28,8 @@ and a minimum degree ordering of A + A^T.  When the material couples w
 with u or v (`GlobalSystem.coupled`), a node's three dofs share one
 adjacency, so the ordering is taken on the graph of the nodes and each
 node expands to its dofs (Ashcraft 1995): about a fifth less fill on a
-coupled anisotropic layer.  Any other block is ordered dof by dof.
+coupled anisotropic layer.  The node graph is M's pattern on the nodes,
+the mesh adjacency; any other block is ordered dof by dof.
 
 Each step forms the full right-hand side f + K a_bar and solves through
 the factor's own `solve`, which reads only the free rows, so a
@@ -50,7 +51,7 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
-from scipy.sparse import csr_matrix, diags
+from scipy.sparse import diags
 from scipy.sparse.linalg import spilu, splu
 
 from .errors import SolverError
@@ -152,59 +153,45 @@ def _mass_solve(system: GlobalSystem, rhs: np.ndarray) -> np.ndarray:
     raise SolverError(f"mass matrix solve did not converge in {_MASS_MAXITER} CG iterations")
 
 
-def _node_order(block, dofs: np.ndarray) -> np.ndarray:
+def _node_order(m, dofs: np.ndarray) -> np.ndarray:
     """Positions of `dofs` in the minimum degree order of their nodes.
 
-    `block` is A's CSR block over `dofs`, positions in a system over
-    every dof.  Its pattern, collapsed onto the nodes `dofs // 3`, is
-    ordered by SuperLU's MMD on A + A^T, read as `perm_c` from an ILU
-    that drops every entry (scipy exposes no ordering alone) of a
-    diagonally dominant proxy of the node graph; each node's dofs then
-    follow in their own order.
+    `dofs`, a coupled system's free dofs, are whole (u, v, w) triples,
+    as `apply_constraints` holds whole nodes (else SolverError).  Their
+    graph is the pattern of the mass `m` on the u dofs, the mesh
+    adjacency, ordered by SuperLU's MMD on A + A^T, read as `perm_c`
+    from an ILU that drops every entry (scipy exposes no ordering alone)
+    of a diagonally dominant proxy of it; each node's dofs follow in order.
     """
-    nodes, local = np.unique(dofs // 3, return_inverse=True)
-    to_node = csr_matrix((np.ones(dofs.size, dtype=bool), local, np.arange(dofs.size + 1)),
-                         shape=(dofs.size, nodes.size))
-    pattern = csr_matrix((np.ones(block.nnz, dtype=bool), block.indices, block.indptr),
-                         shape=block.shape)
-    graph = (to_node.T @ pattern @ to_node).astype(float)
-    # -1 off the diagonal, 1 + 2*degree on it (A's diagonal is stored)
+    u = 3 * (dofs[::3] // 3)
+    if not np.array_equal(dofs, (u[:, None] + [0, 1, 2]).ravel()):
+        raise SolverError("a coupled system's constraints must hold whole nodes")
+    graph = m[u][:, u]
+    # -1 off the diagonal, 1 + 2*degree on it (M's diagonal is stored)
     graph.data[:] = -1.0
     proxy = graph + diags(2.0 * np.diff(graph.indptr))
     perm_c = spilu(proxy.tocsc(), drop_tol=np.inf, fill_factor=1, permc_spec="MMD_AT_PLUS_A",
                    diag_pivot_thresh=0.0, options={"SymmetricMode": True}).perm_c
-    return np.argsort(perm_c[local], kind="stable")
+    return ((3 * np.argsort(perm_c))[:, None] + [0, 1, 2]).ravel()
 
 
+@dataclass(frozen=True)
 class _FreeBlockLU:
-    """Sparse LU of the block of A = M + shift*K over the system's free dofs.
+    """Sparse LU of the block of A (see `factor_once`) over the free dofs.
 
-    A coupled system (`GlobalSystem.coupled`) has its free dofs reordered
-    by node (`_node_order`) and factored in that order; otherwise
-    SuperLU orders the dofs itself.  `ordering` names which.  A itself
-    is released before SuperLU factors the block.  `solve` takes and
-    returns vectors over the system's dofs; the entries outside `dofs`
-    are exact zeros.  `nnz` counts the entries SuperLU stores for L and
-    U, read without building either; `factored_entries` counts those of
-    the block.
+    `superlu` factors the block in the order of `dofs`: by node
+    (`_node_order`) for a coupled system (`GlobalSystem.coupled`), else
+    ascending with SuperLU ordering the dofs itself.  `ordering` names
+    which, and `factored_entries` counts the block's entries.  `solve`
+    takes and returns vectors over the system's dofs; the entries
+    outside `dofs` are exact zeros.  `nnz` counts the entries SuperLU
+    stores for L and U, read without building either.
     """
 
-    def __init__(self, system: GlobalSystem, shift: float):
-        dofs = system.free_dofs
-        block = (system.M + shift * system.K)[dofs][:, dofs]
-        self.ordering, spec = "MMD_AT_PLUS_A", "MMD_AT_PLUS_A"
-        if system.coupled:
-            order = _node_order(block, dofs)
-            dofs, block = dofs[order], block[order][:, order]
-            self.ordering, spec = "MMD_AT_PLUS_A (node graph)", "NATURAL"
-        self.dofs = dofs
-        self.factored_entries = block.nnz
-        block = block.tocsc()  # the one copy alive while SuperLU factors
-        try:
-            self.superlu = splu(block, permc_spec=spec, diag_pivot_thresh=0.0,
-                                options={"SymmetricMode": True})
-        except RuntimeError as exc:
-            raise SolverError(f"factorization of A failed (singular?): {exc}") from exc
+    superlu: object
+    dofs: np.ndarray
+    ordering: str
+    factored_entries: int
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         x = np.zeros(rhs.shape[0])
@@ -220,7 +207,7 @@ class _FreeBlockLU:
 class NewmarkFactor:
     """LU factorization of A with the system and params it was made from."""
 
-    lu: object
+    lu: _FreeBlockLU
     system: GlobalSystem
     params: NewmarkParams
 
@@ -259,8 +246,20 @@ def factor_once(system: GlobalSystem, params: NewmarkParams) -> NewmarkFactor:
     the system and params, and holds no matrix of its own beside the
     factors: each step reads K from the system.
     """
-    lu = _FreeBlockLU(system, 0.5 * params.tau**2 * params.beta2)
-    return NewmarkFactor(lu=lu, system=system, params=params)
+    dofs = system.free_dofs
+    block = (system.M + 0.5 * params.tau**2 * params.beta2 * system.K)[dofs][:, dofs]
+    ordering, spec = "MMD_AT_PLUS_A", "MMD_AT_PLUS_A"
+    if system.coupled:
+        order = _node_order(system.M, dofs)
+        dofs, block = dofs[order], block[order][:, order]
+        ordering, spec = "MMD_AT_PLUS_A (node graph)", "NATURAL"
+    block = block.tocsc()  # the one copy alive while SuperLU factors
+    try:
+        superlu = splu(block, permc_spec=spec, diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        raise SolverError(f"factorization of A failed (singular?): {exc}") from exc
+    return NewmarkFactor(_FreeBlockLU(superlu, dofs, ordering, block.nnz), system, params)
 
 
 def step(state: State, factor: NewmarkFactor, f: np.ndarray) -> State:

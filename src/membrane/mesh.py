@@ -33,8 +33,8 @@ __all__ = [
     "boundary_nodes",
 ]
 
-# most nodes one mesh may have; more is a typo (at the 5 kB per degree of
-# freedom a 160x160 anisotropic run peaks at, 10**7 nodes need 150 GB)
+# most nodes one mesh may have; more is a typo (at the 3.9 kB per degree of
+# freedom a 160x160 anisotropic run peaks at, 10**7 nodes need 120 GB)
 MAX_NODES = 10**7
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy import sparse
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import spilu, splu
 
 import membrane as mb
 from membrane.cli import main
@@ -22,7 +22,7 @@ from membrane.assembly import (
 from membrane.errors import SolverError
 from membrane import scenarios
 from membrane.material import params_from_config, validate_elastic_matrix
-from membrane.mesh import boundary_nodes
+from membrane.mesh import boundary_nodes, read_msh
 from membrane.scenarios import LoadSpec
 from membrane.integrator import (
     NewmarkParams,
@@ -176,6 +176,9 @@ class TestStep:
         with pytest.raises(FrozenInstanceError):
             factor.system.f = np.ones(sysc.ndof)
         assert not hasattr(sysc, "f")
+        # nor can the factor's own order of the dofs it solves for
+        with pytest.raises(FrozenInstanceError):
+            factor.lu.dofs = factor.lu.dofs[:3]
 
     def test_nonfinite_raises(self, grid4, steel):
         sysc = assemble(grid4, steel)
@@ -381,6 +384,14 @@ class TestFreeBlockSolve:
         factor = factor_once(system, NewmarkParams(tau=0.1))
         np.testing.assert_array_equal(factor.lu.solve(np.array([2.0, 3.0, 4.0])), [2.0, 3.0, 0.0])
 
+    @pytest.mark.parametrize("held", [[0], [0, 1, 5]], ids=["one_dof", "three_dofs_of_two_nodes"])
+    def test_coupled_system_must_constrain_whole_nodes(self, held, grid4):
+        # the node order reads the free dofs as whole (u, v, w) triples
+        system = replace(assemble(grid4, _aniso_160()), constrained_dofs=np.array(held))
+        assert system.coupled
+        with pytest.raises(SolverError, match="whole nodes"):
+            factor_once(system, NewmarkParams(tau=1e-6))
+
 
 # the moduli of the bench's run_aniso_160 workload, in GPa: [1, 6] is
 # xx-xz in the code's (xx, yy, zz, xy, yz, xz) order, so they couple w
@@ -421,6 +432,25 @@ def _free_count(result, w_only):
     system = result.system
     ids = system.dofs[system.free_dofs]
     return int(np.count_nonzero(ids % 3 == 2)) if w_only else ids.size
+
+
+def _block_graph_order(system, params):
+    """The free dofs of a coupled `system` in the minimum degree order of
+    the node graph collapsed from the free block of A: P^T |A_ff| P, P
+    the dof-to-node incidence, through `_node_order`'s diagonally
+    dominant proxy and dropped-everything ILU."""
+    dofs = system.free_dofs
+    a = (system.M + 0.5 * params.tau**2 * params.beta2 * system.K).tocsr()[dofs][:, dofs]
+    nodes, local = np.unique(dofs // 3, return_inverse=True)
+    to_node = sparse.csr_matrix((np.ones(dofs.size), local, np.arange(dofs.size + 1)),
+                                shape=(dofs.size, nodes.size))
+    a.data[:] = 1.0
+    graph = (to_node.T @ a @ to_node).tocsr()
+    graph.data[:] = -1.0
+    proxy = graph + sparse.diags(2.0 * np.diff(graph.indptr))
+    perm_c = spilu(proxy.tocsc(), drop_tol=np.inf, fill_factor=1, permc_spec="MMD_AT_PLUS_A",
+                   diag_pivot_thresh=0.0, options={"SymmetricMode": True}).perm_c
+    return dofs[np.argsort(perm_c[local], kind="stable")]
 
 
 def _aniso_160():
@@ -488,18 +518,26 @@ class TestHeldField:
         assert result.solver["held_in_plane"] is False
         assert np.abs(result.final_state.a[0::3]).max() > 0.0
 
-    @pytest.mark.parametrize("material", ["aniso_160", "fully_anisotropic", "orthotropic", "polymer"])
+    @pytest.mark.parametrize("material", [
+        "aniso_160", "fully_anisotropic", "orthotropic", "polymer", "jit12_aniso_160",
+    ])
     def test_api_factors_every_free_dof(self, material, grid4, request):
-        if material == "aniso_160":
+        mesh, strike = grid4, None
+        if material == "jit12_aniso_160":
+            # an unstructured mesh with shuffled node ids, and a strike
+            mesh = read_msh(CONFIGS / "ci" / "jit12.msh")
+            strike = int(np.argmin(np.hypot(*(mesh.nodes - 0.5).T)))
+        if material.endswith("aniso_160"):
             mat = _aniso_160()
         elif material == "fully_anisotropic":
             mat = _fully_anisotropic()
         else:
             mat = request.getfixturevalue(material)
-        sysc = _fixed_border_system(grid4, mat)
-        lu = factor_once(sysc, NewmarkParams(tau=1e-6)).lu
+        sysc = _fixed_border_system(mesh, mat, strike=strike)
+        params = NewmarkParams(tau=1e-6)
+        lu = factor_once(sysc, params).lu
         free = np.setdiff1d(np.arange(sysc.ndof), sysc.constrained_dofs)
-        if material in ("aniso_160", "fully_anisotropic"):
+        if material not in ("orthotropic", "polymer"):
             # coupled moduli: the free dofs in node order, each node's
             # dofs next to each other in u, v, w order
             np.testing.assert_array_equal(np.sort(lu.dofs), free)
@@ -508,6 +546,7 @@ class TestHeldField:
             assert np.count_nonzero(~same) + 1 == np.unique(nodes).size
             assert np.all(np.diff(lu.dofs)[same] > 0)
             assert lu.ordering == "MMD_AT_PLUS_A (node graph)"
+            np.testing.assert_array_equal(lu.dofs, _block_graph_order(sysc, params))
         else:
             np.testing.assert_array_equal(lu.dofs, free)
             assert lu.ordering == "MMD_AT_PLUS_A"
