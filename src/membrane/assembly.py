@@ -10,13 +10,13 @@ A system is a frozen value that holds no load: `update_load` returns
 the load active at a time, which the integrator takes as an argument.
 
 Constraints fix the velocity of whole nodes (all three components).
-They change no matrix entry: `apply_constraints` records the
-constrained dofs, and the integrator solves only the block of free
-rows and columns, which is symmetric positive definite.  The
-constrained accelerations are exact zeros, so the velocity stays at
-its initial value exactly and the displacement integrates it.  The
-free rows keep their coupling to the constrained dofs through K and
-M, which stay the physical matrices.
+They change no matrix entry: `apply_constraints` records them, the
+system reads its constrained dofs from them, and the integrator
+solves only the block of free rows and columns, which is symmetric
+positive definite.  The constrained accelerations are exact zeros, so
+the velocity stays at its initial value exactly and the displacement
+integrates it.  The free rows keep their coupling to the constrained
+dofs through K and M, which stay the physical matrices.
 
 A system spans `dofs`, the global dof ids it carries: every dof, or
 only the w dofs (`assemble(..., w_only=True)`) of a run whose in-plane
@@ -26,7 +26,7 @@ S's w part alone (`strain_operator(mesh, w_only=True)`).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix, diags, identity, kron
@@ -83,9 +83,9 @@ class GlobalSystem:
     K and M are CSR over `dofs`, the global dof ids the system carries,
     ascending.  `coupled` records whether K couples w with u or v: the
     material does (`couples_normal`) and the system carries both.
-    `constraints` holds the velocity constraints and `constrained_dofs`
-    the positions, within `dofs`, of the dofs they hold; both are empty
-    until `apply_constraints` sets them.
+    `constraints` holds the velocity constraints, empty until
+    `apply_constraints` sets them; the constrained and free dofs are
+    read from them, so they cannot disagree.
     """
 
     K: csr_matrix
@@ -93,8 +93,13 @@ class GlobalSystem:
     mesh: Mesh
     dofs: np.ndarray
     constraints: tuple[Constraint, ...] = ()
-    constrained_dofs: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     coupled: bool = False
+
+    @property
+    def constrained_dofs(self) -> np.ndarray:
+        """The positions, within `dofs`, of the dofs the constraints hold, in their order."""
+        ids = np.asarray([3 * c.node + k for c in self.constraints for k in range(3)], dtype=np.int64)
+        return np.searchsorted(self.dofs, ids[np.isin(ids, self.dofs)])
 
     @property
     def free_dofs(self) -> np.ndarray:
@@ -242,10 +247,9 @@ def build_load_vector(mesh: Mesh, material: MaterialParams, element_ids, b_vecto
 def apply_constraints(system: GlobalSystem, constraints) -> GlobalSystem:
     """`system` with the Constraint sequence `constraints` held, as a new system.
 
-    The result shares K and M with `system`; only `constraints` (a
-    tuple) and `constrained_dofs` (the positions of the nodes' carried
-    dofs, in constraint order) are its own, and they replace any
-    `system` held.  Constraining a node twice is a configuration error.
+    The result shares K and M with `system`; only `constraints`, a
+    tuple, is its own, and it replaces any `system` held.  Constraining
+    a node twice is a configuration error.
     """
     constraints = tuple(constraints)
     nodes = [c.node for c in constraints]
@@ -255,10 +259,7 @@ def apply_constraints(system: GlobalSystem, constraints) -> GlobalSystem:
     for c in constraints:
         if not 0 <= c.node < system.mesh.n_nodes:
             raise ConfigError(f"constraint node {c.node} out of range")
-
-    ids = np.asarray([3 * c.node + k for c in constraints for k in range(3)], dtype=np.int64)
-    cdofs = np.searchsorted(system.dofs, ids[np.isin(ids, system.dofs)])
-    return replace(system, constraints=constraints, constrained_dofs=cdofs)
+    return replace(system, constraints=constraints)
 
 
 def update_load(system: GlobalSystem, t: float, loads) -> np.ndarray:

@@ -47,6 +47,7 @@ of 1e-14 in about 30 iterations, whatever the mesh size or shape.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -54,7 +55,7 @@ import numpy as np
 from scipy.sparse import diags
 from scipy.sparse.linalg import spilu, splu
 
-from .errors import SolverError
+from .errors import ConfigError, SolverError
 from .assembly import GlobalSystem
 from .material import MaterialParams, max_wave_speed
 from .mesh import Mesh
@@ -73,15 +74,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NewmarkParams:
-    """Timestep of the scheme; its Newmark parameters are constants."""
+    """The timestep, positive with 0.5*tau^2*beta2 finite; beta1 and beta2 are constants."""
 
     tau: float
     beta1: ClassVar[float] = 0.5
     beta2: ClassVar[float] = 0.5
 
     def __post_init__(self):
-        if not self.tau > 0.0:
-            raise SolverError(f"timestep must be positive, got {self.tau}")
+        if not (self.tau > 0.0 and math.isfinite(0.5 * (self.tau * self.tau) * self.beta2)):
+            raise ConfigError(f"tau = {self.tau!r} must be positive with 0.5*tau^2*beta2 finite")
 
 
 @dataclass(frozen=True)
@@ -157,15 +158,13 @@ def _node_order(m, dofs: np.ndarray) -> np.ndarray:
     """Positions of `dofs` in the minimum degree order of their nodes.
 
     `dofs`, a coupled system's free dofs, are whole (u, v, w) triples,
-    as `apply_constraints` holds whole nodes (else SolverError).  Their
-    graph is the pattern of the mass `m` on the u dofs, the mesh
-    adjacency, ordered by SuperLU's MMD on A + A^T, read as `perm_c`
-    from an ILU that drops every entry (scipy exposes no ordering alone)
-    of a diagonally dominant proxy of it; each node's dofs follow in order.
+    as a constraint holds a whole node.  Their graph is the pattern of
+    the mass `m` on the u dofs `dofs[::3]`, the mesh adjacency, ordered
+    by SuperLU's MMD on A + A^T, read as `perm_c` from an ILU that drops
+    every entry (scipy exposes no ordering alone) of a diagonally
+    dominant proxy of it; each node's dofs follow in order.
     """
-    u = 3 * (dofs[::3] // 3)
-    if not np.array_equal(dofs, (u[:, None] + [0, 1, 2]).ravel()):
-        raise SolverError("a coupled system's constraints must hold whole nodes")
+    u = dofs[::3]
     graph = m[u][:, u]
     # -1 off the diagonal, 1 + 2*degree on it (M's diagonal is stored)
     graph.data[:] = -1.0

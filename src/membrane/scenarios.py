@@ -109,19 +109,19 @@ def _variant_keys(tables: dict, variant) -> dict:
 
 def _check_variant(spec, tables: dict, variant, where: str, common: dict) -> None:
     """Check the optional fields of `spec` (those None by default) against
-    the keys of its `variant`: one they hold and `spec` left None takes
-    its default there, any other must be None.  The values of these and
-    of `common`'s fields are checked as `config_section` checks keys at
-    `where`, and a load window (both specs have one) must run forward
-    from t = 0."""
+    the keys of its `variant`: one they hold and `spec` left None takes its
+    default there, any other must be None.  `spec` keeps these and `common`'s
+    fields as `config_section` reads them at `where` (tuples, not lists), and
+    a load window (both specs have one) must run forward from t = 0."""
     keys = {**common, **_variant_keys(tables, variant)}
-    for name in (f.name for f in fields(spec) if f.default is None):
+    optional = [f.name for f in fields(spec) if f.default is None]
+    for name in optional:
         value = getattr(spec, name)
         if name not in keys and value is not None:
             raise ConfigError(f"{type(spec).__name__} {variant!r} does not read {name}, got {value!r}")
-        if name in keys and value is None:
-            object.__setattr__(spec, name, keys[name][1])
-    config_section({key: getattr(spec, key) for key in keys}, where, keys)
+    given = {k: getattr(spec, k) for k in keys if k not in optional or getattr(spec, k) is not None}
+    for key, value in config_section(given, where, keys).items():
+        object.__setattr__(spec, key, value)
     if spec.window is not None and not 0.0 <= spec.window[0] <= spec.window[1]:
         raise ConfigError(f"bad load window {spec.window}")
 
@@ -158,7 +158,9 @@ class StrikeSpec:
     angle_to_normal: float = 0.0
 
     def __post_init__(self):
-        config_section({key: getattr(self, key) for key in _STRIKE_KEYS}, "case.strike.", _STRIKE_KEYS)
+        values = config_section({key: getattr(self, key) for key in _STRIKE_KEYS}, "case.strike.", _STRIKE_KEYS)
+        for key, value in values.items():
+            object.__setattr__(self, key, value)
 
     @property
     def v_fix(self) -> tuple[float, float, float]:
@@ -217,10 +219,11 @@ class ScenarioConfig:
             raise ConfigError(f"every_n_steps must be >= 1, got {self.every_n_steps}")
         if self.tau is not None and not (isinstance(self.tau, numbers.Real) and 0.0 < self.tau < math.inf):
             raise ConfigError(f"tau must be positive and finite, got {self.tau!r}")
-        if self.initial_translation is not None and np.shape(self.initial_translation) != (3,):
-            raise ConfigError("initial_translation must have three components")
-        for i, x in enumerate(() if self.initial_translation is None else self.initial_translation):
-            config_number(x, f"initial_translation[{i}]")
+        if self.initial_translation is not None:
+            if np.shape(self.initial_translation) != (3,):
+                raise ConfigError("initial_translation must have three components")
+            object.__setattr__(self, "initial_translation", tuple(
+                config_number(x, f"initial_translation[{i}]") for i, x in enumerate(self.initial_translation)))
 
 
 # the keys of a run config, of its `output` section, and of its `mesh`
@@ -279,7 +282,7 @@ def _resolve_case(case, mesh: Mesh, t_final: float):
         node = nearest_node(mesh, (0.5 * (xmin + xmax), 0.5 * (ymin + ymax)))
         return StrikeSpec(node=node, speed=case.speed, angle_to_normal=angle)
     end = t_final if case.case_id == 5 else t_final / 10.0
-    window = (0.0, end) if case.window is None else tuple(case.window)
+    window = (0.0, end) if case.window is None else case.window
     if case.case_id == 5:
         return LoadSpec("distributed-cos2", (0.0, 0.0, 1.0), case.b0, window,
                         support_radius=case.support_radius)
@@ -418,11 +421,6 @@ def run(config: ScenarioConfig, on_snapshot=None, keep_snapshots: bool = True) -
     loads = [replace(ld, vector=ld.vector[carried]) for ld in loads]
 
     tau = config.tau if config.tau is not None else default_timestep(mesh, material)
-    # factor_once and step square tau; a tau whose 0.5*tau^2*beta2
-    # overflows would fail there, with a traceback
-    if not (tau > 0.0 and math.isfinite(0.5 * (tau * tau) * NewmarkParams.beta2)):
-        given = "tau" if config.tau is not None else "the default tau"
-        raise ConfigError(f"{given} = {tau!r} must be positive with 0.5*tau^2*beta2 finite")
     params = NewmarkParams(tau=tau)
     n_steps = step_count(config.t_final, tau)
 

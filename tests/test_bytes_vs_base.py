@@ -93,3 +93,42 @@ def test_every_ci_config_parses(path):
     config = config_from_json(path)
     if isinstance(config.mesh, str):
         assert (ROOT / config.mesh).is_file()
+
+
+def _largest(trees, name):
+    base, head = trees
+    return bytes_vs_base.largest_difference(base / name, head / name)
+
+
+def test_a_differing_csv_names_its_largest_difference(trees):
+    base, head = trees
+    # L1's last value moves by one ulp: 5.4e-20, relative to L1's max 1e-3
+    (head / "study" / "study.csv").write_text("level,L1\n1,1e-3\n2,2.5000000000000006e-4\n")
+    assert _largest(trees, "study/study.csv") == " (largest difference: L1, 1 ulps, 5.42e-17 of its largest |value|)"
+
+
+def test_the_field_with_the_largest_relative_difference_is_named(trees):
+    base, head = trees
+    # a second block, after a blank line, has its own header; level's 1 -> 2
+    # is many more ulps than rate's change, but rate's is larger relative to its max
+    (base / "study" / "study.csv").write_text("level,L1\n1,1e-3\n10,2.5e-4\n\nnorm,rate\nL1,2.0\n")
+    (head / "study" / "study.csv").write_text("level,L1\n2,1e-3\n10,2.5e-4\n\nnorm,rate\nL1,3.0\n")
+    assert _largest(trees, "study/study.csv").startswith(" (largest difference: rate, 2251799813685248 ulps, 0.5 of")
+
+
+def test_a_csv_that_differs_in_text_only_or_in_lines_says_so(trees):
+    base, head = trees
+    path = head / "run" / "elements_000004.csv"
+    # 1.2345678901234567e+05 and ...568e+05 are one double
+    path.write_bytes(path.read_bytes().replace(b"567e+05", b"568e+05"))
+    assert _largest(trees, "run/elements_000004.csv") == " (no number differs)"
+    (head / "study" / "study.csv").write_text("level,L1\n1,1e-3\n")
+    assert _largest(trees, "study/study.csv") == " (3 lines, 2 in the head)"
+
+
+def test_a_file_that_is_no_csv_or_is_missing_gets_no_size(trees):
+    base, head = trees
+    _edit_manifest(head / "run", lambda m: m.update(n_steps=5))
+    assert _largest(trees, "run/manifest.json") == ""
+    (head / "run" / "snapshot_000000.csv").unlink()
+    assert _largest(trees, "run/snapshot_000000.csv") == ""

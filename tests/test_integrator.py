@@ -19,7 +19,7 @@ from membrane.assembly import (
     assemble,
     build_load_vector,
 )
-from membrane.errors import SolverError
+from membrane.errors import ConfigError, SolverError
 from membrane import scenarios
 from membrane.material import params_from_config, validate_elastic_matrix
 from membrane.mesh import boundary_nodes, read_msh
@@ -98,10 +98,11 @@ class TestOscillator:
 
 class TestParams:
     def test_nonpositive_tau_rejected(self):
-        with pytest.raises(SolverError, match="positive"):
-            NewmarkParams(tau=0.0)
-        with pytest.raises(SolverError, match="positive"):
-            NewmarkParams(tau=-1e-6)
+        # a bad input, not a numerical failure: 1e300 is positive, but
+        # 0.5*tau^2*beta2 overflows
+        for tau in (0.0, -1e-6, math.nan, 1e300):
+            with pytest.raises(ConfigError, match=r"must be positive with 0\.5\*tau\^2\*beta2 finite$"):
+                NewmarkParams(tau=tau)
 
     def test_trapezoid_rule_is_fixed(self):
         # beta1 = beta2 = 1/2 are the scheme's constants; tau is the one field
@@ -179,6 +180,9 @@ class TestStep:
         # nor can the factor's own order of the dofs it solves for
         with pytest.raises(FrozenInstanceError):
             factor.lu.dofs = factor.lu.dofs[:3]
+        # and the constrained dofs are read from the constraints, not set
+        with pytest.raises(TypeError, match="constrained_dofs"):
+            replace(sysc, constrained_dofs=np.array([0]))
 
     def test_nonfinite_raises(self, grid4, steel):
         sysc = assemble(grid4, steel)
@@ -379,18 +383,14 @@ class TestFreeBlockSolve:
             init_state(system, np.zeros(3))
 
     def test_singular_constrained_rows_are_not_factored(self):
-        system = replace(_oscillator(0.0), M=sparse.diags([1.0, 1.0, 0.0], format="csr"),
-                         constrained_dofs=np.array([2]))
+        # node 1 of two, whose mass rows are zero, is held
+        mesh2 = mb.Mesh(nodes=np.zeros((2, 2)), triangles=np.empty((0, 3), dtype=np.int64))
+        system = apply_constraints(GlobalSystem(
+            K=sparse.csr_matrix((6, 6)), M=sparse.diags([1.0] * 3 + [0.0] * 3, format="csr"),
+            mesh=mesh2, dofs=np.arange(6)), [Constraint(1, (0.0, 0.0, 0.0))])
         factor = factor_once(system, NewmarkParams(tau=0.1))
-        np.testing.assert_array_equal(factor.lu.solve(np.array([2.0, 3.0, 4.0])), [2.0, 3.0, 0.0])
-
-    @pytest.mark.parametrize("held", [[0], [0, 1, 5]], ids=["one_dof", "three_dofs_of_two_nodes"])
-    def test_coupled_system_must_constrain_whole_nodes(self, held, grid4):
-        # the node order reads the free dofs as whole (u, v, w) triples
-        system = replace(assemble(grid4, _aniso_160()), constrained_dofs=np.array(held))
-        assert system.coupled
-        with pytest.raises(SolverError, match="whole nodes"):
-            factor_once(system, NewmarkParams(tau=1e-6))
+        x = factor.lu.solve(np.arange(2.0, 8.0))
+        np.testing.assert_array_equal(x, [2.0, 3.0, 4.0, 0.0, 0.0, 0.0])
 
 
 # the moduli of the bench's run_aniso_160 workload, in GPa: [1, 6] is
@@ -721,8 +721,10 @@ class TestManufacturedCoupled:
         n           8        16       32
         max error   8.38e-2  2.13e-2  5.34e-3
 
-    rates 1.97 and 2.00.  With D's coupled entries dropped from K the
-    errors grow with n instead.
+    rates 1.97 and 2.00.  On the jittered configs/ci/jit12.msh refined
+    twice by midpoint refinement (n = 12, 24, 48) the rates are 1.99 and
+    1.97.  With D's coupled entries dropped from K the errors grow with
+    n instead, on both inputs.
     """
 
     # bench/workloads.py's ANISO_MODULI_GPA: [i, j, GPa], 1-based
@@ -754,13 +756,25 @@ class TestManufacturedCoupled:
         div = np.stack([sx[:, 0] + sy[:, 3], sx[:, 3] + sy[:, 1], sx[:, 5] + sy[:, 4]], 1)
         return -material.rho * omega**2 * phi[:, None] * self.D_VEC - div
 
-    def _rates(self, stiffness):
-        """The observed rates of the max nodal error over LEVELS, K made from `stiffness`."""
+    def _structured(self):
+        return [(mb.generate_structured(mb.StructuredSpec(1.0, 1.0, n, n)), n) for n in self.LEVELS]
+
+    def _jit12_refined(self):
+        """configs/ci/jit12.msh, a jittered 12x12 unit square, refined
+        twice by midpoint refinement: 169, 625 and 2401 nodes."""
+        ladder = [(read_msh(CONFIGS / "ci" / "jit12.msh"), 12)]
+        for _ in range(2):
+            mesh, n = ladder[-1]
+            ladder.append((_midpoint_refined(mesh), 2 * n))
+        return ladder
+
+    def _rates(self, stiffness, ladder):
+        """The observed rates of the max nodal error over the (mesh, n)
+        `ladder`, K made from `stiffness`."""
         material = self._material()
         omega = math.pi * math.sqrt(2.0) * math.sqrt(material.d[4, 4] / material.rho)
         errors = []
-        for n in self.LEVELS:
-            mesh = mb.generate_structured(mb.StructuredSpec(1.0, 1.0, n, n))
+        for mesh, n in ladder:
             sysc = _fixed_border_system(mesh, stiffness)
             c = mesh.centroids()
             load = build_load_vector(mesh, material, np.arange(mesh.n_triangles),
@@ -777,19 +791,46 @@ class TestManufacturedCoupled:
             errors.append(err)
         return [math.log2(a / b) for a, b in zip(errors, errors[1:])], factor
 
-    def test_second_order_through_the_node_ordered_factor(self):
-        rates, factor = self._rates(self._material())
+    def _assert_second_order(self, ladder):
+        rates, factor = self._rates(self._material(), ladder)
         assert factor.lu.ordering == "MMD_AT_PLUS_A (node graph)"
         lo, hi = self.RATE_BAND
         assert all(lo <= r <= hi for r in rates), rates
 
-    def test_dropping_the_coupling_from_k_fails(self):
+    def _assert_dropping_the_coupling_fails(self, ladder):
         material = self._material()
         d = material.d.copy()
         d[np.ix_([0, 1, 3], [4, 5])] = d[np.ix_([4, 5], [0, 1, 3])] = 0.0
-        rates, factor = self._rates(replace(material, d=d))
+        rates, factor = self._rates(replace(material, d=d), ladder)
         assert factor.lu.ordering == "MMD_AT_PLUS_A"
         assert all(r < self.RATE_BAND[0] for r in rates), rates
+
+    def test_second_order_through_the_node_ordered_factor(self):
+        self._assert_second_order(self._structured())
+
+    def test_dropping_the_coupling_from_k_fails(self):
+        self._assert_dropping_the_coupling_fails(self._structured())
+
+    def test_second_order_on_a_refined_unstructured_mesh(self):
+        self._assert_second_order(self._jit12_refined())
+
+    def test_dropping_the_coupling_fails_on_a_refined_unstructured_mesh(self):
+        self._assert_dropping_the_coupling_fails(self._jit12_refined())
+
+
+def _midpoint_refined(mesh):
+    """`mesh` with each triangle split into four through its edge
+    midpoints; the coarse nodes keep their ids, the midpoints follow."""
+    t = mesh.triangles
+    edges = np.sort(t[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    ends, index = np.unique(edges, axis=0, return_inverse=True)
+    ab, bc, ca = (mesh.n_nodes + index.reshape(-1, 3)).T
+    a, b, c = t.T
+    children = [(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)]
+    triangles = np.concatenate([np.column_stack(child) for child in children])
+    refined = mb.Mesh(nodes=np.vstack([mesh.nodes, mesh.nodes[ends].mean(axis=1)]), triangles=triangles)
+    refined.validate()
+    return refined
 
 def _jittered_grid(n, amplitude, seed):
     """An n-by-n structured grid with interior nodes moved at random.

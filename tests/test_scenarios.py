@@ -202,8 +202,8 @@ def _scenario(mesh_spec, material, case, border="fixed", t_final=None, tau=None,
 def _grid4_config(**fields):
     """A fixed-border case-1 run on a 4x4 grid, `fields` replacing its own."""
     material = mb.MaterialParams(d=mb.isotropic(2.0e9, 0.3), rho=1200.0, h=1e-3)
-    return _scenario(mb.StructuredSpec(1.0, 1.0, 4, 4), material, CaseSpec(1),
-                     **{"t_final": 1e-5, **fields})
+    return _scenario(mb.StructuredSpec(1.0, 1.0, 4, 4), material,
+                     **{"case": CaseSpec(1), "t_final": 1e-5, **fields})
 
 
 class TestRun:
@@ -500,6 +500,30 @@ class TestSpecChecks:
     def test_bad_value_rejected_when_made(self, make, message):
         with pytest.raises(ConfigError, match=message):
             make()
+
+    @pytest.mark.parametrize("make", [
+        lambda x: _grid4_config(case=LoadSpec("element-uniform", x["direction"], 1e6, x["window"],
+                                              elements=x["elements"])),
+        lambda x: _grid4_config(case=CaseSpec(1, b0=1e6, window=x["window"])),
+        lambda x: _grid4_config(initial_translation=x["initial_translation"]),
+    ], ids=["LoadSpec", "CaseSpec", "ScenarioConfig"])
+    def test_spec_holds_tuples_not_the_callers_lists(self, make):
+        # once the caller's lists: unhashable, and a window changed after
+        # the check ran the case with no load
+        lists = {"direction": [0, 0, 1], "window": [0, 1e-4], "elements": [10, 11],
+                 "initial_translation": [0, 0, 1e-3]}
+        config = make(lists)
+        hash(config.case)
+        for spec in (config, config.case):
+            for name in lists.keys() & vars(spec).keys():
+                if getattr(spec, name) is not None:
+                    assert getattr(spec, name) == tuple(lists[name])
+                    assert all(type(v) is (int if name == "elements" else float) for v in getattr(spec, name))
+        before = run(config, keep_snapshots=False).final_state.a
+        assert np.abs(before).max() > 0.0
+        for values in lists.values():
+            values[:] = [-1] * len(values)
+        np.testing.assert_array_equal(run(config, keep_snapshots=False).final_state.a, before)
 
     def test_translation_length(self, polymer):
         # once a bare ValueError from reshaping inside run

@@ -17,13 +17,18 @@ and both run this tree's `configs/ci/run_*.json` (a relative
   (the head may add keys), and so must the MANIFEST_KEYS.
 
 Each differing file or key is printed, and the exit status is 1 if
-there is any.  The bytes are those of one machine and one OpenBLAS
-kernel (see `membrane.output`), so both sides run on this one.
+there is any.  A differing CSV file also gets the size of its largest
+difference (`largest_difference`), so a few ulps of a reordered sum or
+another BLAS kernel show apart from a real change.  The bytes are those
+of one machine and one OpenBLAS kernel (see `membrane.output`), so both
+sides run on this one.
 """
 import argparse
 import json
+import math
 import os
 import signal
+import struct
 import subprocess
 import sys
 import tempfile
@@ -54,6 +59,53 @@ def differences(base: Path, head: Path) -> list:
     return bad if names else ["no study.csv, snapshot_* or elements_* file"]
 
 
+def _ordinal(x: float) -> int:
+    """The place of double `x` in the order of all doubles: neighbours differ by 1."""
+    i = struct.unpack("<q", struct.pack("<d", x))[0]
+    return i if i >= 0 else -(i & 0x7FFFFFFFFFFFFFFF)
+
+
+def largest_difference(base: Path, head: Path) -> str:
+    """How large the difference of CSV file `head` from `base` is, as text.
+
+    A field is a column of a block: a header line and the rows below it,
+    up to a blank line.  Where both files hold a number in a cell and
+    the texts differ, the difference counts in ulps (the doubles between
+    the two values) and relative to the field's largest |value| in
+    `base`.  The field with the largest relative difference is named
+    with both.  Not a CSV file on both sides gives ""; CSV files whose
+    lines do not pair up, or that differ in no number, say so.
+    """
+    if base.suffix != ".csv" or not head.is_file():
+        return ""
+    lines = [path.read_text().splitlines() for path in (base, head)]
+    if len(lines[0]) != len(lines[1]):
+        return f" ({len(lines[0])} lines, {len(lines[1])} in the head)"
+    fields = {}  # (header line, column): [largest |base value|, |difference|, ulps]
+    header = 0
+    for k, (b_line, h_line) in enumerate(zip(*lines)):
+        if k == 0 or not lines[0][k - 1]:
+            header = k
+        for j, (b, h) in enumerate(zip(b_line.split(","), h_line.split(","))):
+            try:
+                x, y = float(b), float(h)
+            except ValueError:
+                continue
+            field = fields.setdefault((header, j), [0.0, 0.0, 0])
+            field[0] = max(field[0], abs(x))
+            if b != h:
+                diff = abs(x - y)
+                field[1] = max(field[1], math.inf if math.isnan(diff) else diff)
+                field[2] = max(field[2], abs(_ordinal(x) - _ordinal(y)))
+    rel = {key: math.inf if v[0] == 0.0 else v[1] / v[0] for key, v in fields.items() if v[2]}
+    if not rel:
+        return " (no number differs)"
+    (header, j), worst = max(rel.items(), key=lambda item: item[1])
+    names = lines[0][header].split(",")
+    name = names[j] if j < len(names) else f"column {j}"
+    return f" (largest difference: {name}, {fields[header, j][2]} ulps, {worst:.3g} of its largest |value|)"
+
+
 def membrane(root: Path, *args) -> bytes:
     """Run `python -m membrane.cli *args` on the source and in the root `root`."""
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
@@ -77,7 +129,8 @@ def compare(base_root: Path, out: Path) -> list:
             dirs = [out / side / Path(cfg).stem for side in ("base", "head")]
             for root, d in zip((base_root, HEAD), dirs):
                 membrane(root, command, cfg, "--out", str(d))
-            bad += [f"{Path(cfg).name}: {item}" for item in differences(*dirs)]
+            bad += [f"{Path(cfg).name}: {item}{largest_difference(*(d / item for d in dirs))}"
+                    for item in differences(*dirs)]
     return bad
 
 
