@@ -199,11 +199,16 @@ def assemble(mesh: Mesh, material: MaterialParams, w_only: bool = False) -> Glob
     the full matrices when the material does not couple w with u or v.
     K and M are CSR and store no zero; K is symmetric positive
     semidefinite, M symmetric positive definite.
+
+    Both products are CSR by CSR and W stores only D's nonzero moduli,
+    so neither is copied through CSC; each entry of K sums its products
+    in ascending strain row, and its column indices are then sorted.
     """
     area, s = strain_operator(mesh, w_only)
     d = material.d[4:6, 4:6] if w_only else material.d
     dofs = np.arange(2, 3 * mesh.n_nodes, 3) if w_only else np.arange(3 * mesh.n_nodes)
-    k = (s.T @ (kron(diags(material.h * area), d, format="bsr") @ s)).tocsr()
+    k = s.T.tocsr() @ (kron(diags(material.h * area), d, format="csr") @ s)
+    k.sort_indices()
     # scalar consistent mass: rho*h*A/12 * [[2, 1, 1], [1, 2, 1], [1, 1, 2]] per triangle
     tri, pairs = mesh.triangles, (mesh.n_triangles, 3, 3)
     me = (1.0 + np.eye(3)) * (material.rho * material.h * area / 12.0)[:, None, None]

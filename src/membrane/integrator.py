@@ -47,6 +47,7 @@ of 1e-14 in about 30 iterations, whatever the mesh size or shape.
 """
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 from typing import ClassVar
@@ -94,6 +95,12 @@ class State:
     addot: np.ndarray
     t: float
     step: int
+
+
+try:  # glibc's malloc_trim(pad) returns freed heap to the system; other C libraries lack it
+    _malloc_trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
+except (OSError, TypeError):  # no C library to load by that name (Windows)
+    _malloc_trim = None
 
 
 # The t=0 mass solve stops at ||r|| <= _MASS_RTOL*||b||.  The Jacobi-scaled
@@ -241,18 +248,22 @@ def factor_once(system: GlobalSystem, params: NewmarkParams) -> NewmarkFactor:
     """Factorize the block of A = M + 0.5*tau^2*beta2*K over the free dofs.
 
     The block is symmetric positive definite, so it takes a
-    symmetric-mode LU (see the module docstring).  The handle carries
-    the system and params, and holds no matrix of its own beside the
+    symmetric-mode LU (see the module docstring).  The block is
+    gathered from A in its factor order by rows, CSC and columns, and
+    glibc's `malloc_trim` then returns the heap freed so far, so
+    SuperLU's factors do not sit on top of it.  The handle carries the
+    system and params, and holds no matrix of its own beside the
     factors: each step reads K from the system.
     """
     dofs = system.free_dofs
-    block = (system.M + 0.5 * params.tau**2 * params.beta2 * system.K)[dofs][:, dofs]
     ordering, spec = "MMD_AT_PLUS_A", "MMD_AT_PLUS_A"
     if system.coupled:
-        order = _node_order(system.M, dofs)
-        dofs, block = dofs[order], block[order][:, order]
+        dofs = dofs[_node_order(system.M, dofs)]
         ordering, spec = "MMD_AT_PLUS_A (node graph)", "NATURAL"
-    block = block.tocsc()  # the one copy alive while SuperLU factors
+    # each temporary is freed as the next is made: the block is the one copy alive
+    block = (system.M + 0.5 * params.tau**2 * params.beta2 * system.K)[dofs].tocsc()[:, dofs]
+    if _malloc_trim is not None:
+        _malloc_trim(0)
     try:
         superlu = splu(block, permc_spec=spec, diag_pivot_thresh=0.0,
                        options={"SymmetricMode": True})

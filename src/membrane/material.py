@@ -11,7 +11,7 @@ vector in the same order.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -148,15 +148,22 @@ class MaterialParams:
     strain_threshold, stress_threshold : float or None
         Optional componentwise magnitudes above which an element is
         flagged in the per-element output; finite and non-negative.
+
+    `d` is kept as a read-only float copy, compared and hashed by value.
     """
 
-    d: np.ndarray
+    d: np.ndarray = field(compare=False)
     rho: float
     h: float
     strain_threshold: float | None = None
     stress_threshold: float | None = None
+    _moduli: tuple = field(init=False, repr=False)  # d's shape and entries, for == and hash
 
     def __post_init__(self):
+        d = np.array(self.d, dtype=float)
+        d.flags.writeable = False
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "_moduli", (d.shape, tuple(d.flat)))
         for key in ("rho", "h"):
             if not config_number(getattr(self, key), f"material.{key}") > 0.0:
                 raise ConfigError(f"material.{key} must be positive, got {getattr(self, key)}")

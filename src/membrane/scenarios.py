@@ -217,8 +217,10 @@ class ScenarioConfig:
             raise ConfigError(f"t_final must be positive, got {self.t_final}")
         if config_number(self.every_n_steps, "every_n_steps", integer=True) < 1:
             raise ConfigError(f"every_n_steps must be >= 1, got {self.every_n_steps}")
-        if self.tau is not None and not (isinstance(self.tau, numbers.Real) and 0.0 < self.tau < math.inf):
-            raise ConfigError(f"tau must be positive and finite, got {self.tau!r}")
+        if self.tau is not None:
+            if not (isinstance(self.tau, numbers.Real) and 0.0 < self.tau < math.inf):
+                raise ConfigError(f"tau must be positive and finite, got {self.tau!r}")
+            NewmarkParams(self.tau)  # 0.5*tau^2*beta2 must be finite too
         if self.initial_translation is not None:
             if np.shape(self.initial_translation) != (3,):
                 raise ConfigError("initial_translation must have three components")

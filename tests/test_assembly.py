@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.linalg import eigh
-from scipy.sparse import identity, kron
+from scipy.sparse import diags, identity, kron
 
 import membrane as mb
 from membrane import assembly
@@ -171,6 +171,31 @@ class TestStrainOperator:
         assert np.all(coo.row % 3 == coo.col % 3)
         scalar = m[0::3, 0::3]
         np.testing.assert_array_equal(m.toarray(), kron(scalar, identity(3)).toarray())
+
+
+class TestStiffnessProduct:
+    """K = S^T (W S) in CSR keeps the bits of the product formed through CSC."""
+
+    @staticmethod
+    def _csc_formed(mesh, material, w_only):
+        # the oracle: W in BSR (D's zeros stored), S^T as CSC, K converted from CSC
+        area, s = strain_operator(mesh, w_only)
+        d = material.d[4:6, 4:6] if w_only else material.d
+        return (s.T @ (kron(diags(material.h * area), d, format="bsr") @ s)).tocsr()
+
+    @pytest.mark.parametrize("case", ["isotropic", "run_aniso", "held", "jit12"])
+    def test_same_indices_and_bits(self, case, steel, polymer):
+        aniso = mb.params_from_config(json.loads((CONFIGS / "run_aniso.json").read_text())["material"])
+        mesh, material, w_only = {
+            "isotropic": (_perturbed_grid(8, 8, seed=5), steel, False),
+            "run_aniso": (mb.generate_structured(mb.StructuredSpec(1.0, 1.0, 12, 12)), aniso, False),
+            "held": (mb.generate_structured(mb.StructuredSpec(2.0, 0.7, 12, 5)), polymer, True),
+            "jit12": (mb.read_msh(CONFIGS / "ci" / "jit12.msh"), aniso, False),
+        }[case]
+        k = assemble(mesh, material, w_only).K
+        assert couples_normal(material) is (case in ("run_aniso", "jit12"))
+        assert k.has_sorted_indices and k.nnz == np.count_nonzero(k.data)
+        assert _same_csr(k, self._csc_formed(mesh, material, w_only))
 
 
 class TestCarriedField:

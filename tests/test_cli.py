@@ -115,6 +115,16 @@ class TestRunCommand:
             assert main(["run", cfg_path, f"--tau={tau}"]) == 2
             assert capsys.readouterr().err == f"error: tau must be positive and finite, got {tau}\n"
 
+    def test_tau_overflow_rejected_before_the_mesh(self, tmp_path, capsys, monkeypatch):
+        def no_mesh(spec):
+            raise AssertionError("mesh built")
+
+        monkeypatch.setattr("membrane.cli.build_mesh", no_mesh)
+        cfg_path = _write(tmp_path, "run.json", _run_config())
+        assert main(["run", cfg_path, "--tau", "1e300"]) == 2
+        assert capsys.readouterr().err == (
+            "error: tau = 1e+300 must be positive with 0.5*tau^2*beta2 finite\n")
+
     def test_relative_msh_path_from_another_directory(self, tmp_path, monkeypatch):
         # the config names "jit12.msh", the file beside it, not one in the working directory
         monkeypatch.chdir(tmp_path)

@@ -1,6 +1,9 @@
 """Newmark integration tests: order, stability, constraints, energy."""
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
@@ -20,7 +23,7 @@ from membrane.assembly import (
     build_load_vector,
 )
 from membrane.errors import ConfigError, SolverError
-from membrane import scenarios
+from membrane import integrator, scenarios
 from membrane.material import params_from_config, validate_elastic_matrix
 from membrane.mesh import boundary_nodes, read_msh
 from membrane.scenarios import LoadSpec
@@ -391,6 +394,73 @@ class TestFreeBlockSolve:
         factor = factor_once(system, NewmarkParams(tau=0.1))
         x = factor.lu.solve(np.arange(2.0, 8.0))
         np.testing.assert_array_equal(x, [2.0, 3.0, 4.0, 0.0, 0.0, 0.0])
+
+
+def _sliced_factor_input(system, params):
+    """The oracle for `factor_once`'s input: the free block of A, then the
+    node order of a coupled system, then CSC, sliced in five steps."""
+    dofs = system.free_dofs
+    block = (system.M + 0.5 * params.tau**2 * params.beta2 * system.K)[dofs][:, dofs]
+    if system.coupled:
+        order = integrator._node_order(system.M, dofs)
+        dofs, block = dofs[order], block[order][:, order]
+    return dofs, block.tocsc()
+
+
+class TestFactorInput:
+    """The block SuperLU factors is gathered in three steps, on a trimmed heap."""
+
+    @pytest.mark.parametrize("case", ["coupled_fixed", "uncoupled_fixed", "coupled_free"])
+    def test_three_gathers_are_the_sliced_block_bitwise(self, case, orthotropic, monkeypatch):
+        mesh = _jittered_grid(12, 0.2, seed=3)
+        if case == "uncoupled_fixed":
+            system = _fixed_border_system(mesh, orthotropic)
+        elif case == "coupled_fixed":
+            system = _fixed_border_system(mesh, _aniso_160(), strike=mesh.n_nodes // 2)
+        else:
+            system = assemble(mesh, _aniso_160())
+        assert system.coupled is case.startswith("coupled")
+        params = NewmarkParams(tau=default_timestep(mesh, orthotropic))
+        factored = []
+        monkeypatch.setattr(integrator, "splu", lambda a, **kw: factored.append(a) or splu(a, **kw))
+        lu = factor_once(system, params).lu
+        dofs, block = _sliced_factor_input(system, params)
+        np.testing.assert_array_equal(lu.dofs, dofs)
+        (got,) = factored
+        assert got.format == "csc" and lu.factored_entries == block.nnz
+        for name in ("indptr", "indices", "data"):
+            assert getattr(got, name).tobytes() == getattr(block, name).tobytes(), name
+
+    def test_heap_is_trimmed_once_before_superlu(self, grid4, steel, monkeypatch):
+        calls = []
+        monkeypatch.setattr(integrator, "_malloc_trim", lambda pad: calls.append(("trim", pad)))
+        monkeypatch.setattr(integrator, "splu", lambda a, **kw: calls.append("splu") or splu(a, **kw))
+        factor_once(_fixed_border_system(grid4, steel), NewmarkParams(tau=1e-6))
+        assert calls == [("trim", 0), "splu"]
+
+    def test_factors_without_malloc_trim(self, grid4, steel, monkeypatch):
+        system, params = _fixed_border_system(grid4, steel, strike=12), NewmarkParams(tau=1e-6)
+        rhs = np.random.default_rng(2).uniform(-1.0, 1.0, system.ndof)
+        want = factor_once(system, params).lu.solve(rhs)
+        monkeypatch.setattr(integrator, "_malloc_trim", None)
+        assert factor_once(system, params).lu.solve(rhs).tobytes() == want.tobytes()
+
+    def test_import_where_the_c_library_lacks_malloc_trim(self):
+        # musl and macOS have no malloc_trim: the import leaves None, and a factor is made
+        code = ("import ctypes, numpy, scipy.sparse.linalg\n"
+                "ctypes.CDLL = lambda *args, **kwargs: object()\n"
+                "import membrane as mb\n"
+                "from membrane import assembly, integrator\n"
+                "assert integrator._malloc_trim is None\n"
+                "mesh = mb.generate_structured(mb.StructuredSpec(1.0, 1.0, 4, 4))\n"
+                "material = mb.MaterialParams(d=mb.isotropic(2e9, 0.3), rho=1200.0, h=1e-3)\n"
+                "lu = integrator.factor_once(assembly.assemble(mesh, material),\n"
+                "                            integrator.NewmarkParams(1e-6)).lu\n"
+                "assert lu.nnz > 0\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                       check=True)
 
 
 # the moduli of the bench's run_aniso_160 workload, in GPa: [1, 6] is

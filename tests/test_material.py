@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import membrane as mb
+from membrane.convergence import StudySpec
 from membrane.errors import ConfigError, MaterialError
 from membrane.material import VOIGT_COMPONENTS, validate_elastic_matrix
 
@@ -188,6 +189,26 @@ class TestConfig:
     def test_unknown_type_rejected(self):
         with pytest.raises(ConfigError, match="orthotropic"):
             mb.params_from_config({"type": "orthotropic", "rho": 1.0, "h": 1.0})
+
+    def test_params_compare_and_hash_by_value(self):
+        # once ValueError from == on the array field, TypeError from hash
+        d = mb.isotropic(2e9, 0.3)
+        a = mb.MaterialParams(d=d, rho=1200.0, h=1e-3)
+        b = mb.MaterialParams(d=d.copy(), rho=1200.0, h=1e-3)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != mb.MaterialParams(d=d, rho=1200.0, h=2e-3)
+        stiffer = d.copy()
+        stiffer[0, 0] *= 2.0
+        assert a != mb.MaterialParams(d=stiffer, rho=1200.0, h=1e-3)
+        # d is a read-only copy: neither the caller's array nor the field can change it
+        d[0, 0] = 0.0
+        assert a == b and a.d[0, 0] > 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            a.d[0, 0] = 1.0
+        config = mb.ScenarioConfig(mesh=mb.StructuredSpec(1.0, 1.0, 4, 4), material=a,
+                                   case=mb.CaseSpec(1), border="fixed", t_final=1e-5)
+        same = mb.ScenarioConfig(**{**vars(config), "material": b})
+        assert hash(StudySpec(config, k_max=2)) == hash(StudySpec(same, k_max=2))
 
 
 class TestDerived:

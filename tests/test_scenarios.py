@@ -525,6 +525,17 @@ class TestSpecChecks:
             values[:] = [-1] * len(values)
         np.testing.assert_array_equal(run(config, keep_snapshots=False).final_state.a, before)
 
+    def test_tau_overflow_rejected_when_made(self):
+        # once accepted here, and rejected only by run after the mesh and assembly
+        message = r"^tau = 1e\+300 must be positive with 0.5\*tau\^2\*beta2 finite$"
+        with pytest.raises(ConfigError, match=message):
+            _grid4_config(tau=1e300)
+        d = {"mesh": {"Lx": 1.0, "Ly": 1.0, "nx": 4, "ny": 4}, "border": "fixed", "T": 1e-3,
+             "material": {"type": "isotropic", "E": 2e9, "nu": 0.3, "rho": 1200.0, "h": 1e-3},
+             "case": {"id": 1, "b0": 1e6}, "tau": 1e300}
+        with pytest.raises(ConfigError, match=message):
+            config_from_json(d)
+
     def test_translation_length(self, polymer):
         # once a bare ValueError from reshaping inside run
         with pytest.raises(ConfigError, match="^initial_translation must have three components$"):
