@@ -127,17 +127,14 @@ def _triangle_gradients(mesh: Mesh):
     (beta_i, gamma_i), the same arithmetic as the scalar
     `shape_coefficients` of the tests' reference kernels
     (tests/reference_element.py).  This is the only place the solver
-    computes them; a degenerate or clockwise triangle raises
-    AssemblyError.
+    computes them; every area is positive, since a mesh rejects a
+    degenerate or clockwise triangle when it is made.
     """
     p = mesh.triangle_coords()
     x, y = p[:, :, 0], p[:, :, 1]
     jj = [1, 2, 0]
     kk = [2, 0, 1]
     se = mesh.signed_doubled_areas()
-    if np.any(se <= 0.0):
-        bad = int(np.argmax(se <= 0.0))
-        raise AssemblyError(f"triangle {bad} degenerate or clockwise during assembly")
     beta = (y[:, jj] - y[:, kk]) / se[:, None]
     gamma = (x[:, kk] - x[:, jj]) / se[:, None]
     return 0.5 * se, beta, gamma

@@ -80,7 +80,6 @@ def isotropic(E: float, nu: float) -> np.ndarray:
     d[:3, :3] = c * nu
     np.fill_diagonal(d[:3, :3], c * (1.0 - nu))
     d[3, 3] = d[4, 4] = d[5, 5] = c * g
-    validate_elastic_matrix(d)
     return d
 
 
@@ -93,8 +92,7 @@ def anisotropic(upper: np.ndarray) -> np.ndarray:
         Upper-triangle entries row-major: c11..c16, c22..c26, c33..c36,
         c44..c46, c55, c56, c66 (units as given, typically Pa).
 
-    The matrix is symmetrized from the upper triangle and must pass the
-    positive-definiteness check.
+    The matrix is symmetrized from the upper triangle.
     """
     upper = np.asarray(upper, dtype=float)
     if upper.shape != (21,):
@@ -102,9 +100,7 @@ def anisotropic(upper: np.ndarray) -> np.ndarray:
     d = np.zeros((6, 6))
     iu = np.triu_indices(6)
     d[iu] = upper
-    d = d + np.triu(d, 1).T
-    validate_elastic_matrix(d)
-    return d
+    return d + np.triu(d, 1).T
 
 
 def packed_from_entries(entries) -> np.ndarray:
@@ -149,6 +145,7 @@ class MaterialParams:
         Optional componentwise magnitudes above which an element is
         flagged in the per-element output; finite and non-negative.
 
+    Every value is checked when made (`d` by `validate_elastic_matrix`).
     `d` is kept as a read-only float copy, compared and hashed by value.
     """
 
@@ -161,6 +158,10 @@ class MaterialParams:
 
     def __post_init__(self):
         d = np.array(self.d, dtype=float)
+        try:
+            validate_elastic_matrix(d)
+        except MaterialError as exc:
+            raise ConfigError(f"invalid material: {exc}") from exc
         d.flags.writeable = False
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "_moduli", (d.shape, tuple(d.flat)))
@@ -203,7 +204,7 @@ def params_from_config(cfg: dict) -> MaterialParams:
         if kind == "isotropic":
             d = isotropic(values.pop("E"), values.pop("nu"))
         else:
-            with np.errstate(over="ignore"):  # GPa -> Pa; anisotropic rejects an inf
+            with np.errstate(over="ignore"):  # GPa -> Pa; MaterialParams rejects an inf
                 pa = packed_from_entries(values.pop("moduli_gpa")) * 1e9
             d = anisotropic(pa)
     except MaterialError as exc:

@@ -77,25 +77,71 @@ class StructuredSpec:
         return 2 * r, 2 * r + 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mesh:
-    """Triangle mesh of the reference plane.
+    """Triangle mesh of the reference plane, checked when it is made.
 
     Attributes
     ----------
     nodes : ndarray, shape (n_nodes, 2)
-        Reference coordinates (x0, y0) per node.
+        Finite reference coordinates (x0, y0) per node.
     triangles : ndarray, shape (n_triangles, 3)
-        Counter-clockwise vertex ids per triangle.
+        Integer vertex ids per triangle, in range and distinct; areas and
+        edge lengths inside the float range; areas positive (CCW) above roundoff.
     structure : StructuredSpec or None
         Present when the mesh came from `generate_structured`; required
         by operations that need grid metadata (central element pair,
         refinement studies).
+
+    A failed check raises MeshError; a mesh with no triangles gets no
+    geometry check, and `validate` adds a file's checks.  The arrays are
+    read-only, and meshes compare and hash by value.
     """
 
     nodes: np.ndarray
     triangles: np.ndarray
     structure: StructuredSpec | None = None
+
+    def __post_init__(self):
+        for name, dtype in (("nodes", float), ("triangles", None)):
+            a = np.asarray(getattr(self, name), dtype=dtype)
+            if a.flags.writeable:  # a read-only array is shared, any other copied
+                a = a.copy()
+                a.flags.writeable = False
+            object.__setattr__(self, name, a)
+        nodes, t = self.nodes, self.triangles
+        if nodes.ndim != 2 or nodes.shape[1] != 2:
+            raise MeshError(f"nodes must be (n, 2), got {nodes.shape}")
+        if t.ndim != 2 or t.shape[1] != 3:
+            raise MeshError(f"triangles must be (m, 3), got {t.shape}")
+        if t.dtype.kind not in "iu":
+            raise MeshError(f"triangle vertex ids must be integers, got {t.dtype}")
+        _require_finite(nodes)
+        if t.size == 0:
+            return
+        if t.min() < 0 or t.max() >= self.n_nodes:
+            raise MeshError("triangle vertex id out of range")
+        if ((t[:, 0] == t[:, 1]) | (t[:, 1] == t[:, 2]) | (t[:, 0] == t[:, 2])).any():
+            raise MeshError("triangle with repeated vertex ids")
+        s2 = self.signed_doubled_areas()
+        # scale-aware degeneracy cutoff: doubled area of a healthy triangle
+        # is O(edge^2); anything at roundoff level counts as degenerate
+        max_edge_sq = float(self._squared_edge_lengths().max())
+        if not (np.isfinite(s2).all() and np.isfinite(max_edge_sq)):
+            raise MeshError("node coordinates out of range: triangle areas or edge lengths "
+                            f"overflow (largest |coordinate| {float(np.abs(nodes).max()):.3g})")
+        bad = np.nonzero(s2 <= 1e-14 * max_edge_sq)[0]
+        if bad.size:
+            raise MeshError(f"triangle {int(bad[0])} degenerate or clockwise "
+                            f"(doubled signed area {s2[bad[0]]:.3e})")
+
+    def __eq__(self, other):
+        return isinstance(other, Mesh) and self.structure == other.structure and (
+            np.array_equal(self.nodes, other.nodes) and np.array_equal(self.triangles, other.triangles))
+
+    def __hash__(self):
+        # -0.0 + 0.0 is 0.0 and every id is widened, so equal meshes hash equal
+        return hash((self.structure, (self.nodes + 0.0).tobytes(), self.triangles.astype(np.int64).tobytes()))
 
     @property
     def n_nodes(self) -> int:
@@ -110,24 +156,8 @@ class Mesh:
         return self.nodes[self.triangles]
 
     def signed_doubled_areas(self) -> np.ndarray:
-        """Per-triangle doubled signed area (positive for CCW).
-
-        The cyclic formula x0(y1-y2) + x1(y2-y0) + x2(y0-y1), the same as
-        the scalar `shape_coefficients` of the tests' reference kernels
-        (tests/reference_element.py); assembly, loads and
-        `validate` all take their areas from here.
-
-        Finite coordinates too large for the float range give inf or nan
-        silently; `validate` rejects those meshes.
-        """
-        p = self.triangle_coords()
-        x, y = p[:, :, 0], p[:, :, 1]
-        with np.errstate(over="ignore", invalid="ignore"):
-            return (
-                x[:, 0] * (y[:, 1] - y[:, 2])
-                + x[:, 1] * (y[:, 2] - y[:, 0])
-                + x[:, 2] * (y[:, 0] - y[:, 1])
-            )
+        """Per-triangle doubled signed area (positive for CCW), by `_doubled_areas`."""
+        return _doubled_areas(self.triangle_coords())
 
     def areas(self) -> np.ndarray:
         return 0.5 * self.signed_doubled_areas()
@@ -146,7 +176,7 @@ class Mesh:
 
         Edge k of a triangle runs from its vertex k to vertex k+1 (mod 3).
         Coordinates too large for the float range give inf or nan
-        silently; `validate` rejects those meshes.
+        silently; such a mesh is rejected when it is made.
         """
         p = self.triangle_coords()
         with np.errstate(over="ignore", invalid="ignore"):
@@ -163,33 +193,13 @@ class Mesh:
         return float(lo[0]), float(hi[0]), float(lo[1]), float(hi[1])
 
     def validate(self) -> None:
-        """Check every invariant of a mesh, raising MeshError on the first.
-
-        Structure: nodes (n, 2) and triangles (m, 3), at least one
-        triangle, vertex ids in range and distinct per triangle, no
-        duplicate triangles, and edge-connectivity of the whole node set.
-        Geometry: finite node coordinates whose triangle areas and edge
-        lengths stay inside the float range, and strictly positive
-        triangle areas (CCW, non-degenerate).  `read_msh` runs all of
-        them; `generate_structured`, whose structure holds by
-        construction, runs the geometry checks only.
+        """The checks `read_msh` adds for a file, raising MeshError on the
+        first: at least one triangle, no duplicate triangles (in any vertex
+        order), and edge-connectivity of the whole node set.
         """
-        if self.nodes.ndim != 2 or self.nodes.shape[1] != 2:
-            raise MeshError(f"nodes must be (n, 2), got {self.nodes.shape}")
-        if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
-            raise MeshError(f"triangles must be (m, 3), got {self.triangles.shape}")
-        _require_finite(self.nodes)
         if self.n_triangles == 0:
             raise MeshError("mesh has no triangles")
-        t = self.triangles
-        if t.min() < 0 or t.max() >= self.n_nodes:
-            raise MeshError("triangle vertex id out of range")
-        if (
-            (t[:, 0] == t[:, 1]) | (t[:, 1] == t[:, 2]) | (t[:, 0] == t[:, 2])
-        ).any():
-            raise MeshError("triangle with repeated vertex ids")
-        self._check_geometry()
-        key = np.sort(t, axis=1)
+        key = np.sort(self.triangles, axis=1)
         key = key[np.lexsort(key.T[::-1])]
         if (key[1:] == key[:-1]).all(axis=1).any():
             raise MeshError("duplicate triangles")
@@ -204,28 +214,21 @@ class Mesh:
         if ncomp != 1:
             raise MeshError(f"mesh is not edge-connected ({ncomp} components)")
 
-    def _check_geometry(self) -> None:
-        """The geometry checks of `validate`; nodes finite, vertex ids in range."""
-        s2 = self.signed_doubled_areas()
-        # scale-aware degeneracy cutoff: doubled area of a healthy triangle
-        # is O(edge^2); anything at roundoff level counts as degenerate
-        max_edge_sq = float(self._squared_edge_lengths().max())
-        if not (np.isfinite(s2).all() and np.isfinite(max_edge_sq)):
-            raise MeshError(
-                "node coordinates out of range: triangle areas or edge lengths "
-                f"overflow (largest |coordinate| {float(np.abs(self.nodes).max()):.3g})"
-            )
-        bad = np.nonzero(s2 <= 1e-14 * max_edge_sq)[0]
-        if bad.size:
-            raise MeshError(
-                f"triangle {int(bad[0])} degenerate or clockwise "
-                f"(doubled signed area {s2[bad[0]]:.3e})"
-            )
+
+def _doubled_areas(p: np.ndarray) -> np.ndarray:
+    """Doubled signed areas x0(y1-y2) + x1(y2-y0) + x2(y0-y1) of vertex
+    coordinates p (m, 3, 2), as the tests' `shape_coefficients`
+    (tests/reference_element.py).  Every area in the package comes from
+    here; an overflow gives inf or nan silently, and a Mesh rejects it.
+    """
+    x, y = p[:, :, 0], p[:, :, 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return x[:, 0] * (y[:, 1] - y[:, 2]) + x[:, 1] * (y[:, 2] - y[:, 0]) + x[:, 2] * (y[:, 0] - y[:, 1])
 
 
 def _require_finite(nodes: np.ndarray) -> None:
-    bad = ~np.isfinite(nodes).all(axis=1)
-    if bad.any():
+    if not np.isfinite(nodes).all():  # one pass over the whole array; rows only on failure
+        bad = ~np.isfinite(nodes).all(axis=1)
         raise MeshError(f"node coordinates must be finite, got {nodes[bad][0].tolist()}")
 
 
@@ -235,10 +238,7 @@ def generate_structured(spec: StructuredSpec) -> Mesh:
     Every cell is split along its lower-left to upper-right diagonal.
     Node coordinates are computed as (i*Lx)/nx so that a doubled grid
     reproduces the coarse nodes bitwise (refinement subset property).
-
-    The grid's structure holds by construction, so it gets only the
-    checks its side lengths can fail: finite coordinates, then the
-    geometry checks of `Mesh.validate`.
+    Of the mesh's own checks, only those of its coordinates can fail.
     """
     nx, ny = spec.nx, spec.ny
     with np.errstate(over="ignore"):  # i*Lx past the float range is inf, rejected below
@@ -260,10 +260,7 @@ def generate_structured(spec: StructuredSpec) -> Mesh:
     triangles[0::2] = lower
     triangles[1::2] = upper
 
-    _require_finite(nodes)
-    mesh = Mesh(nodes=nodes, triangles=triangles, structure=spec)
-    mesh._check_geometry()
-    return mesh
+    return Mesh(nodes=nodes, triangles=triangles, structure=spec)
 
 
 def refine(spec: StructuredSpec) -> StructuredSpec:
@@ -316,10 +313,11 @@ def read_msh(source) -> Mesh:
     skipped; any other type is rejected.  Node ids are remapped to dense
     0-based ids in file order.  Nodes must be planar: |z| < 1e-9 times
     the larger in-plane extent.  Triangles arriving clockwise are
-    reordered counter-clockwise, and the mesh then gets every check of
-    `Mesh.validate`.  A node count above MAX_NODES is rejected before
-    any node line is parsed, and a block's lines are parsed one at a
-    time, so a count larger than the file fails at its first bad line.
+    reordered counter-clockwise before the mesh is made, and the mesh
+    then also gets the checks of `Mesh.validate`.  A node count above
+    MAX_NODES is rejected before any node line is parsed, and a block's
+    lines are parsed one at a time, so a count larger than the file
+    fails at its first bad line.
     """
     if isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="utf-8") as f:
@@ -412,7 +410,7 @@ def read_msh(source) -> Mesh:
 
     arr = np.asarray(coords, dtype=float)
     _require_finite(arr)
-    with np.errstate(over="ignore"):  # an extent past the float range is inf; validate rejects it
+    with np.errstate(over="ignore"):  # an extent past the float range is inf; Mesh rejects it
         ext = np.ptp(arr[:, :2], axis=0).max()
     scale = ext if ext > 0 else 1.0
     zmax = float(np.abs(arr[:, 2]).max())
@@ -434,9 +432,9 @@ def read_msh(source) -> Mesh:
     if tris.size == 0:
         raise MeshError("MSH file has no triangles")
 
-    mesh = Mesh(nodes=arr[:, :2].copy(), triangles=tris, structure=None)
-    # normalize orientation before validating: flip clockwise triangles
-    flip = mesh.signed_doubled_areas() < 0
+    # orient every triangle counter-clockwise before the mesh checks it
+    flip = _doubled_areas(arr[tris, :2]) < 0
     tris[flip] = tris[flip][:, [0, 2, 1]]
+    mesh = Mesh(nodes=arr[:, :2], triangles=tris)
     mesh.validate()
     return mesh

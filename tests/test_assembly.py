@@ -22,7 +22,7 @@ from membrane.assembly import (
     strain_operator,
     update_load,
 )
-from membrane.errors import AssemblyError, ConfigError
+from membrane.errors import AssemblyError, ConfigError, MeshError
 from membrane.integrator import NewmarkParams, factor_once, init_state, step
 
 from reference_element import (
@@ -305,11 +305,12 @@ class TestGlobalProperties:
     def test_ndof(self, grid4, steel):
         assert assemble(grid4, steel).ndof == 3 * grid4.n_nodes
 
-    def test_degenerate_triangle_named(self, steel):
+    def test_degenerate_triangle_named(self):
         nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.5], [2.0, 0.0]])
         tris = np.array([[0, 1, 2], [0, 1, 3]])  # second is collinear
-        with pytest.raises(AssemblyError, match="triangle 1"):
-            assemble(mb.Mesh(nodes=nodes, triangles=tris), steel)
+        # rejected when the mesh is made, before any assembly
+        with pytest.raises(MeshError, match="triangle 1"):
+            mb.Mesh(nodes=nodes, triangles=tris)
 
 
 class TestBlochWaveSpeeds:

@@ -190,6 +190,23 @@ class TestConfig:
         with pytest.raises(ConfigError, match="orthotropic"):
             mb.params_from_config({"type": "orthotropic", "rho": 1.0, "h": 1.0})
 
+    @pytest.mark.parametrize("index, value, message", [
+        # once a bare IndexError
+        (None, None, r"elastic matrix must be 6x6, got \(3, 3\)"),
+        ((2, 2), np.nan, r"elastic matrix has non-finite entries \(overflow\?\)"),
+        # once run to completion
+        ((0, 1), 1e-3, "elastic matrix must be exactly symmetric"),
+        # once accepted
+        ((5, 5), -2.0, r"elastic matrix is singular or indefinite: eigenvalue -2.000000e\+00 "
+                       r"\(largest 1.000000e\+00\)"),
+    ], ids=["3x3", "nan", "asymmetric", "indefinite"])
+    def test_elastic_matrix_checked_when_made(self, index, value, message):
+        d = np.eye(3 if index is None else 6)
+        if index is not None:
+            d[index] = value
+        with pytest.raises(ConfigError, match=f"^invalid material: {message}$"):
+            mb.MaterialParams(d=d, rho=1200.0, h=1e-3)
+
     def test_params_compare_and_hash_by_value(self):
         # once ValueError from == on the array field, TypeError from hash
         d = mb.isotropic(2e9, 0.3)

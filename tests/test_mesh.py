@@ -206,6 +206,74 @@ class TestValidation:
             mb.Mesh(nodes=nodes, triangles=tris).validate()
 
 
+def _with(array, index, value):
+    """A copy of `array`, widened to hold `value`, with array[index] = value."""
+    out = array.astype(np.result_type(array, value))
+    out[index] = value
+    return out
+
+
+class TestCheckedWhenMade:
+    """A hand-made mesh is checked when it is made, with `validate`'s messages."""
+
+    @pytest.mark.parametrize("make, message", [
+        # once a bare IndexError, at the first use of the nodes
+        (lambda g: (g.nodes, _with(g.triangles, (0, 0), 999)), "triangle vertex id out of range"),
+        (lambda g: (g.nodes, _with(g.triangles, (0, 1), 0)), "triangle with repeated vertex ids"),
+        # once accepted, and failed as a bad element size under case 5
+        (lambda g: (_with(g.nodes, (3, 1), np.nan), g.triangles),
+         r"node coordinates must be finite, got \[0.75, nan\]"),
+        # once an AssemblyError, at the first assembly
+        (lambda g: (g.nodes, g.triangles[:, [0, 2, 1]]),
+         r"triangle 0 degenerate or clockwise \(doubled signed area -6.250e-02\)"),
+        (lambda g: (np.zeros(50), g.triangles), r"nodes must be \(n, 2\), got \(50,\)"),
+        (lambda g: (g.nodes, g.triangles[:, :2]), r"triangles must be \(m, 3\), got \(32, 2\)"),
+        (lambda g: (g.nodes, _with(g.triangles, (0, 0), 2.5)),
+         "triangle vertex ids must be integers, got float64"),
+    ], ids=["id_999", "repeated_id", "nan_node", "clockwise", "nodes_1d", "triangles_m2", "id_2_5"])
+    def test_bad_mesh_rejected_when_made(self, grid4, make, message):
+        nodes, triangles = make(grid4)
+        with pytest.raises(MeshError, match=f"^{message}$"):
+            mb.Mesh(nodes=nodes, triangles=triangles)
+
+    def test_arrays_are_read_only_copies(self, grid4):
+        nodes, triangles = grid4.nodes.copy(), grid4.triangles.copy()
+        mesh = mb.Mesh(nodes=nodes, triangles=triangles)
+        with pytest.raises(ValueError, match="read-only"):
+            mesh.nodes[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            mesh.triangles[0, 0] = 1
+        nodes[0, 0] = 5.0  # the caller's array stays writable, and the mesh keeps its copy
+        assert mesh.nodes[0, 0] == 0.0 and np.array_equal(triangles, grid4.triangles)
+        # a read-only array is shared, as `MeshText`'s per-block meshes share their parent's
+        block = mb.Mesh(nodes=grid4.nodes, triangles=grid4.triangles[4:8])
+        assert block.nodes is grid4.nodes and np.shares_memory(block.triangles, grid4.triangles)
+
+    def test_mesh_without_triangles_can_be_made(self):
+        mesh = mb.Mesh(nodes=np.zeros((2, 2)), triangles=np.empty((0, 3), dtype=np.int64))
+        assert (mesh.n_nodes, mesh.n_triangles) == (2, 0)
+        with pytest.raises(MeshError, match="^mesh has no triangles$"):
+            mesh.validate()
+
+    def test_meshes_compare_and_hash_by_value(self):
+        # once ValueError from == on the array fields, and TypeError from hash
+        spec = mb.StructuredSpec(1.0, 1.0, 4, 4)
+        a, b = mb.generate_structured(spec), mb.generate_structured(spec)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        bare = mb.Mesh(nodes=a.nodes, triangles=a.triangles.astype(np.int32))
+        assert bare != a  # no structure
+        # -0.0 == 0.0, and int32 ids equal int64 ones: equal values hash equal
+        same = mb.Mesh(nodes=np.where(a.nodes == 0.0, -0.0, a.nodes), triangles=a.triangles)
+        assert bare == same and hash(bare) == hash(same)
+        assert a != mb.generate_structured(mb.StructuredSpec(1.0, 2.0, 4, 4))
+        assert a != mb.Mesh(nodes=a.nodes, triangles=a.triangles[:-1], structure=spec)
+        assert a != spec
+        material = mb.MaterialParams(d=mb.isotropic(2e9, 0.3), rho=1200.0, h=1e-3)
+        configs = [mb.ScenarioConfig(mesh=m, material=material, case=mb.CaseSpec(1),
+                                     border="fixed", t_final=1e-5) for m in (a, b)]
+        assert configs[0] == configs[1] and hash(configs[0]) == hash(configs[1])
+
+
 class TestMshReader:
     def test_round_trip_preserves_geometry(self, grid4):
         text = emit_msh(grid4)
